@@ -5,7 +5,8 @@
     solvsph verify <file | --preset NAME> [--height H] [--cap D] [--trials T]
     solvsph presets list | show NAME
 
-Exit codes: 0 success, 1 negative verdict or failed check, 2 input error.
+Exit codes: 0 success, 1 negative verdict or failed check, 2 input error,
+3 internal error (a failed self-check or an arithmetic fault).
 Options fall back to SOLVSPH_HEIGHT / SOLVSPH_CAP / SOLVSPH_TRIALS /
 SOLVSPH_SEED and then to the config's [options] section.
 """
@@ -135,6 +136,10 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     cap = _resolve(cap, "SOLVSPH_CAP", config.options.dim_cap)
     trials = _resolve(trials, "SOLVSPH_TRIALS", config.options.trials)
     seed = _resolve(seed, "SOLVSPH_SEED", config.options.seed)
+    if height < 0:
+        raise ValueError(f"height bound must be at least 0, got {height}")
+    if trials < 1:
+        raise ValueError(f"open-orbit trials must be at least 1, got {trials}")
 
     sub = build_subgroup(config)
     verdict = check_spherical(sub)
@@ -235,6 +240,9 @@ def main(argv=None):
     except (SolvsphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,8 +1,7 @@
 """Exact linear algebra over the rationals and the integers.
 
 Matrices are plain lists of rows (numbers are ints or Fractions); nothing
-here ever touches floating point.  numpy object arrays used elsewhere in
-the package are converted with ``.tolist()`` before calling in.
+here ever touches floating point.
 """
 
 from fractions import Fraction

@@ -6,7 +6,10 @@ cyclic spans inside tensor products of fundamental modules (themselves
 cut out of exterior powers of the natural module), semi-invariant
 dimensions are exact kernel computations, and sphericity is probed by
 exhibiting a group element whose conjugate of the subalgebra, together
-with the Borel, spans the whole Lie algebra.  All arithmetic is exact.
+with the Borel, spans the whole Lie algebra.  All arithmetic is exact:
+every matrix is a ``SparseMatrix`` of Fractions.  Only the simple root
+vectors act directly on a module; the coroots and the other root vectors
+act through brackets, derived in ``_with_derived_actions``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import linalg
 from .errors import (
     AlgebraMismatch,
@@ -26,40 +27,96 @@ from .errors import (
     NotSpherical,
     UnsupportedType,
 )
-from .rootsys import Root, Weight
+from .rootsys import Root, Weight, fmt_root
 from .sphericity import ActiveRootTable, check_spherical
 from .subgroup import SubgroupData
 
 
-def _zeros(r, c):
-    return np.zeros((r, c), dtype=object)
+def _add_into(out, vec, c=1):
+    """out += c * vec on sparse vectors (dicts index -> value, no zeros)."""
+    for k, x in vec.items():
+        s = out.get(k, 0) + c * x
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
-def _eye(k):
-    m = _zeros(k, k)
-    for i in range(k):
-        m[i, i] = Fraction(1)
-    return m
+class SparseMatrix:
+    """An exact square matrix, stored as sparse columns.
+
+    Supports ``@`` with a matrix, or with a vector given as a sequence (the
+    result is a list of Fractions), ``+``, ``-``, scalar ``*`` and ``==``;
+    a matrix is false when it is zero.
+    """
+
+    __slots__ = ("n", "cols")
+
+    def __init__(self, cols):
+        self.cols = cols  # one dict row -> nonzero value per column
+        self.n = len(cols)
+
+    @classmethod
+    def from_entries(cls, n, entries):
+        """The n x n matrix with the given {(row, column): value} entries."""
+        m = cls([{} for _ in range(n)])
+        for (r, c), x in entries.items():
+            _add_into(m.cols[c], {r: Fraction(x)})
+        return m
+
+    def apply(self, vec):
+        """The product with a sparse vector (dict index -> value)."""
+        out = {}
+        for j, c in vec.items():
+            _add_into(out, self.cols[j], c)
+        return out
+
+    def __matmul__(self, other):
+        if isinstance(other, SparseMatrix):
+            return SparseMatrix([self.apply(col) for col in other.cols])
+        out = self.apply({j: x for j, x in enumerate(other) if x})
+        return [out.get(i, Fraction(0)) for i in range(self.n)]
+
+    def __add__(self, other):
+        return _combination(self.n, [(self, 1), (other, 1)])
+
+    def __sub__(self, other):
+        return _combination(self.n, [(self, 1), (other, -1)])
+
+    def __mul__(self, scalar):
+        return _combination(self.n, [(self, scalar)])
+
+    def __eq__(self, other):
+        return isinstance(other, SparseMatrix) and self.cols == other.cols
+
+    def __bool__(self):
+        return any(self.cols)
+
+    def flat(self):
+        """All entries in row-major order."""
+        return [col.get(r, 0) for r in range(self.n) for col in self.cols]
 
 
-def _is_zero_matrix(m):
-    return all(x == 0 for x in m.flat)
+def _combination(n, terms):
+    """The n x n matrix sum of c * m over the (m, c) pairs."""
+    cols = [{} for _ in range(n)]
+    for m, c in terms:
+        if c:
+            for out, col in zip(cols, m.cols):
+                _add_into(out, col, c)
+    return SparseMatrix(cols)
 
 
 def exp_nilpotent(a):
     """Exact exponential of a nilpotent matrix (finite series)."""
-    k = a.shape[0]
-    out = _eye(k)
-    term = _eye(k)
-    i = 1
-    while True:
+    out = term = SparseMatrix([{i: Fraction(1)} for i in range(a.n)])
+    for i in range(1, a.n + 2):
         term = (term @ a) * Fraction(1, i)
-        if _is_zero_matrix(term):
+        if not term:
             return out
         out = out + term
-        i += 1
-        if i > k + 1:
-            raise ValueError("matrix is not nilpotent")
+    raise ValueError("matrix is not nilpotent")
 
 
 def weyl_dim(rs, lam):
@@ -79,18 +136,26 @@ def weyl_dim(rs, lam):
     return int(val)
 
 
-# -- sparse vector helpers -------------------------------------------------
+def _with_derived_actions(algebra, actions):
+    """Complete the simple root vector actions to the whole algebra.
 
-
-def _vec_sub(v, c, w):
-    out = dict(v)
-    for k, x in w.items():
-        s = out.get(k, 0) - c * x
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
+    The coroots act as [e_i, f_i]; every other root vector acts as the
+    bracket along its fixed extraspecial pair, divided by the structure
+    constant.  Positive roots come in order of height, so both factors of
+    each bracket are known when it is taken.
+    """
+    rs = algebra.root_system
+    for i, alpha in enumerate(rs.simple_roots):
+        e, f = actions[("e", alpha.coords)], actions[("e", (-alpha).coords)]
+        actions[("h", i)] = e @ f - f @ e
+    for eps in [r.coords for r in rs.positive_roots if r.height > 1]:
+        gamma, delta = algebra.extraspecial[eps]
+        n = algebra.structure_constant(gamma, delta)
+        for sign in (1, -1):
+            a = actions[("e", tuple(sign * x for x in gamma))]
+            b = actions[("e", tuple(sign * x for x in delta))]
+            actions[("e", tuple(sign * x for x in eps))] = (a @ b - b @ a) * Fraction(sign, n)
+    return actions
 
 
 class _Blocks:
@@ -109,7 +174,7 @@ class _Blocks:
         for bi in blk:
             c = v.get(self.pivots[bi], 0)
             if c:
-                v = _vec_sub(v, c, self.vectors[bi])
+                _add_into(v, self.vectors[bi], -c)
         if not v:
             return None
         piv = min(v)
@@ -128,7 +193,7 @@ class _Blocks:
         for bi in self.by_weight.get(wt, []):
             c = v.get(self.pivots[bi], 0)
             if c:
-                v = _vec_sub(v, c, self.vectors[bi])
+                _add_into(v, self.vectors[bi], -c)
                 coords[bi] = c
         if v:
             return None
@@ -147,49 +212,44 @@ class HighestWeightModule:
         self.algebra = algebra
         self.lam = lam
         self.weights = weights  # list of Weight
-        self.actions = actions  # basis key -> numpy object matrix
+        self.actions = actions  # basis key -> SparseMatrix
         self.dim = len(weights)
         self._verify_basics()
 
     def _verify_basics(self):
         rs = self.algebra.root_system
         for i in range(rs.n):
-            h = self.actions[("h", i)]
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    expect = self.weights[j].coords[i] if j == k else 0
-                    if h[k, j] != expect:
-                        raise AssertionError("coroot action is not the weight diagonal")
+            diag = {(j, j): w.coords[i] for j, w in enumerate(self.weights)}
+            if self.actions[("h", i)] != SparseMatrix.from_entries(self.dim, diag):
+                raise AssertionError("coroot action is not the weight diagonal")
         for alpha in rs.simple_roots:
-            col = self.actions[("e", alpha.coords)][:, 0]
-            if any(x != 0 for x in col):
+            if self.actions[("e", alpha.coords)].cols[0]:
                 raise AssertionError("highest vector is not annihilated by raising operators")
         if self.weights[0] != self.lam:
             raise AssertionError("highest vector has the wrong weight")
 
     def highest_vector(self):
-        v = _zeros(self.dim, 1)[:, 0]
-        v[0] = Fraction(1)
-        return v
+        return [Fraction(int(i == 0)) for i in range(self.dim)]
 
     def act_element(self, element):
         """Matrix of an algebra element (linear combination of basis keys)."""
         if element.algebra is not self.algebra:
             raise AlgebraMismatch("element from a different algebra")
-        out = _zeros(self.dim, self.dim)
-        for key, c in element.terms.items():
-            out = out + self.actions[key] * c
-        return out
+        return _combination(self.dim, ((self.actions[k], c) for k, c in element.terms.items()))
 
     def __repr__(self):
         return f"HighestWeightModule(lam={self.lam.coords}, dim={self.dim})"
 
 
-def _span_module(provider, algebra, lam):
-    """Close the highest vector under lowering operators and build matrices."""
+def _span_module(algebra, lam, start, act):
+    """Close a highest vector under lowering operators and build its module.
+
+    ``start`` is the highest vector and ``act(key, vec)`` applies a simple
+    root vector, both on sparse vectors of the ambient module.
+    """
     rs = algebra.root_system
     blocks = _Blocks()
-    blocks.insert(lam.coords, provider.start)
+    blocks.insert(lam.coords, start)
     queue = [0]
     simple_wts = [rs.root_to_weight(a) for a in rs.simple_roots]
     while queue:
@@ -197,74 +257,28 @@ def _span_module(provider, algebra, lam):
         wt = Weight(blocks.weights[bi])
         vec = blocks.vectors[bi]
         for i, alpha in enumerate(rs.simple_roots):
-            img = provider.act(("e", tuple(-x for x in alpha.coords)), vec)
+            img = act(("e", (-alpha).coords), vec)
             if img:
                 idx = blocks.insert((wt - simple_wts[i]).coords, img)
                 if idx is not None:
                     queue.append(idx)
-    dim = len(blocks.vectors)
     weights = [Weight(w) for w in blocks.weights]
 
     actions = {}
-    gen_keys = []
-    for i, alpha in enumerate(rs.simple_roots):
-        gen_keys.append((("e", alpha.coords), simple_wts[i]))
-        gen_keys.append((("e", tuple(-x for x in alpha.coords)), -simple_wts[i]))
-        gen_keys.append((("h", i), rs.zero_weight()))
-    for key, shift in gen_keys:
-        mat = _zeros(dim, dim)
-        for j in range(dim):
-            img = provider.act(key, blocks.vectors[j])
-            if not img:
-                continue
-            coords = blocks.express((weights[j] + shift).coords, img)
-            if coords is None:
-                raise AssertionError("span is not closed under the algebra action")
-            for bi, c in coords.items():
-                mat[bi, j] = c
-        actions[key] = mat
-
-    # non-simple root actions from brackets along the fixed decompositions
-    for eps in [r.coords for r in rs.positive_roots if r.height > 1]:
-        gamma, delta = algebra.extraspecial[eps]
-        n = algebra.structure_constant(gamma, delta)
-        a, b = actions[("e", gamma)], actions[("e", delta)]
-        actions[("e", eps)] = (a @ b - b @ a) * Fraction(1, n)
-        neg = tuple(-x for x in eps)
-        ng = tuple(-x for x in gamma)
-        nd = tuple(-x for x in delta)
-        a, b = actions[("e", ng)], actions[("e", nd)]
-        actions[("e", neg)] = (a @ b - b @ a) * Fraction(-1, n)
-
-    return HighestWeightModule(algebra, lam, weights, actions)
-
-
-class _MatrixProvider:
-    """Span provider backed by explicit matrices on an ambient space."""
-
-    def __init__(self, matrices, start_index):
-        self.matrices = matrices
-        self.cols = {
-            key: [[(r, m[r, c]) for r in range(m.shape[0]) if m[r, c] != 0] for c in range(m.shape[1])]
-            for key, m in matrices.items()
-        }
-        self.start = {start_index: Fraction(1)}
-
-    def act(self, key, vec):
-        out = {}
-        cols = self.cols[key]
-        for idx, c in vec.items():
-            for r, x in cols[idx]:
-                s = out.get(r, 0) + c * x
-                if s:
-                    out[r] = s
-                else:
-                    out.pop(r, None)
-        return out
+    for alpha, a_wt in zip(rs.simple_roots, simple_wts):
+        for key, shift in ((("e", alpha.coords), a_wt), (("e", (-alpha).coords), -a_wt)):
+            cols = []
+            for j, vec in enumerate(blocks.vectors):
+                coords = blocks.express((weights[j] + shift).coords, act(key, vec))
+                if coords is None:
+                    raise AssertionError("span is not closed under the algebra action")
+                cols.append(coords)
+            actions[key] = SparseMatrix(cols)
+    return HighestWeightModule(algebra, lam, weights, _with_derived_actions(algebra, actions))
 
 
 class _TensorProvider:
-    """Span provider for a tensor product of modules, acting by the Leibniz rule."""
+    """Action on a tensor product of modules by the Leibniz rule."""
 
     def __init__(self, factors):
         self.factors = factors
@@ -275,30 +289,15 @@ class _TensorProvider:
             self.strides.append(s)
             s *= d
         self.strides.reverse()
-        self.total = s
-        self.start = {0: Fraction(1)}
-        self.cols = [
-            {
-                key: [[(r, m[r, c]) for r in range(f.dim) if m[r, c] != 0] for c in range(f.dim)]
-                for key, m in f.actions.items()
-                if key[0] == "h" or sum(abs(x) for x in key[1]) == 1
-            }
-            for f in factors
-        ]
-
-    def _split(self, idx):
-        out = []
-        for d, s in zip(self.dims, self.strides):
-            out.append((idx // s) % d)
-        return out
 
     def act(self, key, vec):
         out = {}
+        cols = [f.actions[key].cols for f in self.factors]
         for idx, c in vec.items():
-            parts = self._split(idx)
-            for slot, i_s in enumerate(parts):
-                for r, x in self.cols[slot][key][i_s]:
-                    j = idx + (r - i_s) * self.strides[slot]
+            for m, d, stride in zip(cols, self.dims, self.strides):
+                i_s = (idx // stride) % d
+                for r, x in m[i_s].items():
+                    j = idx + (r - i_s) * stride
                     s = out.get(j, 0) + c * x
                     if s:
                         out[j] = s
@@ -332,74 +331,51 @@ class MatrixRealization:
         self.natural_dim = rank + 1 if letter == "A" else 4
         self.natural_actions = self._natural_actions()
         representation_property_check(algebra, self.natural_actions)
-        self.natural_weights = [
-            Weight(tuple(self.natural_actions[("h", i)][v, v] for i in range(rs.n)))
-            for v in range(self.natural_dim)
-        ]
         self.fundamentals = [self._fundamental(k) for k in range(1, rs.n + 1)]
 
     def _natural_actions(self):
         rs = self.algebra.root_system
-        nd = self.natural_dim
 
-        def unit(r, c, val=1):
-            m = _zeros(nd, nd)
-            m[r, c] = Fraction(val)
-            return m
+        def mat(entries):
+            return SparseMatrix.from_entries(self.natural_dim, entries)
 
         simple = {}
         if self.letter == "A":
-            for i in range(self.rank):
-                simple[("e", rs.simple_roots[i].coords)] = unit(i, i + 1)
-                simple[("e", (-rs.simple_roots[i]).coords)] = unit(i + 1, i)
+            for i, alpha in enumerate(rs.simple_roots):
+                simple[("e", alpha.coords)] = mat({(i, i + 1): 1})
+                simple[("e", (-alpha).coords)] = mat({(i + 1, i): 1})
         else:  # C2 preserving the antidiagonal symplectic form
             a1, a2 = rs.simple_roots
-            simple[("e", a1.coords)] = unit(0, 1) + unit(2, 3, -1)
-            simple[("e", (-a1).coords)] = unit(1, 0) + unit(3, 2, -1)
-            simple[("e", a2.coords)] = unit(1, 2)
-            simple[("e", (-a2).coords)] = unit(2, 1)
-        actions = dict(simple)
-        for i, alpha in enumerate(rs.simple_roots):
-            e = actions[("e", alpha.coords)]
-            f = actions[("e", (-alpha).coords)]
-            actions[("h", i)] = e @ f - f @ e
-        for eps in [r.coords for r in rs.positive_roots if r.height > 1]:
-            gamma, delta = self.algebra.extraspecial[eps]
-            n = self.algebra.structure_constant(gamma, delta)
-            a, b = actions[("e", gamma)], actions[("e", delta)]
-            actions[("e", eps)] = (a @ b - b @ a) * Fraction(1, n)
-            neg = tuple(-x for x in eps)
-            a = actions[("e", tuple(-x for x in gamma))]
-            b = actions[("e", tuple(-x for x in delta))]
-            actions[("e", neg)] = (a @ b - b @ a) * Fraction(-1, n)
-        return actions
+            simple[("e", a1.coords)] = mat({(0, 1): 1, (2, 3): -1})
+            simple[("e", (-a1).coords)] = mat({(1, 0): 1, (3, 2): -1})
+            simple[("e", a2.coords)] = mat({(1, 2): 1})
+            simple[("e", (-a2).coords)] = mat({(2, 1): 1})
+        return _with_derived_actions(self.algebra, simple)
 
     def _fundamental(self, k):
         """The k-th fundamental module, from the k-th exterior power."""
         rs = self.algebra.root_system
         subsets = list(combinations(range(self.natural_dim), k))
         index = {s: i for i, s in enumerate(subsets)}
-        matrices = {}
-        for key, nat in self.natural_actions.items():
-            m = _zeros(len(subsets), len(subsets))
-            for ci, sub in enumerate(subsets):
-                for pos, elem in enumerate(sub):
-                    for r in range(self.natural_dim):
-                        c = nat[r, elem]
-                        if c == 0:
-                            continue
-                        if r == elem:
-                            m[ci, ci] += c
-                        elif r not in sub:
-                            rest = [x for x in sub if x != elem]
-                            new = tuple(sorted(rest + [r]))
-                            # parity of moving r from slot pos to its sorted slot
-                            parity = (-1) ** (pos + sum(1 for x in rest if x < r))
-                            m[index[new], ci] += c * parity
-            matrices[key] = m
-        provider = _MatrixProvider(matrices, index[tuple(range(k))])
+        wedge = {}
+        for alpha in rs.simple_roots:
+            for key in (("e", alpha.coords), ("e", (-alpha).coords)):
+                nat = self.natural_actions[key]
+                cols = []
+                for sub in subsets:
+                    col = {}
+                    for pos, elem in enumerate(sub):
+                        for r, c in nat.cols[elem].items():
+                            if r == elem or r not in sub:
+                                rest = [x for x in sub if x != elem]
+                                # parity of moving r from slot pos to its sorted slot
+                                parity = (-1) ** (pos + sum(1 for x in rest if x < r))
+                                _add_into(col, {index[tuple(sorted(rest + [r]))]: c * parity})
+                    cols.append(col)
+                wedge[key] = SparseMatrix(cols)
         lam = rs.fundamental_weight(k - 1)
-        mod = _span_module(provider, self.algebra, lam)
+        start = {index[tuple(range(k))]: Fraction(1)}
+        mod = _span_module(self.algebra, lam, start, lambda key, vec: wedge[key].apply(vec))
         if mod.dim != weyl_dim(rs, lam):
             raise AssertionError("fundamental module has the wrong dimension")
         representation_property_check(self.algebra, mod.actions)
@@ -407,17 +383,13 @@ class MatrixRealization:
 
     def random_torus_matrix(self, rng, span=2):
         """A generic torus element, entries exact powers of two."""
-        nd = self.natural_dim
-        m = _zeros(nd, nd)
         if self.letter == "A":
-            exps = [rng.randint(-span, span) for _ in range(nd - 1)]
+            exps = [rng.randint(-span, span) for _ in range(self.natural_dim - 1)]
             exps.append(-sum(exps))
         else:
             a, b = rng.randint(-span, span), rng.randint(-span, span)
             exps = [a, b, -b, -a]
-        for i, e in enumerate(exps):
-            m[i, i] = Fraction(2) ** e
-        return m
+        return SparseMatrix([{i: Fraction(2) ** e} for i, e in enumerate(exps)])
 
     def __repr__(self):
         return f"MatrixRealization({self.letter}{self.rank})"
@@ -428,20 +400,25 @@ def build_realization(algebra):
     return MatrixRealization(algebra)
 
 
+def _fmt_key(key):
+    kind, v = key
+    return f"h{v + 1}" if kind == "h" else f"e({fmt_root(Root(v))})"
+
+
 def representation_property_check(algebra, actions):
-    """Exact check that the matrices represent the algebra: on every pair
-    of basis keys, the matrix bracket equals the matrix of the bracket."""
+    """Exact check that the matrices represent the algebra: on every ordered
+    pair of basis keys, the matrix bracket equals the matrix of the bracket."""
     keys = algebra.basis_keys()
-    mats = {k: actions[k] for k in keys}
+    dim = actions[keys[0]].n
     for x in keys:
         for y in keys:
-            lhs = mats[x] @ mats[y] - mats[y] @ mats[x]
+            lhs = actions[x] @ actions[y] - actions[y] @ actions[x]
             rhs_el = algebra.bracket(algebra.basis_element(x), algebra.basis_element(y))
-            rhs = _zeros(*lhs.shape)
-            for key, c in rhs_el.terms.items():
-                rhs = rhs + mats[key] * c
-            if not _is_zero_matrix(lhs - rhs):
-                raise AssertionError(f"representation property fails on {x}, {y}")
+            rhs = _combination(dim, ((actions[k], c) for k, c in rhs_el.terms.items()))
+            if lhs != rhs:
+                raise AssertionError(
+                    f"representation property fails on {_fmt_key(x)}, {_fmt_key(y)}"
+                )
     return True
 
 
@@ -464,10 +441,9 @@ def build_irrep(realization, lam, dim_cap=20000):
     for i, c in enumerate(lam.coords):
         factors.extend([realization.fundamentals[i]] * int(c))
     if not factors:
-        actions = {k: _zeros(1, 1) for k in realization.algebra.basis_keys()}
+        actions = {k: SparseMatrix([{}]) for k in realization.algebra.basis_keys()}
         return HighestWeightModule(realization.algebra, lam, [rs.zero_weight()], actions)
-    provider = _TensorProvider(factors)
-    mod = _span_module(provider, realization.algebra, lam)
+    mod = _span_module(realization.algebra, lam, {0: Fraction(1)}, _TensorProvider(factors).act)
     if mod.dim != predicted:
         raise AssertionError(
             f"cyclic span has dimension {mod.dim}, formula says {predicted}"
@@ -503,10 +479,11 @@ def semi_invariant_dim(mod, sub: SubgroupData, chi) -> MultiplicityRecord:
     rows = []
     for x in sub.nil_basis:
         a = mod.act_element(x)
-        for r in range(mod.dim):
-            row = [a[r, j] for j in cols]
-            if any(v != 0 for v in row):
-                rows.append(row)
+        by_row = {}
+        for p, j in enumerate(cols):
+            for r, v in a.cols[j].items():
+                by_row.setdefault(r, [0] * len(cols))[p] = v
+        rows += [by_row[r] for r in sorted(by_row)]
     kernel = len(cols) - (linalg.rank(rows) if rows else 0)
     return MultiplicityRecord(mod.lam, chi, kernel)
 
@@ -524,23 +501,20 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
     fam = table.families[j]
     first = fam.roots[0].coords
     scale = fam.coefficients[first]
-    v0 = mod.highest_vector()
-    out = _zeros(mod.dim, 1)[:, 0]
+    lowering = []
     for beta in fam.roots:
         pair = rs.pairing(mod.lam, beta)
         if pair <= 0:
             raise AssertionError(f"nonpositive pairing of {mod.lam} with {beta}")
         coeff = (fam.coefficients[beta.coords] / scale) * Fraction(1, pair)
-        out = out + (mod.actions[("e", tuple(-x for x in beta.coords))] @ v0) * coeff
-    return out
+        lowering.append((mod.actions[("e", (-beta).coords)], coeff))
+    return _combination(mod.dim, lowering) @ mod.highest_vector()
 
 
 def annihilated_by_nil(mod, sub: SubgroupData, vec):
     """Whether every unipotent basis element kills the vector."""
-    for x in sub.nil_basis:
-        if any(v != 0 for v in (mod.act_element(x) @ vec)):
-            return False
-    return True
+    v = {j: x for j, x in enumerate(vec) if x}
+    return not any(mod.act_element(x).apply(v) for x in sub.nil_basis)
 
 
 def vector_s_weight(mod, sub: SubgroupData, vec):
@@ -601,46 +575,36 @@ def open_orbit_check(sub: SubgroupData, realization, trials=200, coefficient_ran
     """
     rs = sub.root_system
     nat = realization.natural_actions
+    nd = realization.natural_dim
     target = rs.n + 2 * len(rs.positive_roots)
 
     borel = [nat[("h", i)] for i in range(rs.n)]
     borel += [nat[("e", r.coords)] for r in rs.positive_roots]
-    sub_mats = []
-    for row in sub.tau.rows:
-        m = _zeros(realization.natural_dim, realization.natural_dim)
-        for i, c in enumerate(row):
-            if c:
-                m = m + nat[("h", i)] * c
-        sub_mats.append(m)
-    for x in sub.nil_basis:
-        m = _zeros(realization.natural_dim, realization.natural_dim)
-        for key, c in x.terms.items():
-            m = m + nat[key] * c
-        sub_mats.append(m)
+    sub_mats = [
+        _combination(nd, ((nat[("h", i)], c) for i, c in enumerate(row))) for row in sub.tau.rows
+    ]
+    sub_mats += [
+        _combination(nd, ((nat[k], c) for k, c in x.terms.items())) for x in sub.nil_basis
+    ]
 
-    base_rows = [list(b.flat) for b in borel]
+    base_rows = [b.flat() for b in borel]
     if not sub_mats and linalg.rank(base_rows) < target:
         return False
 
     rng = random.Random(seed)
     pos = [nat[("e", r.coords)] for r in rs.positive_roots]
     neg = [nat[("e", (-r).coords)] for r in rs.positive_roots]
-    nd = realization.natural_dim
     for _ in range(trials):
-        up = _zeros(nd, nd)
-        lo = _zeros(nd, nd)
-        for p, q in zip(pos, neg):
-            up = up + p * rng.randint(-coefficient_range, coefficient_range)
-            lo = lo + q * rng.randint(-coefficient_range, coefficient_range)
+        # drawn per root, upper then lower: a seed's answer depends on this order
+        draws = [(rng.randint(-coefficient_range, coefficient_range),
+                  rng.randint(-coefficient_range, coefficient_range)) for _ in pos]
+        up = _combination(nd, zip(pos, (u for u, _ in draws)))
+        lo = _combination(nd, zip(neg, (w for _, w in draws)))
         t = realization.random_torus_matrix(rng)
-        tinv = _zeros(nd, nd)
-        for i in range(nd):
-            tinv[i, i] = Fraction(1) / t[i, i]
+        tinv = SparseMatrix([{i: 1 / x for i, x in col.items()} for col in t.cols])
         g = exp_nilpotent(up) @ t @ exp_nilpotent(lo)
-        ginv = exp_nilpotent(lo * Fraction(-1)) @ tinv @ exp_nilpotent(up * Fraction(-1))
-        rows = list(base_rows)
-        for m in sub_mats:
-            rows.append(list((g @ m @ ginv).flat))
+        ginv = exp_nilpotent(lo * -1) @ tinv @ exp_nilpotent(up * -1)
+        rows = base_rows + [(g @ m @ ginv).flat() for m in sub_mats]
         if linalg.rank(rows) == target:
             return True
     return False

@@ -191,8 +191,6 @@ class RootSystem:
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = tuple(self.positive_roots[: self.n])
         self._pos_set = {r.coords for r in self.positive_roots}
-        self._index = {r.coords: i for i, r in enumerate(self.positive_roots)}
-        self.symmetrizer = tuple(self.root_form(r, r) for r in self.positive_roots)
 
     def _build_cartan(self):
         blocks = [_component_cartan(t, r) for t, r in self.components]
@@ -248,9 +246,6 @@ class RootSystem:
         if not self.is_root(c):
             raise ValueError(f"{c} is not a root of {self.describe()}")
         return Root(c)
-
-    def root_index(self, root):
-        return self._index[root.coords]
 
     # -- bilinear form ----------------------------------------------------
 

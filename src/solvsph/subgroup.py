@@ -118,13 +118,6 @@ class SubgroupData:
         self.dim_n = len(self.nil_basis)
         self.dim_s = tau.d
 
-    def tau_root(self, root):
-        """S-weight of a root."""
-        return self.tau.restrict(self.root_system.root_to_weight(root))
-
-    def class_of_root(self, root):
-        return self.class_by_phi[self._phi_of_root[root.coords]]
-
     def _build_nil_basis(self):
         basis = []
         for cls in self.classes:

@@ -1,9 +1,14 @@
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from solvsph import ConfigParseError, JobConfig, get_preset, parse_config_text, preset_names
+from solvsph import ConfigParseError, JobConfig, get_preset, oracle, parse_config_text, preset_names
 from solvsph.cli import cmd_check, cmd_semigroup, cmd_verify, main
 
 
@@ -113,6 +118,53 @@ def test_verify_flag_beats_env(monkeypatch):
     code = cmd_verify(get_preset("sl2-torus"), height=2, out=buf)
     assert code == 0
     assert "up to height 2" in buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "flag, env, option, value",
+    [("--height", "SOLVSPH_HEIGHT", "height_bound", -3), ("--trials", "SOLVSPH_TRIALS", "trials", 0)],
+)
+def test_verify_rejects_out_of_range_options_from_every_source(
+    flag, env, option, value, tmp_path, monkeypatch, capsys
+):
+    argv = ["verify", "--preset", "borel", "--group", "A1"]
+    code, out, err = _run_main(argv + [flag, str(value)], capsys)
+    assert code == 2 and "[PASS]" not in out and "at least" in err
+    monkeypatch.setenv(env, str(value))
+    code, out, err = _run_main(argv, capsys)
+    assert code == 2 and "[PASS]" not in out and "at least" in err
+    monkeypatch.delenv(env)
+    config = get_preset("borel", (("A", 1),))
+    config = dataclasses.replace(config, options=dataclasses.replace(config.options, **{option: value}))
+    path = tmp_path / "job.cfg"
+    path.write_text(config.to_text())
+    code, out, err = _run_main(["verify", str(path)], capsys)
+    assert code == 2 and "[PASS]" not in out and "at least" in err
+
+
+@pytest.mark.parametrize("exc", [AssertionError("self-check failed"), ZeroDivisionError("division by zero")])
+def test_internal_errors_exit_3(exc, monkeypatch, capsys):
+    def broken(algebra):
+        raise exc
+
+    monkeypatch.setattr(oracle, "build_realization", broken)
+    code, _, err = _run_main(["verify", "--preset", "sl2-torus", "--height", "1"], capsys)
+    assert code == 3
+    assert err.startswith("internal error: ") and str(exc) in err and err.count("\n") == 1
+
+
+def test_verify_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from solvsph import cli\n"
+        "sys.exit(cli.main(['verify', '--preset', 'sl2-torus', '--height', '2']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_unsupported_type_is_input_error(capsys):
