@@ -58,4 +58,4 @@ print(f"\nenumerated {len(records)} pairs; all multiplicity one:",
 print("matches the free semigroup exactly:", found == members)
 
 # And a randomized certificate that the Borel really has an open orbit.
-print("open orbit witnessed:", open_orbit_check(sub, realization, trials=100))
+print("open orbit witnessed:", open_orbit_check(sub, trials=100))

@@ -5,6 +5,9 @@
     solvsph verify <file | --preset NAME> [--height H] [--cap D] [--trials T]
     solvsph presets list | show NAME
 
+A config file is either in the text format or a JSON document whose
+``config`` member holds the config, as ``semigroup --json`` prints it.
+
 Exit codes: 0 success, 1 negative verdict or failed check, 2 input error,
 3 internal error (a failed self-check or an arithmetic fault).
 Options fall back to SOLVSPH_HEIGHT / SOLVSPH_CAP / SOLVSPH_TRIALS /
@@ -47,7 +50,24 @@ def load_config(args) -> JobConfig:
     if not args.config:
         raise ConfigParseError("either a config file or --preset is required")
     with open(args.config) as fh:
-        return parse_config_text(fh.read())
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return _parse_json_config(text)
+    return parse_config_text(text)
+
+
+def _parse_json_config(text):
+    """The ``config`` member of a JSON document, as ``semigroup --json`` prints."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
+    try:
+        return JobConfig.from_json_dict(data["config"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigParseError(
+            f"JSON document has no valid config member ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def _resolve(flag_value, env_name, config_value):
@@ -175,7 +195,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         expect = tuple(a - b for a, b in zip(sub.tau.restrict(lam), table.families[j].phi))
         emit(ok and chi == expect, f"witness vector for family {j + 1} is a semi-invariant")
 
-    emit(oracle.open_orbit_check(sub, realization, trials=trials, seed=seed),
+    emit(oracle.open_orbit_check(sub, trials=trials, seed=seed),
          f"open orbit witnessed within {trials} trials")
     return 1 if failures else 0
 
@@ -199,7 +219,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p):
-        p.add_argument("config", nargs="?", help="config file (or use --preset)")
+        p.add_argument("config", nargs="?", help="config file, text or JSON (or use --preset)")
         p.add_argument("--preset", help="bundled configuration name")
         p.add_argument("--group", help="group override for parametrized presets, e.g. A3")
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the rationals, the integers and F_p.
 
 Matrices are plain lists of rows (numbers are ints or Fractions); nothing
 here ever touches floating point.
@@ -146,3 +146,28 @@ def is_surjective_over_z(rows, ncols):
         return False
     diag = smith_diagonal(rows)
     return len(diag) == nrows and all(x == 1 for x in diag)
+
+
+def rank_mod_p(rows, p):
+    """Rank over F_p of an integer matrix, for a prime p.
+
+    A full rank mod p implies a full rank over Q; the converse fails when p
+    divides every maximal minor.
+    """
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], -1, p)
+        pivot_row = [x * inv % p for x in m[r]]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            if f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot_row)]
+        r += 1
+        if r == len(m):
+            break
+    return r

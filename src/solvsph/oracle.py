@@ -3,13 +3,17 @@
 Everything the combinatorial pipeline claims is re-derived here from
 scratch for small classical types: irreducible modules are built as
 cyclic spans inside tensor products of fundamental modules (themselves
-cut out of exterior powers of the natural module), semi-invariant
-dimensions are exact kernel computations, and sphericity is probed by
-exhibiting a group element whose conjugate of the subalgebra, together
-with the Borel, spans the whole Lie algebra.  All arithmetic is exact:
+cut out of exterior powers of the natural module), and semi-invariant
+dimensions are exact kernel computations.  Module arithmetic is exact:
 every matrix is a ``SparseMatrix`` of Fractions.  Only the simple root
 vectors act directly on a module; the coroots and the other root vectors
 act through brackets, derived in ``_with_derived_actions``.
+
+Sphericity is probed for every type, in the adjoint representation over
+F_p: ``open_orbit_check`` looks for a lower unipotent element whose
+conjugate of the subgroup's Lie algebra, together with the Borel
+subalgebra, spans the whole Lie algebra.  A witness is an exact
+certificate; a failure carries a stated error bound.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -93,10 +98,6 @@ class SparseMatrix:
     def __bool__(self):
         return any(self.cols)
 
-    def flat(self):
-        """All entries in row-major order."""
-        return [col.get(r, 0) for r in range(self.n) for col in self.cols]
-
 
 def _combination(n, terms):
     """The n x n matrix sum of c * m over the (m, c) pairs."""
@@ -106,17 +107,6 @@ def _combination(n, terms):
             for out, col in zip(cols, m.cols):
                 _add_into(out, col, c)
     return SparseMatrix(cols)
-
-
-def exp_nilpotent(a):
-    """Exact exponential of a nilpotent matrix (finite series)."""
-    out = term = SparseMatrix([{i: Fraction(1)} for i in range(a.n)])
-    for i in range(1, a.n + 2):
-        term = (term @ a) * Fraction(1, i)
-        if not term:
-            return out
-        out = out + term
-    raise ValueError("matrix is not nilpotent")
 
 
 def weyl_dim(rs, lam):
@@ -381,16 +371,6 @@ class MatrixRealization:
         representation_property_check(self.algebra, mod.actions)
         return mod
 
-    def random_torus_matrix(self, rng, span=2):
-        """A generic torus element, entries exact powers of two."""
-        if self.letter == "A":
-            exps = [rng.randint(-span, span) for _ in range(self.natural_dim - 1)]
-            exps.append(-sum(exps))
-        else:
-            a, b = rng.randint(-span, span), rng.randint(-span, span)
-            exps = [a, b, -b, -a]
-        return SparseMatrix([{i: Fraction(2) ** e} for i, e in enumerate(exps)])
-
     def __repr__(self):
         return f"MatrixRealization({self.letter}{self.rank})"
 
@@ -563,48 +543,95 @@ def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=20
 
 # -- open orbit check --------------------------------------------------------
 
+PRIME = 2**31 - 1  # the open-orbit test works mod this prime
 
-def open_orbit_check(sub: SubgroupData, realization, trials=200, coefficient_range=3, seed=0):
-    """Randomized certificate that the Borel has an open orbit.
 
-    Samples group elements g = exp(upper) * torus * exp(lower) with small
-    exact coefficients and tests, by exact rank, whether the Borel
-    subalgebra plus the g-conjugate of the subgroup's algebra spans
-    everything.  True is a certificate; False only reports that no
-    witness was found.
+def exp_nilpotent(cols, vectors):
+    """exp(A) v mod PRIME for each sparse vector v (dict index -> int).
+
+    A is a nilpotent operator given by its sparse integer columns.  The
+    series stops at its first zero term, so 1/k! is only needed for k up to
+    the nilpotency degree, which is below PRIME.
     """
+    out = []
+    for v in vectors:
+        total = dict(v)
+        term = v
+        k = 0
+        while term:
+            k += 1
+            if k > len(cols):
+                raise ValueError("operator is not nilpotent")
+            image = {}
+            for j, c in term.items():
+                _add_into(image, cols[j], c)
+            inv = pow(k, -1, PRIME)
+            term = {i: r for i, x in image.items() if (r := x * inv % PRIME)}
+            _add_into(total, term)
+        out.append({i: r for i, x in total.items() if (r := x % PRIME)})
+    return out
+
+
+def _primitive(terms):
+    """The integer multiple of a rational vector whose entries have gcd 1."""
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))
+    ints = {k: int(c * den) for k, c in terms.items()}
+    g = gcd(*ints.values())
+    return {k: x // g for k, x in ints.items()}
+
+
+def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
+    """Randomized certificate that the Borel has an open orbit on G/H.
+
+    Left B-invariance makes elements of the lower unipotent group enough.
+    Each trial draws f = sum of c_a e(-a) over the positive roots a, every
+    c_a uniform in [0, p) with p = PRIME = 2^31 - 1, and tests whether
+    b + Ad(exp f) h = g: since b is spanned by Chevalley basis vectors, that
+    holds exactly when the e(-a) coordinates of exp(ad f) x, over a basis x
+    of h, have rank |positive roots| mod p.  Each basis vector of h is first
+    scaled to a primitive integer vector, so no input datum is inverted mod p.
+
+    True is exact: those coordinates are polynomials in the c_a over the
+    rationals without p in the denominator (p > 2 ht(theta), so every 1/k!
+    of the series exists mod p), and a maximal minor that is nonzero mod p is
+    nonzero over Q.  After k failed trials the probability that the answer
+    False is wrong is at most (D/p)^k with D = 2 ht(theta) |positive roots|
+    (Schwartz 1980, Zippel 1979), provided a maximal minor that is nonzero
+    over Q does not vanish identically mod p.  When dim h < |positive roots|
+    the answer False is exact.  ``realization`` is accepted and unused.
+    """
+    algebra = sub.algebra
     rs = sub.root_system
-    nat = realization.natural_actions
-    nd = realization.natural_dim
-    target = rs.n + 2 * len(rs.positive_roots)
+    keys = algebra.basis_keys()
+    index = {k: i for i, k in enumerate(keys)}
+    negatives = [index[("e", (-a).coords)] for a in rs.positive_roots]
 
-    borel = [nat[("h", i)] for i in range(rs.n)]
-    borel += [nat[("e", r.coords)] for r in rs.positive_roots]
-    sub_mats = [
-        _combination(nd, ((nat[("h", i)], c) for i, c in enumerate(row))) for row in sub.tau.rows
-    ]
-    sub_mats += [
-        _combination(nd, ((nat[k], c) for k, c in x.terms.items())) for x in sub.nil_basis
-    ]
-
-    base_rows = [b.flat() for b in borel]
-    if not sub_mats and linalg.rank(base_rows) < target:
+    basis = [{("h", i): c for i, c in enumerate(row) if c} for row in sub.tau.rows]
+    basis += [x.terms for x in sub.nil_basis]
+    if len(basis) < len(negatives):
         return False
+    vectors = [
+        {index[k]: r for k, x in _primitive(terms).items() if (r := x % PRIME)} for terms in basis
+    ]
 
+    def ad(x):
+        return [
+            {index[k]: int(c) for k, c in algebra.bracket(x, algebra.basis_element(y)).terms.items()}
+            for y in keys
+        ]
+
+    ad_neg = [ad(algebra.e(-a)) for a in rs.positive_roots]
     rng = random.Random(seed)
-    pos = [nat[("e", r.coords)] for r in rs.positive_roots]
-    neg = [nat[("e", (-r).coords)] for r in rs.positive_roots]
     for _ in range(trials):
-        # drawn per root, upper then lower: a seed's answer depends on this order
-        draws = [(rng.randint(-coefficient_range, coefficient_range),
-                  rng.randint(-coefficient_range, coefficient_range)) for _ in pos]
-        up = _combination(nd, zip(pos, (u for u, _ in draws)))
-        lo = _combination(nd, zip(neg, (w for _, w in draws)))
-        t = realization.random_torus_matrix(rng)
-        tinv = SparseMatrix([{i: 1 / x for i, x in col.items()} for col in t.cols])
-        g = exp_nilpotent(up) @ t @ exp_nilpotent(lo)
-        ginv = exp_nilpotent(lo * -1) @ tinv @ exp_nilpotent(up * -1)
-        rows = base_rows + [(g @ m @ ginv).flat() for m in sub_mats]
-        if linalg.rank(rows) == target:
+        coeffs = [rng.randrange(PRIME) for _ in ad_neg]
+        ad_f = []
+        for y in range(len(keys)):
+            col = {}
+            for cols, c in zip(ad_neg, coeffs):
+                _add_into(col, cols[y], c)
+            ad_f.append(col)
+        images = exp_nilpotent(ad_f, vectors)
+        rows = [[img.get(i, 0) for i in negatives] for img in images]
+        if linalg.rank_mod_p(rows, PRIME) == len(negatives):
             return True
     return False

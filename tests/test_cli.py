@@ -205,3 +205,23 @@ def test_check_from_config_file(tmp_path, capsys):
 def test_missing_source_is_input_error(capsys):
     code, _, err = _run_main(["check"], capsys)
     assert code == 2
+
+
+def test_semigroup_json_output_is_a_config(tmp_path, capsys):
+    code, blob, _ = _run_main(["semigroup", "--preset", "tu-prime", "--json"], capsys)
+    assert code == 0
+    path = tmp_path / "job.json"
+    path.write_text(blob)
+    code, out, _ = _run_main(["check", str(path)], capsys)
+    assert code == 0 and "spherical: yes" in out
+    code, again, _ = _run_main(["semigroup", str(path), "--json"], capsys)
+    assert code == 0 and again == blob
+
+
+@pytest.mark.parametrize("text", ['{"schema": 1, "config": ', '{"schema": 1}', '{"config": {"group": 7}}'])
+def test_bad_json_config_is_input_error(text, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from solvsph import cli, linalg
+
 from solvsph import (
     DimensionCap,
     NotDominant,
@@ -21,7 +23,9 @@ from solvsph import (
     enumerate_semigroup,
     generators,
     get_preset,
+    check_spherical,
     open_orbit_check,
+    parse_config_text,
     representation_property_check,
     semi_invariant_dim,
     semi_invariant_witness,
@@ -250,3 +254,35 @@ def test_open_orbit_agrees_with_criterion_on_fuzzed_rank3():
         real = build_realization(sub.algebra)
         verdict = check_spherical(sub).spherical
         assert open_orbit_check(sub, real, trials=200, seed=k) == verdict
+
+
+def test_open_orbit_agrees_with_criterion_on_every_type():
+    from solvsph.fuzzing import POOL_RANK3, random_mixed_config
+
+    rng = random.Random(1980)
+    for k in range(40):
+        sub = build_subgroup(random_mixed_config(rng, POOL_RANK3))
+        assert open_orbit_check(sub, trials=200, seed=k) == check_spherical(sub).spherical
+
+
+def test_open_orbit_never_inverts_input_mod_p(tmp_path):
+    # the coefficient is the prime of the orbit test itself
+    text = "[group]\nA 2\n[torus]\n1 1\n[nilradical]\n(1 0) 2147483647, (0 1) 1\n"
+    sub = build_subgroup(parse_config_text(text))
+    assert check_spherical(sub).spherical
+    assert open_orbit_check(sub) is True
+    path = tmp_path / "job.cfg"
+    path.write_text(text)
+    assert cli.main(["verify", str(path), "--height", "1"]) == 0
+
+
+def test_rank_mod_p_matches_rank_on_small_integer_matrices():
+    p = 2**31 - 1
+    rng = random.Random(77)
+    for _ in range(200):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
+        assert linalg.rank_mod_p(rows, p) == linalg.rank(rows)
+    # full rank mod p implies full rank over Q, not the other way round
+    assert linalg.rank([[1, 1], [1, 1 + p]]) == 2
+    assert linalg.rank_mod_p([[1, 1], [1, 1 + p]], p) == 1
