@@ -26,8 +26,8 @@ sub = build_subgroup(get_preset("sl4-sp4borel"))
 rs = sub.root_system
 realization = build_realization(sub.algebra)
 
-# Irreducible modules are cyclic spans inside tensor products of
-# fundamental modules; dimensions are checked against the dimension formula.
+# Irreducible modules are built weight space by weight space from the Cartan
+# matrix; dimensions are checked against the dimension formula.
 lam = Weight((1, 0, 1))
 mod = build_irrep(realization, lam)
 print(f"V({fmt_weight(lam)}) has dimension {mod.dim} (formula: {weyl_dim(rs, lam)})")

@@ -26,7 +26,6 @@ from .errors import (
     NotSubalgebra,
     NoValidCandidate,
     SolvsphError,
-    UnsupportedType,
     ZeroCoefficient,
     ZeroRoot,
 )

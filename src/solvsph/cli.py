@@ -23,7 +23,7 @@ import sys
 
 from . import oracle, presets
 from .config import JobConfig, build_subgroup, parse_config_text
-from .errors import AxiomViolation, ConfigParseError, NotSpherical, SolvsphError
+from .errors import AxiomViolation, ConfigParseError, DimensionCap, NotSpherical, SolvsphError
 from .rootsys import fmt_root, fmt_weight
 from .semigroup import anchor_weights, bounded_members, generators
 from .sphericity import active_roots, check_spherical, verify_active_axioms
@@ -168,8 +168,15 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         return 1
     table = active_roots(sub)
     gens = generators(sub, table)
-    realization = oracle.build_realization(sub.algebra)
     rs = sub.root_system
+    anchors = anchor_weights(table, rs)
+    # check every module built below against the cap before building any
+    fundamentals = [rs.fundamental_weight(i) for i in range(rs.n)]
+    for lam in fundamentals + oracle.dominant_weights_up_to(rs, height) + anchors:
+        predicted = oracle.weyl_dim(rs, lam)
+        if predicted > cap:
+            raise DimensionCap(predicted, cap)
+    realization = oracle.build_realization(sub.algebra)
     failures = 0
 
     def emit(ok, label):
@@ -186,8 +193,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     emit(member == found and consistent,
          f"semigroup matches enumeration up to height {height}: {len(found)} pairs")
 
-    for j in range(table.m):
-        lam = anchor_weights(table, rs)[j]
+    for j, lam in enumerate(anchors):
         mod = oracle.build_irrep(realization, lam, cap)
         w = oracle.semi_invariant_witness(mod, sub, table, j)
         ok = any(x != 0 for x in w) and oracle.annihilated_by_nil(mod, sub, w)

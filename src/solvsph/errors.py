@@ -80,10 +80,6 @@ class AxiomViolation(SolvsphError):
         super().__init__(f"{check}: {witness}")
 
 
-class UnsupportedType(SolvsphError):
-    """No matrix realization is available for this group type."""
-
-
 class DimensionCap(SolvsphError):
     """A module would exceed the configured dimension cap."""
 

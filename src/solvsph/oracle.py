@@ -1,13 +1,14 @@
 """Brute-force verification against genuine matrix representations.
 
 Everything the combinatorial pipeline claims is re-derived here from
-scratch for small classical types: irreducible modules are built as
-cyclic spans inside tensor products of fundamental modules (themselves
-cut out of exterior powers of the natural module), and semi-invariant
-dimensions are exact kernel computations.  Module arithmetic is exact:
-every matrix is a ``SparseMatrix`` of Fractions.  Only the simple root
-vectors act directly on a module; the coroots and the other root vectors
-act through brackets, derived in ``_with_derived_actions``.
+scratch, for every type: irreducible modules are built weight space by
+weight space from the Cartan matrix alone (``_irreducible``), with no
+per-type matrices, and semi-invariant dimensions are exact kernel
+computations.  Module arithmetic is exact: every matrix is a
+``SparseMatrix`` of Fractions.  Only the simple root vectors act directly
+on a module; the coroots and the other root vectors act through brackets,
+derived in ``_with_derived_actions``.  Every module is checked against the
+defining relations of the algebra when it is constructed.
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
@@ -18,20 +19,14 @@ certificate; a failure carries a stated error bound.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 from . import linalg
-from .errors import (
-    AlgebraMismatch,
-    DimensionCap,
-    NotDominant,
-    NotSpherical,
-    UnsupportedType,
-)
+from .errors import AlgebraMismatch, DimensionCap, NotDominant, NotSpherical
 from .rootsys import Root, Weight, fmt_root
 from .sphericity import ActiveRootTable, check_spherical
 from .subgroup import SubgroupData
@@ -194,8 +189,8 @@ class HighestWeightModule:
     """An irreducible module, with exact matrices for the whole basis.
 
     Basis vector 0 is the highest vector; every basis vector carries a
-    torus weight, and the coroot matrices are diagonal with the pairing
-    eigenvalues (checked at construction).
+    torus weight.  Construction checks the defining relations of the
+    algebra on the simple root matrices (``_verify_basics``).
     """
 
     def __init__(self, algebra, lam, weights, actions):
@@ -207,16 +202,39 @@ class HighestWeightModule:
         self._verify_basics()
 
     def _verify_basics(self):
+        """Check the relations that present the algebra on the simple root
+        matrices: the coroots act as the weight diagonal, e_i and f_i shift
+        weights by +-a_i, and [e_i, f_j] = delta_ij h_i.
+
+        A module that passes is a module of the algebra.  The Serre relations
+        ad(e_i)^(1 - a_ij) e_j = 0 (a_ij = ``cartan[i][j]``, i != j) follow: on
+        the finite-dimensional module End(V) of the sl2 spanned by e_i, h_i,
+        f_i, the matrix e_j is killed by ad f_i and has ad h_i eigenvalue
+        a_ij <= 0, so it is a lowest weight vector of an irreducible of
+        dimension 1 - a_ij.  The same holds for f with the roles swapped.
+        """
         rs = self.algebra.root_system
-        for i in range(rs.n):
-            diag = {(j, j): w.coords[i] for j, w in enumerate(self.weights)}
-            if self.actions[("h", i)] != SparseMatrix.from_entries(self.dim, diag):
-                raise AssertionError("coroot action is not the weight diagonal")
-        for alpha in rs.simple_roots:
-            if self.actions[("e", alpha.coords)].cols[0]:
-                raise AssertionError("highest vector is not annihilated by raising operators")
         if self.weights[0] != self.lam:
             raise AssertionError("highest vector has the wrong weight")
+        simple, wts = rs.simple_roots, self.weights
+        e = [self.actions[("e", a.coords)] for a in simple]
+        f = [self.actions[("e", (-a).coords)] for a in simple]
+        h = [self.actions[("h", i)] for i in range(rs.n)]
+        for i, alpha in enumerate(simple):
+            diag = {(j, j): w.coords[i] for j, w in enumerate(wts)}
+            if h[i] != SparseMatrix.from_entries(self.dim, diag):
+                raise AssertionError("coroot action is not the weight diagonal")
+            if e[i].cols[0]:
+                raise AssertionError("highest vector is not annihilated by raising operators")
+            shift = rs.root_to_weight(alpha)
+            for root, m, step in ((alpha, e[i], shift), (-alpha, f[i], -shift)):
+                if any(wts[r] != wts[j] + step for j, col in enumerate(m.cols) for r in col):
+                    raise AssertionError(f"e({fmt_root(root)}) does not shift weights by its root")
+        zero = SparseMatrix([{}] * self.dim)
+        for i, j in itertools.product(range(rs.n), repeat=2):
+            if e[i] @ f[j] - f[j] @ e[i] != (h[i] if i == j else zero):
+                names = f"{fmt_root(simple[i])}, {fmt_root(simple[j])}"
+                raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
 
     def highest_vector(self):
         return [Fraction(int(i == 0)) for i in range(self.dim)]
@@ -231,152 +249,87 @@ class HighestWeightModule:
         return f"HighestWeightModule(lam={self.lam.coords}, dim={self.dim})"
 
 
-def _span_module(algebra, lam, start, act):
-    """Close a highest vector under lowering operators and build its module.
+def _irreducible(algebra, lam):
+    """The irreducible module V(lam), built from the Cartan matrix alone.
 
-    ``start`` is the highest vector and ``act(key, vec)`` applies a simple
-    root vector, both on sparse vectors of the ambient module.
+    A basis vector v below the highest is stored as its signature
+    e_1 v + ... + e_n v: its parts lie in the distinct weights wt(v) + a_i,
+    as coordinates over the bases already built there.  Only highest
+    vectors have zero signature in an irreducible module, so the signature
+    is injective below the top (Humphreys, sections 20-21).  Basis vectors
+    come in order of depth.  The signature of f_k b is the sum over i of
+    f_k(e_i b), plus <wt(b), a_k coroot> b, so f_k is applied only to
+    vectors one step higher than b, whose f_k columns are known.
     """
     rs = algebra.root_system
+    n = rs.n
+    shifts = [rs.root_to_weight(a).coords for a in rs.simple_roots]
     blocks = _Blocks()
-    blocks.insert(lam.coords, start)
-    queue = [0]
-    simple_wts = [rs.root_to_weight(a) for a in rs.simple_roots]
-    while queue:
-        bi = queue.pop(0)
-        wt = Weight(blocks.weights[bi])
-        vec = blocks.vectors[bi]
-        for i, alpha in enumerate(rs.simple_roots):
-            img = act(("e", (-alpha).coords), vec)
-            if img:
-                idx = blocks.insert((wt - simple_wts[i]).coords, img)
-                if idx is not None:
-                    queue.append(idx)
-    weights = [Weight(w) for w in blocks.weights]
+    blocks.insert(lam.coords, {0: Fraction(1)})
 
+    def raising(j):  # the signature of basis vector j
+        return blocks.vectors[j] if j else {}
+
+    lowering = [{} for _ in range(n)]  # k -> basis index -> column of f_k
+    level = [0]
+    while level:
+        images = []
+        for j in level:
+            wt = blocks.weights[j]
+            for k in range(n):
+                sig = {j: Fraction(wt[k])} if wt[k] else {}
+                for r, x in raising(j).items():
+                    _add_into(sig, lowering[k][r], x)
+                images.append((j, k, tuple(a - b for a, b in zip(wt, shifts[k])), sig))
+        level = []
+        for _, _, low, sig in images:
+            idx = blocks.insert(low, sig) if sig else None
+            if idx is not None:
+                level.append(idx)
+        for j, k, low, sig in images:
+            lowering[k][j] = blocks.express(low, sig)
+
+    dim = len(blocks.weights)
     actions = {}
-    for alpha, a_wt in zip(rs.simple_roots, simple_wts):
-        for key, shift in ((("e", alpha.coords), a_wt), (("e", (-alpha).coords), -a_wt)):
-            cols = []
-            for j, vec in enumerate(blocks.vectors):
-                coords = blocks.express((weights[j] + shift).coords, act(key, vec))
-                if coords is None:
-                    raise AssertionError("span is not closed under the algebra action")
-                cols.append(coords)
-            actions[key] = SparseMatrix(cols)
+    for k, alpha in enumerate(rs.simple_roots):
+        up = [tuple(a + b for a, b in zip(w, shifts[k])) for w in blocks.weights]
+        actions[("e", alpha.coords)] = SparseMatrix(
+            [{r: x for r, x in raising(j).items() if blocks.weights[r] == up[j]} for j in range(dim)]
+        )
+        actions[("e", (-alpha).coords)] = SparseMatrix([lowering[k][j] for j in range(dim)])
+    weights = [Weight(w) for w in blocks.weights]
     return HighestWeightModule(algebra, lam, weights, _with_derived_actions(algebra, actions))
-
-
-class _TensorProvider:
-    """Action on a tensor product of modules by the Leibniz rule."""
-
-    def __init__(self, factors):
-        self.factors = factors
-        self.dims = [f.dim for f in factors]
-        self.strides = []
-        s = 1
-        for d in reversed(self.dims):
-            self.strides.append(s)
-            s *= d
-        self.strides.reverse()
-
-    def act(self, key, vec):
-        out = {}
-        cols = [f.actions[key].cols for f in self.factors]
-        for idx, c in vec.items():
-            for m, d, stride in zip(cols, self.dims, self.strides):
-                i_s = (idx // stride) % d
-                for r, x in m[i_s].items():
-                    j = idx + (r - i_s) * stride
-                    s = out.get(j, 0) + c * x
-                    if s:
-                        out[j] = s
-                    else:
-                        out.pop(j, None)
-        return out
 
 
 # -- matrix realization -----------------------------------------------------
 
 
 class MatrixRealization:
-    """Faithful matrices for one small classical group, plus its fundamentals.
+    """The fundamental modules of a semisimple Lie algebra, any type.
 
-    Supported types: A_n with n <= 4 (natural module and its exterior
-    powers) and C_2 (natural module; the second fundamental is the
-    5-dimensional complement of the invariant bivector inside the second
-    exterior power, found automatically by the cyclic span).
+    Each fundamental module is built by ``_irreducible`` from the Cartan
+    matrix and checked against the representation property and the Weyl
+    dimension formula.
     """
 
     def __init__(self, algebra):
         rs = algebra.root_system
-        if len(rs.components) != 1:
-            raise UnsupportedType("matrix realizations cover single simple components only")
-        letter, rank = rs.components[0]
-        if (letter, rank) not in {("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2)}:
-            raise UnsupportedType(f"no matrix realization for {letter}{rank}")
         self.algebra = algebra
-        self.letter = letter
-        self.rank = rank
-        self.natural_dim = rank + 1 if letter == "A" else 4
-        self.natural_actions = self._natural_actions()
-        representation_property_check(algebra, self.natural_actions)
-        self.fundamentals = [self._fundamental(k) for k in range(1, rs.n + 1)]
-
-    def _natural_actions(self):
-        rs = self.algebra.root_system
-
-        def mat(entries):
-            return SparseMatrix.from_entries(self.natural_dim, entries)
-
-        simple = {}
-        if self.letter == "A":
-            for i, alpha in enumerate(rs.simple_roots):
-                simple[("e", alpha.coords)] = mat({(i, i + 1): 1})
-                simple[("e", (-alpha).coords)] = mat({(i + 1, i): 1})
-        else:  # C2 preserving the antidiagonal symplectic form
-            a1, a2 = rs.simple_roots
-            simple[("e", a1.coords)] = mat({(0, 1): 1, (2, 3): -1})
-            simple[("e", (-a1).coords)] = mat({(1, 0): 1, (3, 2): -1})
-            simple[("e", a2.coords)] = mat({(1, 2): 1})
-            simple[("e", (-a2).coords)] = mat({(2, 1): 1})
-        return _with_derived_actions(self.algebra, simple)
-
-    def _fundamental(self, k):
-        """The k-th fundamental module, from the k-th exterior power."""
-        rs = self.algebra.root_system
-        subsets = list(combinations(range(self.natural_dim), k))
-        index = {s: i for i, s in enumerate(subsets)}
-        wedge = {}
-        for alpha in rs.simple_roots:
-            for key in (("e", alpha.coords), ("e", (-alpha).coords)):
-                nat = self.natural_actions[key]
-                cols = []
-                for sub in subsets:
-                    col = {}
-                    for pos, elem in enumerate(sub):
-                        for r, c in nat.cols[elem].items():
-                            if r == elem or r not in sub:
-                                rest = [x for x in sub if x != elem]
-                                # parity of moving r from slot pos to its sorted slot
-                                parity = (-1) ** (pos + sum(1 for x in rest if x < r))
-                                _add_into(col, {index[tuple(sorted(rest + [r]))]: c * parity})
-                    cols.append(col)
-                wedge[key] = SparseMatrix(cols)
-        lam = rs.fundamental_weight(k - 1)
-        start = {index[tuple(range(k))]: Fraction(1)}
-        mod = _span_module(self.algebra, lam, start, lambda key, vec: wedge[key].apply(vec))
-        if mod.dim != weyl_dim(rs, lam):
-            raise AssertionError("fundamental module has the wrong dimension")
-        representation_property_check(self.algebra, mod.actions)
-        return mod
+        self.fundamentals = []
+        for i in range(rs.n):
+            lam = rs.fundamental_weight(i)
+            mod = _irreducible(algebra, lam)
+            if mod.dim != weyl_dim(rs, lam):
+                raise AssertionError("fundamental module has the wrong dimension")
+            representation_property_check(algebra, mod.actions)
+            self.fundamentals.append(mod)
 
     def __repr__(self):
-        return f"MatrixRealization({self.letter}{self.rank})"
+        return f"MatrixRealization({self.algebra.root_system.describe()})"
 
 
 def build_realization(algebra):
-    """Matrix realization for a supported type (raises UnsupportedType)."""
+    """Matrix realization of the fundamental modules, for any type."""
     return MatrixRealization(algebra)
 
 
@@ -406,9 +359,8 @@ def representation_property_check(algebra, actions):
 
 
 def build_irrep(realization, lam, dim_cap=20000):
-    """The irreducible module of highest weight lam, built as the cyclic
-    span of the product of highest vectors inside a tensor product of
-    fundamental modules."""
+    """The irreducible module of highest weight lam, built from the Cartan
+    data by ``_irreducible`` and checked against the dimension formula."""
     rs = realization.algebra.root_system
     if not isinstance(lam, Weight):
         lam = Weight(tuple(lam))
@@ -417,17 +369,9 @@ def build_irrep(realization, lam, dim_cap=20000):
     predicted = weyl_dim(rs, lam)
     if predicted > dim_cap:
         raise DimensionCap(predicted, dim_cap)
-    factors = []
-    for i, c in enumerate(lam.coords):
-        factors.extend([realization.fundamentals[i]] * int(c))
-    if not factors:
-        actions = {k: SparseMatrix([{}]) for k in realization.algebra.basis_keys()}
-        return HighestWeightModule(realization.algebra, lam, [rs.zero_weight()], actions)
-    mod = _span_module(realization.algebra, lam, {0: Fraction(1)}, _TensorProvider(factors).act)
+    mod = _irreducible(realization.algebra, lam)
     if mod.dim != predicted:
-        raise AssertionError(
-            f"cyclic span has dimension {mod.dim}, formula says {predicted}"
-        )
+        raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
     return mod
 
 

@@ -180,7 +180,7 @@ def test_criterion_7_algebra_property_suite():
         for r in alg.root_system.positive_roots:
             assert alg.bracket(alg.e(r), alg.e(-r)) == alg.coroot(r), spec
         realization = build_realization(alg)
-        assert representation_property_check(alg, realization.natural_actions)
+        assert representation_property_check(alg, realization.fundamentals[0].actions)
         for mod in realization.fundamentals:
             assert representation_property_check(alg, mod.actions)
             modules_checked += 1

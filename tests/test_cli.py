@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,10 +168,27 @@ def test_verify_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_unsupported_type_is_input_error(capsys):
-    code, _, err = _run_main(["verify", "--preset", "tu-prime", "--group", "B2"], capsys)
+@pytest.mark.parametrize("group", ["B2", "G2", "A1xA1"])
+def test_verify_tu_prime_beyond_a_and_c2(group, capsys):
+    code, out, _ = _run_main(["verify", "--preset", "tu-prime", "--group", group, "--height", "2"], capsys)
+    assert code == 0
+    assert "[FAIL]" not in out
+
+
+def test_verify_checks_the_cap_before_building_modules(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(oracle, "build_realization", refuse)
+    monkeypatch.setattr(oracle, "build_irrep", refuse)
+    t0 = time.time()
+    code, _, err = _run_main(["verify", "--preset", "tu-prime", "--group", "E8", "--height", "1"], capsys)
     assert code == 2
-    assert "no matrix realization" in err
+    assert "exceeds cap" in err
+    assert time.time() - t0 < 5.0
+    code, _, err = _run_main(["verify", "--preset", "tu-prime", "--height", "3", "--cap", "14"], capsys)
+    assert code == 2
+    assert "module dimension 15 exceeds cap 14" in err
 
 
 def test_presets_commands(capsys):

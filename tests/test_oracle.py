@@ -8,7 +8,6 @@ from solvsph import (
     DimensionCap,
     NotDominant,
     NotSpherical,
-    UnsupportedType,
     Weight,
     active_roots,
     anchor_weights,
@@ -41,10 +40,28 @@ def _realization(spec):
 def test_supported_types():
     for spec in [[("A", 1)], [("A", 2)], [("A", 3)], [("A", 4)], [("C", 2)]]:
         real = _realization(spec)
-        assert real.natural_dim in (2, 3, 4, 5)
+        assert real.fundamentals[0].dim in (2, 3, 4, 5)
     for spec in [[("B", 2)], [("G", 2)], [("A", 5)], [("A", 1), ("A", 1)]]:
-        with pytest.raises(UnsupportedType):
-            _realization(spec)
+        real = _realization(spec)
+        rs = real.algebra.root_system
+        dims = [mod.dim for mod in real.fundamentals]
+        assert dims == [weyl_dim(rs, rs.fundamental_weight(i)) for i in range(rs.n)]
+
+
+def test_verify_on_fuzzed_types_beyond_a_and_c2(tmp_path):
+    from solvsph.fuzzing import POOL_RANK3, random_mixed_config
+
+    pool = [c for c in POOL_RANK3 if c not in [(("A", 1),), (("A", 2),), (("A", 3),), (("C", 2),)]]
+    rng = random.Random(4)
+    path = tmp_path / "job.cfg"
+    seen = 0
+    while seen < 30:
+        config = random_mixed_config(rng, pool)
+        if not check_spherical(build_subgroup(config)).spherical:
+            continue
+        path.write_text(config.to_text())
+        assert cli.main(["verify", str(path), "--height", "1"]) == 0, config.to_text()
+        seen += 1
 
 
 def test_weyl_dimension_values():
