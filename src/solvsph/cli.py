@@ -17,6 +17,7 @@ SOLVSPH_SEED and then to the config's [options] section.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -170,9 +171,13 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     gens = generators(sub, table)
     rs = sub.root_system
     anchors = anchor_weights(table, rs)
-    # check every module built below against the cap before building any
+    # check every module built below against the cap before building any;
+    # level by level, so an over-cap height stops at its first over-cap level
     fundamentals = [rs.fundamental_weight(i) for i in range(rs.n)]
-    for lam in fundamentals + oracle.dominant_weights_up_to(rs, height) + anchors:
+    levels = itertools.chain.from_iterable(
+        oracle.dominant_weights_at_level(rs, level) for level in range(height + 1)
+    )
+    for lam in itertools.chain(fundamentals, levels, anchors):
         predicted = oracle.weyl_dim(rs, lam)
         if predicted > cap:
             raise DimensionCap(predicted, cap)

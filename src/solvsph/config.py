@@ -15,22 +15,13 @@ are written p/q.  '#' starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .chevalley import build_algebra
 from .errors import ConfigParseError
 from .rootsys import build_root_system
 from .subgroup import NilradicalSpec, TorusRestriction, validate
-
-_OPTION_DEFAULTS = {
-    "height_bound": 4,
-    "dim_cap": 20000,
-    "trials": 200,
-    "seed": 0,
-    "format": "text",
-}
-
 
 @dataclass(frozen=True)
 class JobOptions:
@@ -56,19 +47,13 @@ class JobConfig:
             "nilradical": [
                 [[list(coords), str(coeff)] for coords, coeff in group] for group in self.groups
             ],
-            "options": {
-                "height_bound": self.options.height_bound,
-                "dim_cap": self.options.dim_cap,
-                "trials": self.options.trials,
-                "seed": self.options.seed,
-                "format": self.options.format,
-            },
+            "options": asdict(self.options),
         }
 
     @classmethod
     def from_json_dict(cls, data):
-        opts = dict(_OPTION_DEFAULTS)
-        opts.update(data.get("options", {}))
+        given = data.get("options", {})  # unknown keys are ignored
+        opts = {k: type(v)(given.get(k, v)) for k, v in asdict(JobOptions()).items()}
         return cls(
             components=tuple((str(t), int(r)) for t, r in data["group"]),
             torus_rows=tuple(tuple(int(x) for x in row) for row in data.get("torus", [])),
@@ -76,13 +61,7 @@ class JobConfig:
                 tuple((tuple(int(x) for x in coords), Fraction(str(c))) for coords, c in group)
                 for group in data.get("nilradical", [])
             ),
-            options=JobOptions(
-                height_bound=int(opts["height_bound"]),
-                dim_cap=int(opts["dim_cap"]),
-                trials=int(opts["trials"]),
-                seed=int(opts["seed"]),
-                format=str(opts["format"]),
-            ),
+            options=JobOptions(**opts),
         )
 
     def to_text(self):
@@ -99,14 +78,7 @@ class JobConfig:
             )
         lines.append("")
         lines.append("[options]")
-        o = self.options
-        lines += [
-            f"height_bound = {o.height_bound}",
-            f"dim_cap = {o.dim_cap}",
-            f"trials = {o.trials}",
-            f"seed = {o.seed}",
-            f"format = {o.format}",
-        ]
+        lines += [f"{k} = {v}" for k, v in asdict(self.options).items()]
         return "\n".join(lines) + "\n"
 
 
@@ -163,7 +135,7 @@ def parse_config_text(text) -> JobConfig:
         if group:
             groups.append(tuple(group))
 
-    opts = dict(_OPTION_DEFAULTS)
+    opts = asdict(JobOptions())
     for lineno, line in sections["options"]:
         if "=" not in line:
             raise ConfigParseError(f"expected 'key = value', got {line!r}", lineno)
@@ -186,13 +158,7 @@ def parse_config_text(text) -> JobConfig:
         components=tuple(components),
         torus_rows=tuple(torus_rows),
         groups=tuple(groups),
-        options=JobOptions(
-            height_bound=opts["height_bound"],
-            dim_cap=opts["dim_cap"],
-            trials=opts["trials"],
-            seed=opts["seed"],
-            format=opts["format"],
-        ),
+        options=JobOptions(**opts),
     )
 
 

@@ -3,12 +3,17 @@
 Everything the combinatorial pipeline claims is re-derived here from
 scratch, for every type: irreducible modules are built weight space by
 weight space from the Cartan matrix alone (``_irreducible``), with no
-per-type matrices, and semi-invariant dimensions are exact kernel
-computations.  Module arithmetic is exact: every matrix is a
+per-type matrices.  ``build_irrep`` is the one path that builds them, and a
+``MatrixRealization`` keeps each module it has built, so a weight is built
+once per realization.  Semi-invariant dimensions are exact kernels: the
+images of the basis vectors of one S-weight under the unipotent basis are
+read from the module's own sparse columns and counted by sparse
+elimination.  Module arithmetic is exact: every matrix is a
 ``SparseMatrix`` of Fractions.  Only the simple root vectors act directly
 on a module; the coroots and the other root vectors act through brackets,
 derived in ``_with_derived_actions``.  Every module is checked against the
-defining relations of the algebra when it is constructed.
+defining relations of the algebra and the Weyl dimension formula when it is
+built.
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
@@ -20,6 +25,7 @@ certificate; a failure carries a stated error bound.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -305,22 +311,21 @@ def _irreducible(algebra, lam):
 
 
 class MatrixRealization:
-    """The fundamental modules of a semisimple Lie algebra, any type.
+    """The irreducible modules of one semisimple Lie algebra, each built once.
 
-    Each fundamental module is built by ``_irreducible`` from the Cartan
-    matrix and checked against the representation property and the Weyl
-    dimension formula.
+    ``modules`` maps a highest weight to its module; ``build_irrep`` is the
+    one path that builds and stores them, and a module stays here as long
+    as the realization does.  Construction builds the fundamental modules
+    through that path and checks each against the representation property.
     """
 
     def __init__(self, algebra):
         rs = algebra.root_system
         self.algebra = algebra
+        self.modules = {}  # Weight -> HighestWeightModule
         self.fundamentals = []
         for i in range(rs.n):
-            lam = rs.fundamental_weight(i)
-            mod = _irreducible(algebra, lam)
-            if mod.dim != weyl_dim(rs, lam):
-                raise AssertionError("fundamental module has the wrong dimension")
+            mod = build_irrep(self, rs.fundamental_weight(i), dim_cap=math.inf)
             representation_property_check(algebra, mod.actions)
             self.fundamentals.append(mod)
 
@@ -360,7 +365,8 @@ def representation_property_check(algebra, actions):
 
 def build_irrep(realization, lam, dim_cap=20000):
     """The irreducible module of highest weight lam, built from the Cartan
-    data by ``_irreducible`` and checked against the dimension formula."""
+    data by ``_irreducible`` on the realization's first request for lam and
+    checked against the dimension formula; later requests return it."""
     rs = realization.algebra.root_system
     if not isinstance(lam, Weight):
         lam = Weight(tuple(lam))
@@ -369,9 +375,12 @@ def build_irrep(realization, lam, dim_cap=20000):
     predicted = weyl_dim(rs, lam)
     if predicted > dim_cap:
         raise DimensionCap(predicted, dim_cap)
-    mod = _irreducible(realization.algebra, lam)
-    if mod.dim != predicted:
-        raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
+    mod = realization.modules.get(lam)
+    if mod is None:
+        mod = _irreducible(realization.algebra, lam)
+        if mod.dim != predicted:
+            raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
+        realization.modules[lam] = mod
     return mod
 
 
@@ -388,28 +397,36 @@ class MultiplicityRecord:
         return (rs.dual_weight(self.lam).coords, self.chi)
 
 
+def _nil_image(mod, sub: SubgroupData, vec):
+    """The images x_i v of a sparse vector v under the unipotent basis x_i,
+    stacked into one sparse vector keyed by (i, row) and read from the
+    module's own columns."""
+    if mod.algebra is not sub.algebra:
+        raise AlgebraMismatch("module and subgroup live over different algebras")
+    out = {}
+    for i, x in enumerate(sub.nil_basis):
+        image = {}
+        for key, c in x.terms.items():
+            _add_into(image, mod.actions[key].apply(vec), c)
+        out.update(((i, r), y) for r, y in image.items())
+    return out
+
+
 def semi_invariant_dim(mod, sub: SubgroupData, chi) -> MultiplicityRecord:
     """Exact dimension of the semi-invariants of weight chi under the subgroup.
 
     A vector qualifies when it is an S-weight vector of weight chi and is
-    killed by every basis element of the unipotent part.
+    killed by every basis element of the unipotent part: the dimension is
+    the number of basis vectors of S-weight chi less the rank of their
+    stacked images, counted by sparse elimination.
     """
     if mod.algebra is not sub.algebra:
         raise AlgebraMismatch("module and subgroup live over different algebras")
     chi = tuple(chi)
     cols = [j for j in range(mod.dim) if sub.tau.restrict(mod.weights[j]) == chi]
-    if not cols:
-        return MultiplicityRecord(mod.lam, chi, 0)
-    rows = []
-    for x in sub.nil_basis:
-        a = mod.act_element(x)
-        by_row = {}
-        for p, j in enumerate(cols):
-            for r, v in a.cols[j].items():
-                by_row.setdefault(r, [0] * len(cols))[p] = v
-        rows += [by_row[r] for r in sorted(by_row)]
-    kernel = len(cols) - (linalg.rank(rows) if rows else 0)
-    return MultiplicityRecord(mod.lam, chi, kernel)
+    images = _Blocks()
+    rank = sum(images.insert(None, _nil_image(mod, sub, {j: 1})) is not None for j in cols)
+    return MultiplicityRecord(mod.lam, chi, len(cols) - rank)
 
 
 def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
@@ -437,8 +454,7 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
 
 def annihilated_by_nil(mod, sub: SubgroupData, vec):
     """Whether every unipotent basis element kills the vector."""
-    v = {j: x for j, x in enumerate(vec) if x}
-    return not any(mod.act_element(x).apply(v) for x in sub.nil_basis)
+    return not _nil_image(mod, sub, {j: x for j, x in enumerate(vec) if x})
 
 
 def vector_s_weight(mod, sub: SubgroupData, vec):
@@ -449,20 +465,20 @@ def vector_s_weight(mod, sub: SubgroupData, vec):
     return chis.pop()
 
 
+def dominant_weights_at_level(rs, level):
+    """The dominant integral weights with coordinate sum level, in
+    coordinate order: each weight is read off the bars of one arrangement of
+    level stars and n - 1 bars."""
+    n = rs.n
+    for bars in itertools.combinations(range(level + n - 1), n - 1):
+        edges = (-1, *bars, level + n - 1)
+        yield Weight(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+
+
 def dominant_weights_up_to(rs, height_bound):
-    """All dominant integral weights with coordinate sum <= the bound."""
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == rs.n:
-            out.append(Weight(tuple(prefix)))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c)
-
-    rec([], height_bound)
-    out.sort(key=lambda w: (sum(w.coords), w.coords))
-    return out
+    """All dominant integral weights with coordinate sum <= the bound,
+    ordered by coordinate sum, then by coordinates."""
+    return [w for level in range(height_bound + 1) for w in dominant_weights_at_level(rs, level)]
 
 
 def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=20000):

@@ -188,6 +188,8 @@ class RootSystem:
         self.n = sum(r for _, r in components)
         self.cartan = self._build_cartan()
         self._d = tuple(_symmetrizer(self.cartan, self.n))
+        # d_i * cartan[i][j], symmetric; the d_i are 1, 2 or 3, so these are ints
+        self._form = tuple(tuple(_num(d * a) for a in row) for d, row in zip(self._d, self.cartan))
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = tuple(self.positive_roots[: self.n])
         self._pos_set = {r.coords for r in self.positive_roots}
@@ -251,12 +253,9 @@ class RootSystem:
 
     def root_form(self, alpha, beta):
         """The invariant inner product of two vectors in the root lattice."""
-        a, b = alpha.coords, beta.coords
+        b = beta.coords
         return sum(
-            self._d[i] * self.cartan[i][j] * a[i] * b[j]
-            for i in range(self.n)
-            for j in range(self.n)
-            if a[i] != 0 and self.cartan[i][j] != 0
+            x * sum(f * y for f, y in zip(row, b) if f) for x, row in zip(alpha.coords, self._form) if x
         )
 
     def weight_root_form(self, lam, mu):
@@ -289,11 +288,6 @@ class RootSystem:
         return Weight(
             tuple(sum(self.cartan[i][j] * alpha.coords[j] for j in range(self.n)) for i in range(self.n))
         )
-
-    def reflect(self, lam, i):
-        """Simple reflection s_i applied to a weight."""
-        ci = lam.coords[i]
-        return Weight(tuple(c - ci * self.cartan[k][i] for k, c in enumerate(lam.coords)))
 
     def dual_weight(self, lam):
         """The highest weight of the dual module: -w0(lam), for dominant lam."""

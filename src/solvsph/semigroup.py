@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import NotSpherical
-from .rootsys import Weight, fmt_weight
+from .rootsys import Weight
 from .sphericity import ActiveRootTable, check_spherical
 
 
@@ -79,12 +79,6 @@ class SemigroupGenerators:
         it is computed by filtering the bounded enumeration.
         """
         return sorted(w for w, chi in bounded_members(self, height_bound) if not any(chi))
-
-    def describe(self):
-        lines = []
-        for w, chi in self.all_generators():
-            lines.append(f"({fmt_weight(w)}, chi={list(chi)})")
-        return lines
 
     def __repr__(self):
         return f"SemigroupGenerators(n={self.n}, m={self.m}, d={self.d})"

@@ -54,12 +54,6 @@ class ActiveRootTable:
     def active_roots(self):
         return [r for fam in self.families for r in fam.roots]
 
-    def family_of(self, root):
-        for j, fam in enumerate(self.families):
-            if root in fam.roots:
-                return j
-        raise KeyError(root)
-
 
 def check_spherical(sub: SubgroupData) -> SphericityVerdict:
     """Evaluate the sphericity criterion exactly.

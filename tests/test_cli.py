@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from solvsph import ConfigParseError, JobConfig, get_preset, oracle, parse_config_text, preset_names
+from solvsph.config import JobOptions
 from solvsph.cli import cmd_check, cmd_semigroup, cmd_verify, main
 
 
@@ -243,3 +244,33 @@ def test_bad_json_config_is_input_error(text, tmp_path, capsys):
     code, out, err = _run_main(["check", str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_builds_each_module_once(monkeypatch, capsys):
+    built = []
+    original = oracle._irreducible
+
+    def counting(algebra, lam):
+        built.append(lam)
+        return original(algebra, lam)
+
+    monkeypatch.setattr(oracle, "_irreducible", counting)
+    code, _, _ = _run_main(["verify", "--preset", "sl4-sp4borel", "--height", "2"], capsys)
+    assert code == 0
+    assert len(built) == len(set(built)) == 10
+
+
+def test_verify_rejects_an_over_cap_height_without_listing_weights(capsys):
+    t0 = time.time()
+    code, _, err = _run_main(["verify", "--preset", "borel", "--group", "A2", "--height", "1000000"], capsys)
+    assert code == 2 and "exceeds cap 20000" in err
+    assert time.time() - t0 < 2.0
+
+
+def test_json_options_default_from_job_options_and_ignore_unknown_keys():
+    data = get_preset("borel").to_json_dict()
+    data["options"] = {"trials": "7", "colour": "blue"}
+    options = JobConfig.from_json_dict(data).options
+    assert options == dataclasses.replace(JobOptions(), trials=7)
+    text = JobConfig.from_json_dict(data).to_text()
+    assert parse_config_text(text).options == options

@@ -303,3 +303,55 @@ def test_rank_mod_p_matches_rank_on_small_integer_matrices():
     # full rank mod p implies full rank over Q, not the other way round
     assert linalg.rank([[1, 1], [1, 1 + p]]) == 2
     assert linalg.rank_mod_p([[1, 1], [1, 1 + p]], p) == 1
+
+
+def _dense_semi_invariant_dim(mod, sub, mats, chi):
+    """Reference: rank of the dense rows of the unipotent basis matrices."""
+    cols = [j for j in range(mod.dim) if sub.tau.restrict(mod.weights[j]) == chi]
+    rows = []
+    for a in mats:
+        rows += [row for r in range(mod.dim) if any(row := [a.cols[j].get(r, 0) for j in cols])]
+    return len(cols) - (linalg.rank(rows) if rows else 0)
+
+
+def test_semi_invariant_dim_matches_dense_rank_on_fuzzed_types():
+    from solvsph.fuzzing import POOL_RANK3, random_mixed_config
+
+    rng = random.Random(2024)
+    kernels = 0
+    for _ in range(8):
+        sub = build_subgroup(random_mixed_config(rng, POOL_RANK3))
+        real = build_realization(sub.algebra)
+        for lam in dominant_weights_up_to(sub.root_system, 2):
+            mod = build_irrep(real, lam)
+            mats = [mod.act_element(x) for x in sub.nil_basis]
+            for chi in sorted({sub.tau.restrict(w) for w in mod.weights}):
+                dense = _dense_semi_invariant_dim(mod, sub, mats, chi)
+                assert semi_invariant_dim(mod, sub, chi).dim == dense, (sub, lam, chi)
+                kernels += 1
+            # a random vector is killed exactly when every dense product vanishes
+            vec = [rng.choice([0, 0, 1, -2]) for _ in range(mod.dim)]
+            assert annihilated_by_nil(mod, sub, vec) == all(not any(a @ vec) for a in mats)
+            assert annihilated_by_nil(mod, sub, mod.highest_vector())
+    assert kernels > 250, kernels
+
+
+def test_build_irrep_builds_each_weight_once_and_keeps_the_cap():
+    real = _realization([("A", 2)])
+    mod = build_irrep(real, Weight((1, 1)))
+    assert build_irrep(real, (1, 1)) is mod and real.modules[Weight((1, 1))] is mod
+    assert build_irrep(real, Weight((1, 0))) is real.fundamentals[0]
+    with pytest.raises(DimensionCap):
+        build_irrep(real, Weight((1, 1)), dim_cap=7)
+
+
+def test_dominant_weights_up_to_matches_sorted_compositions():
+    import itertools
+
+    for n, height in [(1, 5), (2, 4), (3, 3), (4, 2), (8, 2)]:
+        rs = build_root_system([("A", n)])
+        expected = sorted(
+            (c for c in itertools.product(range(height + 1), repeat=n) if sum(c) <= height),
+            key=lambda c: (sum(c), c),
+        )
+        assert [w.coords for w in dominant_weights_up_to(rs, height)] == expected

@@ -149,3 +149,21 @@ def test_inadmissible_types_rejected():
     for spec in [[("B", 1)], [("C", 1)], [("D", 2)], [("E", 5)], [("E", 9)], [("F", 3)], [("G", 3)], [("H", 2)], [("A", 0)], []]:
         with pytest.raises(InvalidType):
             build_root_system(spec)
+
+
+def test_root_form_matches_the_symmetrized_double_sum():
+    from solvsph.fuzzing import POOL_RANK3
+
+    for spec in POOL_RANK3 + [(("E", 8),)]:
+        rs = build_root_system(spec)
+        roots = list(rs.positive_roots) + [-r for r in rs.positive_roots]
+        if rs.n == 8:
+            roots = roots[::7]
+        for a in roots:
+            for b in roots:
+                expected = sum(
+                    rs._d[i] * rs.cartan[i][j] * a.coords[i] * b.coords[j]
+                    for i in range(rs.n)
+                    for j in range(rs.n)
+                )
+                assert rs.root_form(a, b) == expected, (spec, a, b)
