@@ -8,8 +8,9 @@
 A config file is either in the text format or a JSON document whose
 ``config`` member holds the config, as ``semigroup --json`` prints it.
 
-Exit codes: 0 success, 1 negative verdict or failed check, 2 input error,
-3 internal error (a failed self-check or an arithmetic fault).
+Exit codes: 0 success, 1 negative verdict or failed check, 2 input error
+(an unreadable config included), 3 internal error (a failed self-check or an
+arithmetic fault), 141 stdout closed by its reader (as for SIGPIPE).
 Options fall back to SOLVSPH_HEIGHT / SOLVSPH_CAP / SOLVSPH_TRIALS /
 SOLVSPH_SEED and then to the config's [options] section.
 """
@@ -50,8 +51,11 @@ def load_config(args) -> JobConfig:
             raise ConfigParseError(str(exc))
     if not args.config:
         raise ConfigParseError("either a config file or --preset is required")
-    with open(args.config) as fh:
-        text = fh.read()
+    try:
+        with open(args.config) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigParseError(f"cannot read {args.config}: {exc.strerror or exc}") from None
     if text.lstrip().startswith("{"):
         return _parse_json_config(text)
     return parse_config_text(text)
@@ -254,8 +258,7 @@ def _build_parser():
     return parser
 
 
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
+def _run(args):
     try:
         if args.command == "presets":
             return cmd_presets(args.action, args.name)
@@ -268,12 +271,25 @@ def main(argv=None):
     except (NotSpherical, AxiomViolation) as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return 1
-    except (SolvsphError, ValueError, OSError) as exc:
+    except (SolvsphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None):
+    args = _build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send what is left to devnull, so the flush at
+        # exit cannot fail again, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

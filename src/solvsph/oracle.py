@@ -13,7 +13,8 @@ elimination.  Module arithmetic is exact: every matrix is a
 on a module; the coroots and the other root vectors act through brackets,
 derived in ``_with_derived_actions``.  Every module is checked against the
 defining relations of the algebra and the Weyl dimension formula when it is
-built.
+built.  The bracket table is checked once per simple factor, on a module
+the factor acts on faithfully, which covers the factor's part of it.
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
@@ -311,30 +312,39 @@ def _irreducible(algebra, lam):
 
 
 class MatrixRealization:
-    """The irreducible modules of one semisimple Lie algebra, each built once.
+    """The irreducible modules of one algebra, each built once by ``build_irrep``.
 
-    ``modules`` maps a highest weight to its module; ``build_irrep`` is the
-    one path that builds and stores them, and a module stays here as long
-    as the realization does.  Construction builds the fundamental modules
-    through that path and checks each against the representation property.
+    Construction checks the Chevalley bracket table once per simple factor, on
+    its fundamental of least Weyl dimension.  That is enough: the simple root
+    matrices satisfy the presenting relations, a nonzero module of a simple
+    algebra is faithful and the other factors act by zero, so the sweep over
+    all ordered pairs of basis keys checks the factor's component of every
+    bracket, cross-factor ones included; the union over the factors checks the
+    whole table of this algebra object, and no other object shares the verdict.
     """
 
     def __init__(self, algebra):
         rs = algebra.root_system
         self.algebra = algebra
         self.modules = {}  # Weight -> HighestWeightModule
-        self.fundamentals = []
-        for i in range(rs.n):
-            mod = build_irrep(self, rs.fundamental_weight(i), dim_cap=math.inf)
-            representation_property_check(algebra, mod.actions)
-            self.fundamentals.append(mod)
+        ranks = [rank for _, rank in rs.components]
+        for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
+            lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
+            smallest = min(lams, key=lambda lam: weyl_dim(rs, lam))
+            representation_property_check(algebra, build_irrep(self, smallest, math.inf).actions)
+
+    @property
+    def fundamentals(self):
+        """The fundamental modules, each built on its first request."""
+        rs = self.algebra.root_system
+        return [build_irrep(self, rs.fundamental_weight(i), math.inf) for i in range(rs.n)]
 
     def __repr__(self):
         return f"MatrixRealization({self.algebra.root_system.describe()})"
 
 
 def build_realization(algebra):
-    """Matrix realization of the fundamental modules, for any type."""
+    """The module cache of any algebra, its bracket table checked per factor."""
     return MatrixRealization(algebra)
 
 

@@ -38,6 +38,7 @@ class TorusRestriction:
         self.n = int(n)
         self.rows = tuple(tuple(int(x) for x in row) for row in rows)
         self.d = len(self.rows)
+        self._images = {}  # weight coords -> image, filled by restrict
         for row in self.rows:
             if len(row) != self.n:
                 raise ValueError(f"torus row {row} does not have {self.n} entries")
@@ -45,12 +46,20 @@ class TorusRestriction:
             raise NonSurjectiveTau(f"{self.rows} is not onto Z^{self.d}")
 
     def restrict(self, weight):
-        """Image of a torus character (integral weight) in Z^d."""
+        """Image of a torus character (integral weight) in Z^d.
+
+        Each image is computed once and kept: the rows never change, and
+        non-integral input raises before anything is stored.
+        """
         coords = weight.coords if isinstance(weight, Weight) else tuple(weight)
-        if not all(isinstance(c, int) or Fraction(c).denominator == 1 for c in coords):
-            raise NonIntegralWeight(f"{coords} has non-integral coordinates")
-        coords = tuple(int(c) for c in coords)
-        return tuple(sum(r * c for r, c in zip(row, coords)) for row in self.rows)
+        image = self._images.get(coords)
+        if image is None:
+            if not all(isinstance(c, int) or Fraction(c).denominator == 1 for c in coords):
+                raise NonIntegralWeight(f"{coords} has non-integral coordinates")
+            ints = tuple(int(c) for c in coords)
+            image = tuple(sum(r * c for r, c in zip(row, ints)) for row in self.rows)
+            self._images[coords] = image
+        return image
 
     def __eq__(self, other):
         return isinstance(other, TorusRestriction) and (self.rows, self.n) == (other.rows, other.n)

@@ -274,3 +274,34 @@ def test_json_options_default_from_job_options_and_ignore_unknown_keys():
     assert options == dataclasses.replace(JobOptions(), trials=7)
     text = JobConfig.from_json_dict(data).to_text()
     assert parse_config_text(text).options == options
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvsph", "check", "--preset", "sl4-sp4borel"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
+
+
+def test_unreadable_config_is_input_error(tmp_path, capsys):
+    for path in [tmp_path / "missing.cfg", tmp_path]:
+        code, out, err = _run_main(["check", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group", ["B4", "C4", "D4"])
+def test_verify_tu_prime_rank_4(group, capsys):
+    code, out, _ = _run_main(["verify", "--preset", "tu-prime", "--group", group, "--height", "1"], capsys)
+    assert code == 0
+    assert "[FAIL]" not in out

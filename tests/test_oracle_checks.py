@@ -8,6 +8,7 @@ from solvsph import (
     build_irrep,
     build_realization,
     build_root_system,
+    oracle,
     representation_property_check,
 )
 from solvsph.oracle import HighestWeightModule, SparseMatrix
@@ -36,3 +37,41 @@ def test_module_relation_check_rejects_one_corrupted_entry():
     with pytest.raises(AssertionError, match=r"delta_ij h_i fails on a1, a1$"):
         HighestWeightModule(mod.algebra, mod.lam, mod.weights, actions)
     HighestWeightModule(mod.algebra, mod.lam, mod.weights, dict(mod.actions))
+
+
+def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkeypatch):
+    built, checked = [], []
+    build, check = oracle._irreducible, oracle.representation_property_check
+
+    def counting_build(algebra, lam):
+        built.append(lam)
+        return build(algebra, lam)
+
+    def counting_check(algebra, actions):
+        checked.append(actions)
+        return check(algebra, actions)
+
+    monkeypatch.setattr(oracle, "_irreducible", counting_build)
+    monkeypatch.setattr(oracle, "representation_property_check", counting_check)
+    real = build_realization(build_algebra(build_root_system([("A", 1), ("C", 2)])))
+    # the smallest fundamental of each factor: V(a1) of A1, the 4-dimensional V(1, 0) of C2
+    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and len(checked) == 2
+    assert [mod.dim for mod in real.fundamentals] == [2, 4, 5] and len(checked) == 2
+
+
+@pytest.mark.parametrize("spec, entries", [([("A", 1), ("B", 2)], 24), ([("G", 2)], 60)])
+def test_build_realization_catches_every_corrupted_structure_constant(spec, entries):
+    alg = build_algebra(build_root_system(spec))
+    assert len(alg._n) == entries
+    caught = 0
+    for key, n in sorted(alg._n.items()):
+        for corrupt in (-n, 2 * n):
+            alg._n[key] = corrupt
+            try:
+                with pytest.raises(AssertionError):
+                    build_realization(alg)
+                caught += 1
+            finally:
+                alg._n[key] = n
+    assert caught == 2 * entries
+    build_realization(alg)

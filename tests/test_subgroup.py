@@ -59,6 +59,10 @@ def test_restrict_is_additive():
 
 def test_restrict_rejects_non_integral():
     tau = TorusRestriction([[1]], 1)
+    # restrict keeps the images it has computed; a non-integral weight is never kept
+    assert restrict(tau, Weight((2,))) == restrict(tau, (Fraction(2),)) == (2,)
+    with pytest.raises(NonIntegralWeight):
+        restrict(tau, Weight((Fraction(1, 2),)))
     with pytest.raises(NonIntegralWeight):
         restrict(tau, Weight((Fraction(1, 2),)))
 
