@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AlgebraMismatch
+from .linalg import add_into
 from .rootsys import Root, RootSystem
 
 
@@ -46,14 +47,7 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (other * -1)
@@ -188,15 +182,8 @@ class ChevalleyAlgebra:
     def coroot(self, root):
         """The coroot of an arbitrary root, as a combination of the h_i."""
         coords = root.coords if isinstance(root, Root) else tuple(root)
-        sign = 1
-        if coords not in self._pos_set:
-            coords = tuple(-c for c in coords)
-            sign = -1
-        coeffs = self.root_system.coroot_coefficients(Root(coords))
-        return AlgebraElement(self, {("h", i): sign * c for i, c in enumerate(coeffs) if c})
-
-    def zero(self):
-        return AlgebraElement(self, {})
+        negative = tuple(-c for c in coords)
+        return AlgebraElement(self, self.bracket_keys(("e", coords), ("e", negative)))
 
     def basis_keys(self):
         """All basis keys: root vectors for every root, then simple coroots."""
@@ -215,34 +202,36 @@ class ChevalleyAlgebra:
 
     # -- bracket ----------------------------------------------------------
 
-    def _bracket_basis(self, key_x, key_y):
-        kx, vx = key_x
-        ky, vy = key_y
-        if kx == "h" and ky == "h":
-            return self.zero()
+    def bracket_keys(self, key_x, key_y):
+        """[x, y] of two basis keys, as a dict key -> nonzero int."""
+        (kx, vx), (ky, vy) = key_x, key_y
+        cartan = self.root_system.cartan
         if kx == "h":
+            if ky == "h":
+                return {}
             # [h_i, e_alpha] = <alpha | alpha_i> e_alpha
-            pair = sum(self.root_system.cartan[vx][j] * vy[j] for j in range(self.root_system.n))
-            return AlgebraElement(self, {key_y: pair})
+            pair = sum(a * b for a, b in zip(cartan[vx], vy))
+            return {key_y: pair} if pair else {}
         if ky == "h":
-            pair = sum(self.root_system.cartan[vy][j] * vx[j] for j in range(self.root_system.n))
-            return AlgebraElement(self, {key_x: -pair})
+            pair = sum(a * b for a, b in zip(cartan[vy], vx))
+            return {key_x: -pair} if pair else {}
         s = tuple(a + b for a, b in zip(vx, vy))
-        if all(c == 0 for c in s):
-            return self.coroot(Root(vx))
+        if not any(s):
+            # [e_alpha, e_-alpha] is the coroot of alpha
+            sign = 1 if vx in self._pos_set else -1
+            coeffs = self.root_system.coroot_coefficients(Root(tuple(sign * a for a in vx)))
+            return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
         c = self._n.get((vx, vy), 0)
-        if c == 0:
-            return self.zero()
-        return AlgebraElement(self, {("e", s): c})
+        return {("e", s): c} if c else {}
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement):
         if x.algebra is not self or y.algebra is not self:
             raise AlgebraMismatch("bracket of elements from a different algebra")
-        out = self.zero()
+        out = {}
         for key_x, cx in x.terms.items():
             for key_y, cy in y.terms.items():
-                out = out + self._bracket_basis(key_x, key_y) * (cx * cy)
-        return out
+                add_into(out, self.bracket_keys(key_x, key_y), cx * cy)
+        return AlgebraElement(self, out)
 
     def __repr__(self):
         return f"ChevalleyAlgebra({self.root_system.describe()})"

@@ -177,11 +177,10 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     anchors = anchor_weights(table, rs)
     # check every module built below against the cap before building any;
     # level by level, so an over-cap height stops at its first over-cap level
-    fundamentals = [rs.fundamental_weight(i) for i in range(rs.n)]
     levels = itertools.chain.from_iterable(
         oracle.dominant_weights_at_level(rs, level) for level in range(height + 1)
     )
-    for lam in itertools.chain(fundamentals, levels, anchors):
+    for lam in itertools.chain(oracle.checked_fundamentals(rs), levels, anchors):
         predicted = oracle.weyl_dim(rs, lam)
         if predicted > cap:
             raise DimensionCap(predicted, cap)
@@ -206,7 +205,10 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         mod = oracle.build_irrep(realization, lam, cap)
         w = oracle.semi_invariant_witness(mod, sub, table, j)
         ok = any(x != 0 for x in w) and oracle.annihilated_by_nil(mod, sub, w)
-        chi = oracle.vector_s_weight(mod, sub, w)
+        try:
+            chi = oracle.vector_s_weight(mod, sub, w)
+        except ValueError:  # zero, or of mixed S-weights: the self-check fails
+            chi = None
         expect = tuple(a - b for a, b in zip(sub.tau.restrict(lam), table.families[j].phi))
         emit(ok and chi == expect, f"witness vector for family {j + 1} is a semi-invariant")
 

@@ -53,7 +53,7 @@ class JobConfig:
     @classmethod
     def from_json_dict(cls, data):
         given = data.get("options", {})  # unknown keys are ignored
-        opts = {k: type(v)(given.get(k, v)) for k, v in asdict(JobOptions()).items()}
+        opts = {k: _parse_option(k, str(given[k])) for k in asdict(JobOptions()) if k in given}
         return cls(
             components=tuple((str(t), int(r)) for t, r in data["group"]),
             torus_rows=tuple(tuple(int(x) for x in row) for row in data.get("torus", [])),
@@ -144,15 +144,7 @@ def parse_config_text(text) -> JobConfig:
         value = value.strip()
         if key not in opts:
             raise ConfigParseError(f"unknown option {key!r}", lineno)
-        if key == "format":
-            if value not in ("text", "json"):
-                raise ConfigParseError(f"format must be text or json, got {value!r}", lineno)
-            opts[key] = value
-        else:
-            try:
-                opts[key] = int(value)
-            except ValueError:
-                raise ConfigParseError(f"option {key} wants an integer, got {value!r}", lineno)
+        opts[key] = _parse_option(key, value, lineno)
 
     return JobConfig(
         components=tuple(components),
@@ -160,6 +152,18 @@ def parse_config_text(text) -> JobConfig:
         groups=tuple(groups),
         options=JobOptions(**opts),
     )
+
+
+def _parse_option(key, value, lineno=None):
+    """The value of one known option, given as text in either format."""
+    if key == "format":
+        if value not in ("text", "json"):
+            raise ConfigParseError(f"format must be text or json, got {value!r}", lineno)
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigParseError(f"option {key} wants an integer, got {value!r}", lineno) from None
 
 
 def build_subgroup(config: JobConfig):

@@ -1,10 +1,22 @@
 """Exact linear algebra over the rationals, the integers and F_p.
 
-Matrices are plain lists of rows (numbers are ints or Fractions); nothing
-here ever touches floating point.
+Dense matrices are plain lists of rows; sparse vectors are dicts from index
+to value that never store a zero, summed by ``add_into``.  Numbers are ints
+or Fractions; nothing here ever touches floating point.
 """
 
 from fractions import Fraction
+
+
+def add_into(out, vec, c=1):
+    """out += c * vec on sparse vectors (dicts index -> value, no zeros)."""
+    for k, x in vec.items():
+        s = out.get(k, 0) + c * x
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 def rref(rows):

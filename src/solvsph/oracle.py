@@ -9,11 +9,12 @@ once per realization.  Semi-invariant dimensions are exact kernels: the
 images of the basis vectors of one S-weight under the unipotent basis are
 read from the module's own sparse columns and counted by sparse
 elimination.  Module arithmetic is exact: every matrix is a
-``SparseMatrix`` of Fractions.  Only the simple root vectors act directly
-on a module; the coroots and the other root vectors act through brackets,
-derived in ``_with_derived_actions``.  Every module is checked against the
-defining relations of the algebra and the Weyl dimension formula when it is
-built.  The bracket table is checked once per simple factor, on a module
+``SparseMatrix`` of Fractions.  The simple root vectors act directly on a
+module and the coroots by the weight diagonal; the other root vectors act
+through brackets, derived in ``_with_derived_actions``.  Every bracket of
+two matrices is built column by column by ``_commutator``.  Every module is
+checked against the defining relations of the algebra and the Weyl
+dimension formula when it is built.  The bracket table is checked once per simple factor, on a module
 the factor acts on faithfully, which covers the factor's part of it.
 
 Sphericity is probed for every type, in the adjoint representation over
@@ -34,28 +35,17 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import AlgebraMismatch, DimensionCap, NotDominant, NotSpherical
+from .linalg import add_into
 from .rootsys import Root, Weight, fmt_root
 from .sphericity import ActiveRootTable, check_spherical
 from .subgroup import SubgroupData
 
 
-def _add_into(out, vec, c=1):
-    """out += c * vec on sparse vectors (dicts index -> value, no zeros)."""
-    for k, x in vec.items():
-        s = out.get(k, 0) + c * x
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 class SparseMatrix:
     """An exact square matrix, stored as sparse columns.
 
-    Supports ``@`` with a matrix, or with a vector given as a sequence (the
-    result is a list of Fractions), ``+``, ``-``, scalar ``*`` and ``==``;
-    a matrix is false when it is zero.
+    Supports ``@`` with a vector given as a sequence (the result is a list
+    of Fractions), ``+`` and ``==``.
     """
 
     __slots__ = ("n", "cols")
@@ -69,36 +59,25 @@ class SparseMatrix:
         """The n x n matrix with the given {(row, column): value} entries."""
         m = cls([{} for _ in range(n)])
         for (r, c), x in entries.items():
-            _add_into(m.cols[c], {r: Fraction(x)})
+            add_into(m.cols[c], {r: Fraction(x)})
         return m
 
     def apply(self, vec):
         """The product with a sparse vector (dict index -> value)."""
         out = {}
         for j, c in vec.items():
-            _add_into(out, self.cols[j], c)
+            add_into(out, self.cols[j], c)
         return out
 
-    def __matmul__(self, other):
-        if isinstance(other, SparseMatrix):
-            return SparseMatrix([self.apply(col) for col in other.cols])
-        out = self.apply({j: x for j, x in enumerate(other) if x})
+    def __matmul__(self, vec):
+        out = self.apply({j: x for j, x in enumerate(vec) if x})
         return [out.get(i, Fraction(0)) for i in range(self.n)]
 
     def __add__(self, other):
         return _combination(self.n, [(self, 1), (other, 1)])
 
-    def __sub__(self, other):
-        return _combination(self.n, [(self, 1), (other, -1)])
-
-    def __mul__(self, scalar):
-        return _combination(self.n, [(self, scalar)])
-
     def __eq__(self, other):
         return isinstance(other, SparseMatrix) and self.cols == other.cols
-
-    def __bool__(self):
-        return any(self.cols)
 
 
 def _combination(n, terms):
@@ -107,7 +86,16 @@ def _combination(n, terms):
     for m, c in terms:
         if c:
             for out, col in zip(cols, m.cols):
-                _add_into(out, col, c)
+                add_into(out, col, c)
+    return SparseMatrix(cols)
+
+
+def _commutator(a, b, c=1):
+    """The matrix c(ab - ba), built column by column."""
+    cols = []
+    for col_a, col_b in zip(a.cols, b.cols):
+        col = add_into(a.apply(col_b), b.apply(col_a), -1)
+        cols.append({r: c * x for r, x in col.items()} if c != 1 else col)
     return SparseMatrix(cols)
 
 
@@ -129,24 +117,20 @@ def weyl_dim(rs, lam):
 
 
 def _with_derived_actions(algebra, actions):
-    """Complete the simple root vector actions to the whole algebra.
+    """Complete the simple root vector and coroot actions to the whole algebra.
 
-    The coroots act as [e_i, f_i]; every other root vector acts as the
-    bracket along its fixed extraspecial pair, divided by the structure
-    constant.  Positive roots come in order of height, so both factors of
-    each bracket are known when it is taken.
+    Every other root vector acts as the bracket along its fixed extraspecial
+    pair, divided by the structure constant.  Positive roots come in order
+    of height, so both factors of each bracket are known when it is taken.
     """
     rs = algebra.root_system
-    for i, alpha in enumerate(rs.simple_roots):
-        e, f = actions[("e", alpha.coords)], actions[("e", (-alpha).coords)]
-        actions[("h", i)] = e @ f - f @ e
     for eps in [r.coords for r in rs.positive_roots if r.height > 1]:
         gamma, delta = algebra.extraspecial[eps]
         n = algebra.structure_constant(gamma, delta)
         for sign in (1, -1):
             a = actions[("e", tuple(sign * x for x in gamma))]
             b = actions[("e", tuple(sign * x for x in delta))]
-            actions[("e", tuple(sign * x for x in eps))] = (a @ b - b @ a) * Fraction(sign, n)
+            actions[("e", tuple(sign * x for x in eps))] = _commutator(a, b, Fraction(sign, n))
     return actions
 
 
@@ -166,7 +150,7 @@ class _Blocks:
         for bi in blk:
             c = v.get(self.pivots[bi], 0)
             if c:
-                _add_into(v, self.vectors[bi], -c)
+                add_into(v, self.vectors[bi], -c)
         if not v:
             return None
         piv = min(v)
@@ -185,7 +169,7 @@ class _Blocks:
         for bi in self.by_weight.get(wt, []):
             c = v.get(self.pivots[bi], 0)
             if c:
-                _add_into(v, self.vectors[bi], -c)
+                add_into(v, self.vectors[bi], -c)
                 coords[bi] = c
         if v:
             return None
@@ -239,7 +223,7 @@ class HighestWeightModule:
                     raise AssertionError(f"e({fmt_root(root)}) does not shift weights by its root")
         zero = SparseMatrix([{}] * self.dim)
         for i, j in itertools.product(range(rs.n), repeat=2):
-            if e[i] @ f[j] - f[j] @ e[i] != (h[i] if i == j else zero):
+            if _commutator(e[i], f[j]) != (h[i] if i == j else zero):
                 names = f"{fmt_root(simple[i])}, {fmt_root(simple[j])}"
                 raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
 
@@ -286,7 +270,7 @@ def _irreducible(algebra, lam):
             for k in range(n):
                 sig = {j: Fraction(wt[k])} if wt[k] else {}
                 for r, x in raising(j).items():
-                    _add_into(sig, lowering[k][r], x)
+                    add_into(sig, lowering[k][r], x)
                 images.append((j, k, tuple(a - b for a, b in zip(wt, shifts[k])), sig))
         level = []
         for _, _, low, sig in images:
@@ -300,6 +284,9 @@ def _irreducible(algebra, lam):
     actions = {}
     for k, alpha in enumerate(rs.simple_roots):
         up = [tuple(a + b for a, b in zip(w, shifts[k])) for w in blocks.weights]
+        actions[("h", k)] = SparseMatrix(
+            [{j: Fraction(w[k])} if w[k] else {} for j, w in enumerate(blocks.weights)]
+        )
         actions[("e", alpha.coords)] = SparseMatrix(
             [{r: x for r, x in raising(j).items() if blocks.weights[r] == up[j]} for j in range(dim)]
         )
@@ -327,11 +314,8 @@ class MatrixRealization:
         rs = algebra.root_system
         self.algebra = algebra
         self.modules = {}  # Weight -> HighestWeightModule
-        ranks = [rank for _, rank in rs.components]
-        for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
-            lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
-            smallest = min(lams, key=lambda lam: weyl_dim(rs, lam))
-            representation_property_check(algebra, build_irrep(self, smallest, math.inf).actions)
+        for lam in checked_fundamentals(rs):
+            representation_property_check(algebra, build_irrep(self, lam, math.inf).actions)
 
     @property
     def fundamentals(self):
@@ -341,6 +325,17 @@ class MatrixRealization:
 
     def __repr__(self):
         return f"MatrixRealization({self.algebra.root_system.describe()})"
+
+
+def checked_fundamentals(rs):
+    """The fundamental weight of least Weyl dimension of each simple factor:
+    the modules on which a ``MatrixRealization`` checks the bracket table."""
+    ranks = [rank for _, rank in rs.components]
+    out = []
+    for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
+        lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
+        out.append(min(lams, key=lambda lam: weyl_dim(rs, lam)))
+    return out
 
 
 def build_realization(algebra):
@@ -360,10 +355,9 @@ def representation_property_check(algebra, actions):
     dim = actions[keys[0]].n
     for x in keys:
         for y in keys:
-            lhs = actions[x] @ actions[y] - actions[y] @ actions[x]
-            rhs_el = algebra.bracket(algebra.basis_element(x), algebra.basis_element(y))
-            rhs = _combination(dim, ((actions[k], c) for k, c in rhs_el.terms.items()))
-            if lhs != rhs:
+            terms = algebra.bracket_keys(x, y)
+            rhs = _combination(dim, ((actions[k], c) for k, c in terms.items()))
+            if _commutator(actions[x], actions[y]) != rhs:
                 raise AssertionError(
                     f"representation property fails on {_fmt_key(x)}, {_fmt_key(y)}"
                 )
@@ -417,7 +411,7 @@ def _nil_image(mod, sub: SubgroupData, vec):
     for i, x in enumerate(sub.nil_basis):
         image = {}
         for key, c in x.terms.items():
-            _add_into(image, mod.actions[key].apply(vec), c)
+            add_into(image, mod.actions[key].apply(vec), c)
         out.update(((i, r), y) for r, y in image.items())
     return out
 
@@ -452,14 +446,14 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
     fam = table.families[j]
     first = fam.roots[0].coords
     scale = fam.coefficients[first]
-    lowering = []
+    vec = {}
     for beta in fam.roots:
         pair = rs.pairing(mod.lam, beta)
         if pair <= 0:
             raise AssertionError(f"nonpositive pairing of {mod.lam} with {beta}")
         coeff = (fam.coefficients[beta.coords] / scale) * Fraction(1, pair)
-        lowering.append((mod.actions[("e", (-beta).coords)], coeff))
-    return _combination(mod.dim, lowering) @ mod.highest_vector()
+        add_into(vec, mod.actions[("e", (-beta).coords)].cols[0], coeff)
+    return [vec.get(i, Fraction(0)) for i in range(mod.dim)]
 
 
 def annihilated_by_nil(mod, sub: SubgroupData, vec):
@@ -534,10 +528,10 @@ def exp_nilpotent(cols, vectors):
                 raise ValueError("operator is not nilpotent")
             image = {}
             for j, c in term.items():
-                _add_into(image, cols[j], c)
+                add_into(image, cols[j], c)
             inv = pow(k, -1, PRIME)
             term = {i: r for i, x in image.items() if (r := x * inv % PRIME)}
-            _add_into(total, term)
+            add_into(total, term)
         out.append({i: r for i, x in total.items() if (r := x % PRIME)})
     return out
 
@@ -584,13 +578,10 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
         {index[k]: r for k, x in _primitive(terms).items() if (r := x % PRIME)} for terms in basis
     ]
 
-    def ad(x):
-        return [
-            {index[k]: int(c) for k, c in algebra.bracket(x, algebra.basis_element(y)).terms.items()}
-            for y in keys
-        ]
-
-    ad_neg = [ad(algebra.e(-a)) for a in rs.positive_roots]
+    ad_neg = [
+        [{index[k]: c for k, c in algebra.bracket_keys(("e", (-a).coords), y).items()} for y in keys]
+        for a in rs.positive_roots
+    ]
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [rng.randrange(PRIME) for _ in ad_neg]
@@ -598,7 +589,7 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
         for y in range(len(keys)):
             col = {}
             for cols, c in zip(ad_neg, coeffs):
-                _add_into(col, cols[y], c)
+                add_into(col, cols[y], c)
             ad_f.append(col)
         images = exp_nilpotent(ad_f, vectors)
         rows = [[img.get(i, 0) for i in negatives] for img in images]

@@ -122,3 +122,15 @@ def test_unknown_root_vector_rejected():
     alg = _algebra([("A", 2)])
     with pytest.raises(ValueError):
         alg.e((2, 0))
+
+
+def test_bracket_keys_match_bracket_and_are_ints():
+    from solvsph.fuzzing import POOL_RANK3
+
+    for spec in POOL_RANK3:
+        alg = _algebra(list(spec))
+        keys = alg.basis_keys()
+        for x, y in itertools.product(keys, repeat=2):
+            terms = alg.bracket_keys(x, y)
+            assert terms == alg.bracket(alg.basis_element(x), alg.basis_element(y)).terms, (spec, x, y)
+            assert all(type(c) is int and c != 0 for c in terms.values()), (spec, x, y)

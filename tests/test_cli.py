@@ -305,3 +305,65 @@ def test_verify_tu_prime_rank_4(group, capsys):
     code, out, _ = _run_main(["verify", "--preset", "tu-prime", "--group", group, "--height", "1"], capsys)
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def _zero_witness(mod, sub, table, j):
+    return [0] * mod.dim
+
+
+def _mixed_witness(mod, sub, table, j):
+    # the highest vector plus a basis vector of another S-weight
+    top = sub.tau.restrict(mod.weights[0])
+    k = next(k for k, w in enumerate(mod.weights) if sub.tau.restrict(w) != top)
+    return [int(i in (0, k)) for i in range(mod.dim)]
+
+
+@pytest.mark.parametrize("witness", [_zero_witness, _mixed_witness])
+def test_failed_witness_self_check_is_a_failure_not_an_input_error(witness, monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "semi_invariant_witness", witness)
+    code, out, err = _run_main(["verify", "--preset", "sl4-sp4borel", "--height", "1"], capsys)
+    assert code == 1 and err == ""
+    for j in (1, 2):
+        assert f"[FAIL] witness vector for family {j} is a semi-invariant" in out
+    assert "[PASS] open orbit witnessed" in out
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"format": "xml"}, "format must be text or json"),
+        ({"height_bound": 2.7}, "option height_bound wants an integer"),
+        ({"height_bound": True}, "option height_bound wants an integer"),
+        ({"trials": "many"}, "option trials wants an integer"),
+    ],
+)
+def test_json_options_are_checked_as_the_text_format_checks_them(options, message, tmp_path, capsys):
+    data = get_preset("borel").to_json_dict()
+    data["options"] = options
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"config": data}))
+    code, out, err = _run_main(["verify", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    # the text format refuses the same value, naming its line
+    ((key, value),) = options.items()
+    with pytest.raises(ConfigParseError, match=message) as text_err:
+        parse_config_text(f"[group]\nA 2\n[options]\n{key} = {value}\n")
+    assert text_err.value.line == 4
+
+
+def test_cap_check_covers_only_the_modules_verify_builds(capsys, monkeypatch):
+    # A3 borel at height 0 builds the trivial module and the 4-dimensional V(w1) only
+    argv = ["verify", "--preset", "borel", "--group", "A3", "--height", "0", "--cap"]
+    code, out, err = _run_main(argv + ["5"], capsys)
+    assert code == 0 and "[FAIL]" not in out and err == ""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a module was built")
+
+    monkeypatch.setattr(oracle, "build_realization", refuse)
+    monkeypatch.setattr(oracle, "build_irrep", refuse)
+    monkeypatch.setattr(oracle, "_irreducible", refuse)
+    code, out, err = _run_main(argv + ["3"], capsys)
+    assert code == 2 and out == ""
+    assert "module dimension 4 exceeds cap 3" in err
