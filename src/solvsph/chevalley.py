@@ -219,7 +219,7 @@ class ChevalleyAlgebra:
         if not any(s):
             # [e_alpha, e_-alpha] is the coroot of alpha
             sign = 1 if vx in self._pos_set else -1
-            coeffs = self.root_system.coroot_coefficients(Root(tuple(sign * a for a in vx)))
+            coeffs = self.root_system.positive_coroots[self._order[tuple(sign * a for a in vx)]]
             return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
         c = self._n.get((vx, vy), 0)
         return {("e", s): c} if c else {}

@@ -54,11 +54,13 @@ class JobConfig:
     def from_json_dict(cls, data):
         given = data.get("options", {})  # unknown keys are ignored
         opts = {k: _parse_option(k, str(given[k])) for k in asdict(JobOptions()) if k in given}
+        # integers are read from their text, as in the text format, so that
+        # 2.5 or true is refused rather than read as 2 or 1
         return cls(
-            components=tuple((str(t), int(r)) for t, r in data["group"]),
-            torus_rows=tuple(tuple(int(x) for x in row) for row in data.get("torus", [])),
+            components=tuple((str(t), int(str(r))) for t, r in data["group"]),
+            torus_rows=tuple(tuple(int(str(x)) for x in row) for row in data.get("torus", [])),
             groups=tuple(
-                tuple((tuple(int(x) for x in coords), Fraction(str(c))) for coords, c in group)
+                tuple((tuple(int(str(x)) for x in coords), Fraction(str(c))) for coords, c in group)
                 for group in data.get("nilradical", [])
             ),
             options=JobOptions(**opts),

@@ -12,10 +12,11 @@ elimination.  Module arithmetic is exact: every matrix is a
 ``SparseMatrix`` of Fractions.  The simple root vectors act directly on a
 module and the coroots by the weight diagonal; the other root vectors act
 through brackets, derived in ``_with_derived_actions``.  Every bracket of
-two matrices is built column by column by ``_commutator``.  Every module is
-checked against the defining relations of the algebra and the Weyl
-dimension formula when it is built.  The bracket table is checked once per simple factor, on a module
-the factor acts on faithfully, which covers the factor's part of it.
+two matrices is taken column by column (``_bracket_column``), and the checks
+compare it one column at a time.  Every module is checked against the
+defining relations of the algebra and the Weyl dimension formula when it is
+built.  The bracket table is checked once per simple factor, on a module the
+factor acts on faithfully, which covers the factor's part of it.
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
@@ -90,30 +91,30 @@ def _combination(n, terms):
     return SparseMatrix(cols)
 
 
-def _commutator(a, b, c=1):
+def _bracket_column(a, b, j):
+    """Column j of the matrix ab - ba."""
+    return add_into(a.apply(b.cols[j]), b.apply(a.cols[j]), -1)
+
+
+def _commutator(a, b, c):
     """The matrix c(ab - ba), built column by column."""
-    cols = []
-    for col_a, col_b in zip(a.cols, b.cols):
-        col = add_into(a.apply(col_b), b.apply(col_a), -1)
-        cols.append({r: c * x for r, x in col.items()} if c != 1 else col)
-    return SparseMatrix(cols)
+    cols = [_bracket_column(a, b, j) for j in range(a.n)]
+    return SparseMatrix(cols if c == 1 else [{r: c * x for r, x in col.items()} for col in cols])
 
 
 def weyl_dim(rs, lam):
-    """Dimension of the irreducible module of highest weight lam."""
+    """Dimension of the irreducible module of highest weight lam: the product
+    over the positive coroots h of <lam + rho, h> / <rho, h>, in integers."""
     if not lam.is_dominant:
         raise NotDominant(f"{lam} is not dominant")
-    rho = Weight((1,) * rs.n)
-    shifted = lam + rho
-    num = Fraction(1)
-    den = Fraction(1)
-    for alpha in rs.positive_roots:
-        num *= Fraction(rs.weight_root_form(shifted, alpha))
-        den *= Fraction(rs.weight_root_form(rho, alpha))
-    val = num / den
-    if val.denominator != 1:
+    num = den = 1
+    for coroot in rs.positive_coroots:
+        num *= sum((c + 1) * k for c, k in zip(lam.coords, coroot))
+        den *= sum(coroot)
+    val, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("dimension formula did not give an integer")
-    return int(val)
+    return val
 
 
 def _with_derived_actions(algebra, actions):
@@ -135,7 +136,8 @@ def _with_derived_actions(algebra, actions):
 
 
 class _Blocks:
-    """Weight-graded basis with incremental reduction and coordinate solving."""
+    """Weight-graded basis; each basis vector is zero at the pivots before it
+    in its block, so one pass in block order reduces a vector in the span to 0."""
 
     def __init__(self):
         self.weights = []  # weight coords per basis vector
@@ -143,36 +145,24 @@ class _Blocks:
         self.pivots = []
         self.by_weight = {}  # weight coords -> list of basis indices
 
-    def insert(self, wt, vec):
-        """Reduce vec against the block of wt; insert if independent."""
+    def add(self, wt, vec):
+        """Reduce vec against the block of wt once, append a nonzero remainder,
+        normalized, to the basis, and return the coordinates of vec."""
         blk = self.by_weight.setdefault(wt, [])
         v = dict(vec)
-        for bi in blk:
-            c = v.get(self.pivots[bi], 0)
-            if c:
-                add_into(v, self.vectors[bi], -c)
-        if not v:
-            return None
-        piv = min(v)
-        lead = v[piv]
-        v = {k: x / lead for k, x in v.items()}
-        self.weights.append(wt)
-        self.vectors.append(v)
-        self.pivots.append(piv)
-        blk.append(len(self.vectors) - 1)
-        return len(self.vectors) - 1
-
-    def express(self, wt, vec):
-        """Coordinates of vec over the block of wt; None if outside the span."""
-        v = dict(vec)
         coords = {}
-        for bi in self.by_weight.get(wt, []):
+        for bi in blk:
             c = v.get(self.pivots[bi], 0)
             if c:
                 add_into(v, self.vectors[bi], -c)
                 coords[bi] = c
         if v:
-            return None
+            piv = min(v)
+            lead = coords[len(self.vectors)] = Fraction(v[piv])
+            blk.append(len(self.vectors))
+            self.weights.append(wt)
+            self.vectors.append({k: x / lead for k, x in v.items()})
+            self.pivots.append(piv)
         return coords
 
 
@@ -190,6 +180,9 @@ class HighestWeightModule:
         self.weights = weights  # list of Weight
         self.actions = actions  # basis key -> SparseMatrix
         self.dim = len(weights)
+        self.by_weight = {}  # weight coords -> basis indices, in order
+        for j, w in enumerate(weights):
+            self.by_weight.setdefault(w.coords, []).append(j)
         self._verify_basics()
 
     def _verify_basics(self):
@@ -207,23 +200,24 @@ class HighestWeightModule:
         rs = self.algebra.root_system
         if self.weights[0] != self.lam:
             raise AssertionError("highest vector has the wrong weight")
-        simple, wts = rs.simple_roots, self.weights
+        simple, wts = rs.simple_roots, [w.coords for w in self.weights]
         e = [self.actions[("e", a.coords)] for a in simple]
         f = [self.actions[("e", (-a).coords)] for a in simple]
         h = [self.actions[("h", i)] for i in range(rs.n)]
         for i, alpha in enumerate(simple):
-            diag = {(j, j): w.coords[i] for j, w in enumerate(wts)}
-            if h[i] != SparseMatrix.from_entries(self.dim, diag):
+            if h[i].cols != [{j: w[i]} if w[i] else {} for j, w in enumerate(wts)]:
                 raise AssertionError("coroot action is not the weight diagonal")
             if e[i].cols[0]:
                 raise AssertionError("highest vector is not annihilated by raising operators")
-            shift = rs.root_to_weight(alpha)
-            for root, m, step in ((alpha, e[i], shift), (-alpha, f[i], -shift)):
-                if any(wts[r] != wts[j] + step for j, col in enumerate(m.cols) for r in col):
+            shift = [row[i] for row in rs.cartan]  # alpha_i in weight coordinates
+            for sign, m in ((1, e[i]), (-1, f[i])):
+                up = [tuple(a + sign * b for a, b in zip(w, shift)) for w in wts]
+                if any(wts[r] != up[j] for j, col in enumerate(m.cols) for r in col):
+                    root = alpha if sign == 1 else -alpha
                     raise AssertionError(f"e({fmt_root(root)}) does not shift weights by its root")
-        zero = SparseMatrix([{}] * self.dim)
         for i, j in itertools.product(range(rs.n), repeat=2):
-            if _commutator(e[i], f[j]) != (h[i] if i == j else zero):
+            want = h[i].cols if i == j else [{}] * self.dim
+            if any(_bracket_column(e[i], f[j], c) != want[c] for c in range(self.dim)):
                 names = f"{fmt_root(simple[i])}, {fmt_root(simple[j])}"
                 raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
 
@@ -256,29 +250,24 @@ def _irreducible(algebra, lam):
     n = rs.n
     shifts = [rs.root_to_weight(a).coords for a in rs.simple_roots]
     blocks = _Blocks()
-    blocks.insert(lam.coords, {0: Fraction(1)})
+    blocks.add(lam.coords, {0: Fraction(1)})
 
     def raising(j):  # the signature of basis vector j
         return blocks.vectors[j] if j else {}
 
     lowering = [{} for _ in range(n)]  # k -> basis index -> column of f_k
-    level = [0]
+    level = range(1)
     while level:
-        images = []
+        start = len(blocks.vectors)
         for j in level:
             wt = blocks.weights[j]
             for k in range(n):
                 sig = {j: Fraction(wt[k])} if wt[k] else {}
                 for r, x in raising(j).items():
                     add_into(sig, lowering[k][r], x)
-                images.append((j, k, tuple(a - b for a, b in zip(wt, shifts[k])), sig))
-        level = []
-        for _, _, low, sig in images:
-            idx = blocks.insert(low, sig) if sig else None
-            if idx is not None:
-                level.append(idx)
-        for j, k, low, sig in images:
-            lowering[k][j] = blocks.express(low, sig)
+                low = tuple(a - b for a, b in zip(wt, shifts[k]))
+                lowering[k][j] = blocks.add(low, sig) if sig else {}
+        level = range(start, len(blocks.vectors))
 
     dim = len(blocks.weights)
     actions = {}
@@ -343,24 +332,31 @@ def build_realization(algebra):
     return MatrixRealization(algebra)
 
 
-def _fmt_key(key):
-    kind, v = key
-    return f"h{v + 1}" if kind == "h" else f"e({fmt_root(Root(v))})"
+def _failure(x, y):
+    """The error naming the pair of basis keys the representation check fails on."""
+    names = [f"h{v + 1}" if kind == "h" else f"e({fmt_root(Root(v))})" for kind, v in (x, y)]
+    return AssertionError(f"representation property fails on {names[0]}, {names[1]}")
 
 
 def representation_property_check(algebra, actions):
     """Exact check that the matrices represent the algebra: on every ordered
-    pair of basis keys, the matrix bracket equals the matrix of the bracket."""
+    pair of basis keys, the matrix bracket equals the matrix of the bracket.
+    Each unordered pair is compared column by column, and the table must give
+    [y, x] = -[x, y], as [X_y, X_x] = -[X_x, X_y] holds for any matrices."""
     keys = algebra.basis_keys()
-    dim = actions[keys[0]].n
-    for x in keys:
-        for y in keys:
+    support = {k: {j for j, col in enumerate(actions[k].cols) if col} for k in keys}
+    for i, x in enumerate(keys):
+        for y in keys[i:]:
             terms = algebra.bracket_keys(x, y)
-            rhs = _combination(dim, ((actions[k], c) for k, c in terms.items()))
-            if _commutator(actions[x], actions[y]) != rhs:
-                raise AssertionError(
-                    f"representation property fails on {_fmt_key(x)}, {_fmt_key(y)}"
-                )
+            # a column that is zero in X_x, X_y and every term matches
+            for j in support[x].union(support[y], *map(support.get, terms)):
+                col = _bracket_column(actions[x], actions[y], j)
+                for k, c in terms.items():
+                    add_into(col, actions[k].cols[j], -c)
+                if col:
+                    raise _failure(x, y)
+            if algebra.bracket_keys(y, x) != {k: -c for k, c in terms.items()}:
+                raise _failure(y, x)
     return True
 
 
@@ -427,10 +423,11 @@ def semi_invariant_dim(mod, sub: SubgroupData, chi) -> MultiplicityRecord:
     if mod.algebra is not sub.algebra:
         raise AlgebraMismatch("module and subgroup live over different algebras")
     chi = tuple(chi)
-    cols = [j for j in range(mod.dim) if sub.tau.restrict(mod.weights[j]) == chi]
+    cols = [j for wt, js in mod.by_weight.items() if sub.tau.restrict(wt) == chi for j in js]
     images = _Blocks()
-    rank = sum(images.insert(None, _nil_image(mod, sub, {j: 1})) is not None for j in cols)
-    return MultiplicityRecord(mod.lam, chi, len(cols) - rank)
+    for j in cols:
+        images.add(None, _nil_image(mod, sub, {j: 1}))
+    return MultiplicityRecord(mod.lam, chi, len(cols) - len(images.vectors))
 
 
 def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
@@ -497,7 +494,7 @@ def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=20
     records = []
     for lam in dominant_weights_up_to(sub.root_system, height_bound):
         mod = build_irrep(realization, lam, dim_cap)
-        chis = sorted({sub.tau.restrict(w) for w in mod.weights})
+        chis = sorted({sub.tau.restrict(wt) for wt in mod.by_weight})
         for chi in chis:
             rec = semi_invariant_dim(mod, sub, chi)
             if rec.dim >= 1:

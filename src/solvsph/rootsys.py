@@ -193,6 +193,8 @@ class RootSystem:
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = tuple(self.positive_roots[: self.n])
         self._pos_set = {r.coords for r in self.positive_roots}
+        # the coroot of each positive root over the simple coroots, in the same order
+        self.positive_coroots = tuple(self.coroot_coefficients(r) for r in self.positive_roots)
 
     def _build_cartan(self):
         blocks = [_component_cartan(t, r) for t, r in self.components]
@@ -305,13 +307,13 @@ class RootSystem:
 
     def coroot_coefficients(self, alpha):
         """Integer coefficients of the coroot of alpha over the simple coroots."""
-        d_alpha = Fraction(self.root_form(alpha, alpha)) / 2
+        norm = self.root_form(alpha, alpha)
         coeffs = []
         for i, k in enumerate(alpha.coords):
-            c = Fraction(k) * self._d[i] / d_alpha
-            if c.denominator != 1:
+            c, rem = divmod(k * self._form[i][i], norm)
+            if rem:
                 raise ArithmeticError(f"non-integral coroot coefficient for {alpha}")
-            coeffs.append(int(c))
+            coeffs.append(c)
         return tuple(coeffs)
 
     # -- presentation -----------------------------------------------------

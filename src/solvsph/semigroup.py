@@ -4,8 +4,9 @@ The semigroup lives in (dominant weights) x (characters of S).  It is
 free on n + m generators: one pair (dual of omega_i, tau(omega_i)) per
 fundamental weight, and one pair per active family, built from the sum
 of fundamental weights over the family's anchors.  Membership in the
-generated semigroup is decided by an exact linear solve (the generators
-are independent over Q) followed by a nonnegative-integrality check.
+generated semigroup is decided by one product with a left inverse of the
+generator matrix (the generators are independent over Q), reduced once,
+followed by a nonnegative-integrality check.
 """
 
 from __future__ import annotations
@@ -42,9 +43,14 @@ class SemigroupGenerators:
         self.active_gens = list(active_gens)
         self.anchor_wts = list(anchor_wts)
         cols = [self._as_vector(g) for g in self.all_generators()]
-        self._matrix = [[col[r] for col in cols] for r in range(self.n + self.d)]
-        if linalg.rank(self._matrix) != self.n + self.m:
+        k, rows = self.n + self.m, self.n + self.d
+        # rref of [M | I] is [EM | E] with E invertible; the generators are
+        # independent when EM is the identity on top of zero rows
+        aug = [[col[r] for col in cols] + [int(r == c) for c in range(rows)] for r in range(rows)]
+        red, pivots = linalg.rref(aug)
+        if pivots[:k] != list(range(k)):
             raise AssertionError("generators are not linearly independent")
+        self._reducer = [row[k:] for row in red]  # E
 
     def all_generators(self):
         return self.torus_gens + self.active_gens
@@ -60,10 +66,10 @@ class SemigroupGenerators:
         target = [Fraction(c) for c in coords] + [Fraction(c) for c in chi]
         if len(target) != self.n + self.d:
             raise ValueError("pair has the wrong number of coordinates")
-        sol = linalg.solve(self._matrix, target)
-        if sol is None:
-            return None
-        if any(c.denominator != 1 or c < 0 for c in sol):
+        # M x = target has a solution exactly when E target vanishes past row n + m
+        reduced = [sum(e * t for e, t in zip(row, target)) for row in self._reducer]
+        sol, rest = reduced[: self.n + self.m], reduced[self.n + self.m :]
+        if any(rest) or any(c.denominator != 1 or c < 0 for c in sol):
             return None
         return tuple(int(c) for c in sol)
 

@@ -367,3 +367,17 @@ def test_cap_check_covers_only_the_modules_verify_builds(capsys, monkeypatch):
     code, out, err = _run_main(argv + ["3"], capsys)
     assert code == 2 and out == ""
     assert "module dimension 4 exceeds cap 3" in err
+
+
+@pytest.mark.parametrize("config", [
+    {"group": [["A", 2.5]]},
+    {"group": [["A", 2]], "torus": [[1.7, 0], [0, 1]]},
+    {"group": [["A", 2]], "torus": [[1, 0], [0, 1]], "nilradical": [[[[1.9, 0], "1"]]]},
+    {"group": [["A", True]]},
+])
+def test_json_config_refuses_non_integers_where_integers_belong(config, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"config": config}))
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,0 +1,84 @@
+"""Replay recorded CLI runs: the answers stay the same.
+
+``tests/data/golden_cli.json`` holds argv, stdout, stderr and the exit code
+of ``verify`` on the six presets at heights 0-2, of ``verify --height 1`` on
+30 fuzzed rank-3 configs (drawn with ``random.Random(2026)``), and of
+``check`` and ``semigroup --json`` on the six presets.  A change that alters
+the output on purpose regenerates the file and says so:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from solvsph import preset_names
+from solvsph.cli import main
+from solvsph.fuzzing import random_mixed_config
+
+GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
+CONFIG = "{config}"  # stands in argv for the file that holds a case's config text
+ENV = ("SOLVSPH_HEIGHT", "SOLVSPH_CAP", "SOLVSPH_TRIALS", "SOLVSPH_SEED")
+
+
+def _cases():
+    for name in preset_names():
+        for height in range(3):
+            yield {"argv": ["verify", "--preset", name, "--height", str(height)]}
+    rng = random.Random(2026)
+    for _ in range(30):
+        config = random_mixed_config(rng)
+        yield {"argv": ["verify", CONFIG, "--height", "1"], "config": config.to_text()}
+    for name in preset_names():
+        yield {"argv": ["check", "--preset", name]}
+        yield {"argv": ["semigroup", "--preset", name, "--json"]}
+
+
+def _run(case, workdir):
+    argv = list(case["argv"])
+    if "config" in case:
+        path = Path(workdir) / "job.cfg"
+        path.write_text(case["config"])
+        argv[argv.index(CONFIG)] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+# read when the tests are collected; the script that rewrites it does not read it
+RECORDED = json.loads(GOLDEN.read_text()) if __name__ != "__main__" else []
+
+
+@pytest.mark.parametrize(
+    "case", RECORDED, ids=[f"{i}:{'_'.join(case['argv'])}" for i, case in enumerate(RECORDED)]
+)
+def test_cli_output_matches_the_recording(case, tmp_path, monkeypatch):
+    for name in ENV:
+        monkeypatch.delenv(name, raising=False)
+    expected = {k: case[k] for k in ("stdout", "stderr", "exit")}
+    assert _run(case, tmp_path) == expected
+
+
+def _regenerate():
+    for name in ENV:
+        os.environ.pop(name, None)
+    cases = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for case in _cases():
+            cases.append({**case, **_run(case, workdir)})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+    print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _regenerate()

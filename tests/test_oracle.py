@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from solvsph import cli, linalg
+from solvsph.fuzzing import POOL_RANK3
 
 from solvsph import (
     DimensionCap,
@@ -76,6 +78,31 @@ def test_weyl_dimension_values():
     assert weyl_dim(rsc, Weight((1, 1))) == 16
     rs2 = build_root_system([("A", 2)])
     assert weyl_dim(rs2, Weight((1, 1))) == 8
+
+
+def _rational_weyl_dim(rs, lam):
+    """The Weyl dimension formula in Fractions: the product over the positive
+    roots a of (lam + rho, a) / (rho, a)."""
+    rho = Weight((1,) * rs.n)
+    out = Fraction(1)
+    for alpha in rs.positive_roots:
+        out *= Fraction(rs.weight_root_form(lam + rho, alpha), rs.weight_root_form(rho, alpha))
+    return out
+
+
+@pytest.mark.parametrize(
+    "spec, top",
+    [(spec, 2) for spec in POOL_RANK3 + [(("F", 4),), (("E", 6),)]]
+    + [((("E", 7),), 1), ((("E", 8),), 1)],
+)
+def test_weyl_dim_matches_the_rational_formula(spec, top):
+    rs = build_root_system(spec)
+    for alpha, coroot in zip(rs.positive_roots, rs.positive_coroots):
+        assert coroot == rs.coroot_coefficients(alpha)
+        # <omega_i, coroot of alpha> is its coefficient on the i-th simple coroot
+        assert coroot == tuple(rs.pairing(rs.fundamental_weight(i), alpha) for i in range(rs.n))
+    for lam in dominant_weights_up_to(rs, top):
+        assert weyl_dim(rs, lam) == _rational_weyl_dim(rs, lam), lam
 
 
 def test_fundamental_modules_have_formula_dimensions():

@@ -155,3 +155,12 @@ def test_zero_character_slice():
     _, _, gens2 = _gens("sl2-torus")
     assert gens2.zero_character_generators() == []
     assert gens2.zero_character_members(4) == [(0,), (2,), (4,)]
+
+
+def test_decompose_refuses_a_pair_outside_the_span_of_fewer_generators():
+    # borel on A2: pairs have n + d = 4 coordinates, there are n + m = 2 generators
+    _, _, gens = _gens("borel")
+    assert (gens.n + gens.d, gens.n + gens.m) == (4, 2)
+    assert gens.decompose((Weight((1, 0)), (0, 1))) == (0, 1)
+    assert gens.decompose((Weight((1, 0)), (0, 0))) is None
+    assert gens.decompose((Weight((1, 0)), (1, 0))) is None
