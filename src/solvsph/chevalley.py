@@ -17,7 +17,14 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch
 from .linalg import add_into
-from .rootsys import Root, RootSystem
+from .rootsys import Root, RootSystem, fmt_root
+
+
+def fmt_key(key):
+    """Readable name of a basis key, the way the CLI prints roots: 'e(a1+a2)'
+    for a root vector, 'h1' for a simple coroot."""
+    kind, v = key
+    return f"h{v + 1}" if kind == "h" else f"e({fmt_root(Root(v))})"
 
 
 class AlgebraElement:
@@ -70,9 +77,7 @@ class AlgebraElement:
             return "0"
         bits = []
         for key in sorted(self.terms, key=repr):
-            c = self.terms[key]
-            name = f"e{key[1]}" if key[0] == "e" else f"h{key[1] + 1}"
-            bits.append(f"{c}*{name}")
+            bits.append(f"{self.terms[key]}*{fmt_key(key)}")
         return " + ".join(bits)
 
 

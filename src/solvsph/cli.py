@@ -18,6 +18,7 @@ SOLVSPH_SEED and then to the config's [options] section.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -27,7 +28,7 @@ from . import oracle, presets
 from .config import JobConfig, build_subgroup, parse_config_text
 from .errors import AxiomViolation, ConfigParseError, DimensionCap, NotSpherical, SolvsphError
 from .rootsys import fmt_root, fmt_weight
-from .semigroup import anchor_weights, bounded_members, generators
+from .semigroup import bounded_members, generators
 from .sphericity import active_roots, check_spherical, verify_active_axioms
 
 
@@ -48,7 +49,8 @@ def load_config(args) -> JobConfig:
         try:
             return presets.get_preset(args.preset, override)
         except (KeyError, ValueError) as exc:
-            raise ConfigParseError(str(exc))
+            # args[0]: str() of a KeyError would quote the message
+            raise ConfigParseError(exc.args[0]) from None
     if not args.config:
         raise ConfigParseError("either a config file or --preset is required")
     try:
@@ -174,7 +176,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     table = active_roots(sub)
     gens = generators(sub, table)
     rs = sub.root_system
-    anchors = anchor_weights(table, rs)
+    anchors = gens.anchor_wts
     # check every module built below against the cap before building any;
     # level by level, so an over-cap height stops at its first over-cap level
     levels = itertools.chain.from_iterable(
@@ -209,7 +211,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
             chi = oracle.vector_s_weight(mod, sub, w)
         except ValueError:  # zero, or of mixed S-weights: the self-check fails
             chi = None
-        expect = tuple(a - b for a, b in zip(sub.tau.restrict(lam), table.families[j].phi))
+        expect = gens.active_gens[j][1]  # the character of the j-th active generator
         emit(ok and chi == expect, f"witness vector for family {j + 1} is a semi-invariant")
 
     emit(oracle.open_orbit_check(sub, trials=trials, seed=seed),
@@ -220,16 +222,22 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
 def cmd_presets(action, name=None, out=None):
     out = out if out is not None else sys.stdout
     if action == "list":
+        if name is not None:
+            raise ConfigParseError(f"presets list takes no preset name, got {name!r}")
         for n in presets.preset_names():
             print(f"{n:20s} {presets.preset_description(n)}", file=out)
         return 0
-    if name not in presets.preset_names():
-        print(f"unknown preset {name!r}", file=out)
-        return 2
-    print(presets.get_preset(name).to_text(), end="", file=out)
+    if name is None:
+        raise ConfigParseError("presets show needs a preset name")
+    try:
+        config = presets.get_preset(name)
+    except KeyError as exc:
+        raise ConfigParseError(exc.args[0]) from None
+    print(config.to_text(), end="", file=out)
     return 0
 
 
+@functools.cache  # built on the first call to main, then reused
 def _build_parser():
     parser = argparse.ArgumentParser(prog="solvsph", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)

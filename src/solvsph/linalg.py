@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals, the integers and F_p.
 
-Dense matrices are plain lists of rows; sparse vectors are dicts from index
-to value that never store a zero, summed by ``add_into``.  Numbers are ints
-or Fractions; nothing here ever touches floating point.
+Dense matrices are lists of rows, sparse vectors dicts index -> value with no
+zeros (summed by ``add_into``), sparse matrices lists of such columns (applied
+by ``apply``).  Numbers are ints or Fractions; nothing here is floating point.
 """
 
 from fractions import Fraction
@@ -16,6 +16,14 @@ def add_into(out, vec, c=1):
             out[k] = s
         else:
             out.pop(k, None)
+    return out
+
+
+def apply(cols, vec):
+    """The product of a matrix given by its sparse columns with a sparse vector."""
+    out = {}
+    for j, c in vec.items():
+        add_into(out, cols[j], c)
     return out
 
 

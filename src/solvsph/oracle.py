@@ -8,11 +8,12 @@ per-type matrices.  ``build_irrep`` is the one path that builds them, and a
 once per realization.  Semi-invariant dimensions are exact kernels: the
 images of the basis vectors of one S-weight under the unipotent basis are
 read from the module's own sparse columns and counted by sparse
-elimination.  Module arithmetic is exact: every matrix is a
-``SparseMatrix`` of Fractions.  The simple root vectors act directly on a
+elimination.  Arithmetic is exact, and every matrix, of a module or of the
+adjoint representation, is a list of sparse columns (dicts row -> value),
+applied by ``linalg.apply``.  The simple root vectors act directly on a
 module and the coroots by the weight diagonal; the other root vectors act
-through brackets, derived in ``_with_derived_actions``.  Every bracket of
-two matrices is taken column by column (``_bracket_column``), and the checks
+through brackets, derived in ``_with_derived_actions``.  Every bracket of two
+matrices is taken column by column (``_bracket_column``), and the checks
 compare it one column at a time.  Every module is checked against the
 defining relations of the algebra and the Weyl dimension formula when it is
 built.  The bracket table is checked once per simple factor, on a module the
@@ -36,49 +37,11 @@ from math import gcd, lcm
 
 from . import linalg
 from .errors import AlgebraMismatch, DimensionCap, NotDominant, NotSpherical
-from .linalg import add_into
-from .rootsys import Root, Weight, fmt_root
+from .linalg import add_into, apply
+from .chevalley import fmt_key
+from .rootsys import Weight, fmt_root
 from .sphericity import ActiveRootTable, check_spherical
 from .subgroup import SubgroupData
-
-
-class SparseMatrix:
-    """An exact square matrix, stored as sparse columns.
-
-    Supports ``@`` with a vector given as a sequence (the result is a list
-    of Fractions), ``+`` and ``==``.
-    """
-
-    __slots__ = ("n", "cols")
-
-    def __init__(self, cols):
-        self.cols = cols  # one dict row -> nonzero value per column
-        self.n = len(cols)
-
-    @classmethod
-    def from_entries(cls, n, entries):
-        """The n x n matrix with the given {(row, column): value} entries."""
-        m = cls([{} for _ in range(n)])
-        for (r, c), x in entries.items():
-            add_into(m.cols[c], {r: Fraction(x)})
-        return m
-
-    def apply(self, vec):
-        """The product with a sparse vector (dict index -> value)."""
-        out = {}
-        for j, c in vec.items():
-            add_into(out, self.cols[j], c)
-        return out
-
-    def __matmul__(self, vec):
-        out = self.apply({j: x for j, x in enumerate(vec) if x})
-        return [out.get(i, Fraction(0)) for i in range(self.n)]
-
-    def __add__(self, other):
-        return _combination(self.n, [(self, 1), (other, 1)])
-
-    def __eq__(self, other):
-        return isinstance(other, SparseMatrix) and self.cols == other.cols
 
 
 def _combination(n, terms):
@@ -86,20 +49,20 @@ def _combination(n, terms):
     cols = [{} for _ in range(n)]
     for m, c in terms:
         if c:
-            for out, col in zip(cols, m.cols):
+            for out, col in zip(cols, m):
                 add_into(out, col, c)
-    return SparseMatrix(cols)
+    return cols
 
 
 def _bracket_column(a, b, j):
     """Column j of the matrix ab - ba."""
-    return add_into(a.apply(b.cols[j]), b.apply(a.cols[j]), -1)
+    return add_into(apply(a, b[j]), apply(b, a[j]), -1)
 
 
 def _commutator(a, b, c):
     """The matrix c(ab - ba), built column by column."""
-    cols = [_bracket_column(a, b, j) for j in range(a.n)]
-    return SparseMatrix(cols if c == 1 else [{r: c * x for r, x in col.items()} for col in cols])
+    cols = [_bracket_column(a, b, j) for j in range(len(a))]
+    return cols if c == 1 else [{r: c * x for r, x in col.items()} for col in cols]
 
 
 def weyl_dim(rs, lam):
@@ -178,7 +141,7 @@ class HighestWeightModule:
         self.algebra = algebra
         self.lam = lam
         self.weights = weights  # list of Weight
-        self.actions = actions  # basis key -> SparseMatrix
+        self.actions = actions  # basis key -> list of sparse columns
         self.dim = len(weights)
         self.by_weight = {}  # weight coords -> basis indices, in order
         for j, w in enumerate(weights):
@@ -205,18 +168,18 @@ class HighestWeightModule:
         f = [self.actions[("e", (-a).coords)] for a in simple]
         h = [self.actions[("h", i)] for i in range(rs.n)]
         for i, alpha in enumerate(simple):
-            if h[i].cols != [{j: w[i]} if w[i] else {} for j, w in enumerate(wts)]:
+            if h[i] != [{j: w[i]} if w[i] else {} for j, w in enumerate(wts)]:
                 raise AssertionError("coroot action is not the weight diagonal")
-            if e[i].cols[0]:
+            if e[i][0]:
                 raise AssertionError("highest vector is not annihilated by raising operators")
             shift = [row[i] for row in rs.cartan]  # alpha_i in weight coordinates
             for sign, m in ((1, e[i]), (-1, f[i])):
                 up = [tuple(a + sign * b for a, b in zip(w, shift)) for w in wts]
-                if any(wts[r] != up[j] for j, col in enumerate(m.cols) for r in col):
+                if any(wts[r] != up[j] for j, col in enumerate(m) for r in col):
                     root = alpha if sign == 1 else -alpha
                     raise AssertionError(f"e({fmt_root(root)}) does not shift weights by its root")
         for i, j in itertools.product(range(rs.n), repeat=2):
-            want = h[i].cols if i == j else [{}] * self.dim
+            want = h[i] if i == j else [{}] * self.dim
             if any(_bracket_column(e[i], f[j], c) != want[c] for c in range(self.dim)):
                 names = f"{fmt_root(simple[i])}, {fmt_root(simple[j])}"
                 raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
@@ -273,13 +236,11 @@ def _irreducible(algebra, lam):
     actions = {}
     for k, alpha in enumerate(rs.simple_roots):
         up = [tuple(a + b for a, b in zip(w, shifts[k])) for w in blocks.weights]
-        actions[("h", k)] = SparseMatrix(
-            [{j: Fraction(w[k])} if w[k] else {} for j, w in enumerate(blocks.weights)]
-        )
-        actions[("e", alpha.coords)] = SparseMatrix(
-            [{r: x for r, x in raising(j).items() if blocks.weights[r] == up[j]} for j in range(dim)]
-        )
-        actions[("e", (-alpha).coords)] = SparseMatrix([lowering[k][j] for j in range(dim)])
+        actions[("h", k)] = [{j: w[k]} if w[k] else {} for j, w in enumerate(blocks.weights)]
+        actions[("e", alpha.coords)] = [
+            {r: x for r, x in raising(j).items() if blocks.weights[r] == up[j]} for j in range(dim)
+        ]
+        actions[("e", (-alpha).coords)] = [lowering[k][j] for j in range(dim)]
     weights = [Weight(w) for w in blocks.weights]
     return HighestWeightModule(algebra, lam, weights, _with_derived_actions(algebra, actions))
 
@@ -334,8 +295,7 @@ def build_realization(algebra):
 
 def _failure(x, y):
     """The error naming the pair of basis keys the representation check fails on."""
-    names = [f"h{v + 1}" if kind == "h" else f"e({fmt_root(Root(v))})" for kind, v in (x, y)]
-    return AssertionError(f"representation property fails on {names[0]}, {names[1]}")
+    return AssertionError(f"representation property fails on {fmt_key(x)}, {fmt_key(y)}")
 
 
 def representation_property_check(algebra, actions):
@@ -344,7 +304,7 @@ def representation_property_check(algebra, actions):
     Each unordered pair is compared column by column, and the table must give
     [y, x] = -[x, y], as [X_y, X_x] = -[X_x, X_y] holds for any matrices."""
     keys = algebra.basis_keys()
-    support = {k: {j for j, col in enumerate(actions[k].cols) if col} for k in keys}
+    support = {k: {j for j, col in enumerate(actions[k]) if col} for k in keys}
     for i, x in enumerate(keys):
         for y in keys[i:]:
             terms = algebra.bracket_keys(x, y)
@@ -352,7 +312,7 @@ def representation_property_check(algebra, actions):
             for j in support[x].union(support[y], *map(support.get, terms)):
                 col = _bracket_column(actions[x], actions[y], j)
                 for k, c in terms.items():
-                    add_into(col, actions[k].cols[j], -c)
+                    add_into(col, actions[k][j], -c)
                 if col:
                     raise _failure(x, y)
             if algebra.bracket_keys(y, x) != {k: -c for k, c in terms.items()}:
@@ -407,7 +367,7 @@ def _nil_image(mod, sub: SubgroupData, vec):
     for i, x in enumerate(sub.nil_basis):
         image = {}
         for key, c in x.terms.items():
-            add_into(image, mod.actions[key].apply(vec), c)
+            add_into(image, apply(mod.actions[key], vec), c)
         out.update(((i, r), y) for r, y in image.items())
     return out
 
@@ -449,7 +409,7 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
         if pair <= 0:
             raise AssertionError(f"nonpositive pairing of {mod.lam} with {beta}")
         coeff = (fam.coefficients[beta.coords] / scale) * Fraction(1, pair)
-        add_into(vec, mod.actions[("e", (-beta).coords)].cols[0], coeff)
+        add_into(vec, mod.actions[("e", (-beta).coords)][0], coeff)
     return [vec.get(i, Fraction(0)) for i in range(mod.dim)]
 
 
@@ -523,11 +483,8 @@ def exp_nilpotent(cols, vectors):
             k += 1
             if k > len(cols):
                 raise ValueError("operator is not nilpotent")
-            image = {}
-            for j, c in term.items():
-                add_into(image, cols[j], c)
             inv = pow(k, -1, PRIME)
-            term = {i: r for i, x in image.items() if (r := x * inv % PRIME)}
+            term = {i: r for i, x in apply(cols, term).items() if (r := x * inv % PRIME)}
             add_into(total, term)
         out.append({i: r for i, x in total.items() if (r := x % PRIME)})
     return out
@@ -582,13 +539,7 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [rng.randrange(PRIME) for _ in ad_neg]
-        ad_f = []
-        for y in range(len(keys)):
-            col = {}
-            for cols, c in zip(ad_neg, coeffs):
-                add_into(col, cols[y], c)
-            ad_f.append(col)
-        images = exp_nilpotent(ad_f, vectors)
+        images = exp_nilpotent(_combination(len(keys), zip(ad_neg, coeffs)), vectors)
         rows = [[img.get(i, 0) for i in negatives] for img in images]
         if linalg.rank_mod_p(rows, PRIME) == len(negatives):
             return True

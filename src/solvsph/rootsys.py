@@ -30,6 +30,7 @@ _ADMISSIBLE = {
     "F": (4, 4),
     "G": (2, 2),
 }
+MAX_RANK = 16  # largest total rank accepted, checked before any root is generated
 
 
 def positive_root_count(letter, rank):
@@ -186,6 +187,8 @@ class RootSystem:
                 raise InvalidType(f"{letter}_{rank} is not an admissible type")
         self.components = components
         self.n = sum(r for _, r in components)
+        if self.n > MAX_RANK:
+            raise InvalidType(f"total rank {self.n} is above the limit of {MAX_RANK}")
         self.cartan = self._build_cartan()
         self._d = tuple(_symmetrizer(self.cartan, self.n))
         # d_i * cartan[i][j], symmetric; the d_i are 1, 2 or 3, so these are ints

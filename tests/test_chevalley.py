@@ -22,6 +22,13 @@ def test_e_f_bracket_is_coroot():
             assert alg.bracket(alg.e(r), alg.e(-r)) == alg.coroot(r)
 
 
+def test_elements_name_roots_the_way_the_cli_prints_them():
+    alg = _algebra([("A", 2)])
+    a1, a2 = alg.root_system.simple_roots
+    x = alg.e(a1) * 2 + alg.e(-(a1 + a2)) + alg.h(1) * -1
+    assert repr(x) == "1*e(-a1-a2) + 2*e(a1) + -1*h2"
+
+
 def test_simple_bracket_a2():
     alg = _algebra([("A", 2)])
     a1, a2 = alg.root_system.simple_roots

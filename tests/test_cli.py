@@ -204,6 +204,19 @@ def test_presets_commands(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["presets", "show", "nope"],
+    ["presets", "show"],
+    ["presets", "list", "nope"],
+    ["check", "--preset", "nope"],
+])
+def test_preset_errors_are_input_errors(argv, capsys):
+    code, out, err = _run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert '"' not in err and "None" not in err
+
+
 def test_group_override(capsys):
     code, out, _ = _run_main(["semigroup", "--preset", "tu-prime", "--group", "A3"], capsys)
     assert code == 0
@@ -300,9 +313,15 @@ def test_unreadable_config_is_input_error(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("group", ["B4", "C4", "D4"])
+@pytest.mark.parametrize("group", ["B4", "C4", "D4", "F4"])
 def test_verify_tu_prime_rank_4(group, capsys):
     code, out, _ = _run_main(["verify", "--preset", "tu-prime", "--group", group, "--height", "1"], capsys)
+    assert code == 0
+    assert "[FAIL]" not in out
+
+
+def test_verify_tu_prime_e6(capsys):
+    code, out, _ = _run_main(["verify", "--preset", "tu-prime", "--group", "E6", "--height", "1"], capsys)
     assert code == 0
     assert "[FAIL]" not in out
 
@@ -381,3 +400,23 @@ def test_json_config_refuses_non_integers_where_integers_belong(config, tmp_path
     code, out, err = _run_main(["check", str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closure_failure_names_roots_as_the_cli_prints_them(tmp_path, capsys):
+    path = tmp_path / "job.cfg"
+    path.write_text("[group]\nA 2\n[nilradical]\n(1 1) 1\n")
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "e(a1)" in err and "e(a2)" in err and "e(1, 0)" not in err
+
+
+def test_rank_limit_is_checked_up_front(tmp_path, capsys):
+    path = tmp_path / "job.cfg"
+    path.write_text("[group]\nA 9\nA 8\n")
+    for argv in (["check", "--preset", "borel", "--group", "A17"], ["check", str(path)]):
+        code, out, err = _run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "total rank 17 is above the limit of 16" in err
+    code, _, _ = _run_main(["check", "--preset", "borel", "--group", "A16"], capsys)
+    assert code == 0

@@ -2,8 +2,10 @@
 
 ``tests/data/golden_cli.json`` holds argv, stdout, stderr and the exit code
 of ``verify`` on the six presets at heights 0-2, of ``verify --height 1`` on
-30 fuzzed rank-3 configs (drawn with ``random.Random(2026)``), and of
-``check`` and ``semigroup --json`` on the six presets.  A change that alters
+30 fuzzed rank-3 configs (drawn with ``random.Random(2026)``), of ``check``
+and ``semigroup --json`` on the six presets, and of ``verify --height 1`` on
+30 fuzzed spherical rank-3 configs (drawn with ``random.Random(2027)``, so
+every one reaches the module layer).  A change that alters
 the output on purpose regenerates the file and says so:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -22,7 +24,7 @@ import pytest
 
 from solvsph import preset_names
 from solvsph.cli import main
-from solvsph.fuzzing import random_mixed_config
+from solvsph.fuzzing import random_mixed_config, random_spherical_config
 
 GOLDEN = Path(__file__).parent / "data" / "golden_cli.json"
 CONFIG = "{config}"  # stands in argv for the file that holds a case's config text
@@ -40,6 +42,10 @@ def _cases():
     for name in preset_names():
         yield {"argv": ["check", "--preset", name]}
         yield {"argv": ["semigroup", "--preset", name, "--json"]}
+    rng = random.Random(2027)
+    for _ in range(30):
+        config = random_spherical_config(rng)
+        yield {"argv": ["verify", CONFIG, "--height", "1"], "config": config.to_text()}
 
 
 def _run(case, workdir):

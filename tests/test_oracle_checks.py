@@ -11,7 +11,7 @@ from solvsph import (
     oracle,
     representation_property_check,
 )
-from solvsph.oracle import HighestWeightModule, SparseMatrix
+from solvsph.oracle import HighestWeightModule
 
 
 def test_representation_property_check_rejects_one_corrupted_entry():
@@ -19,7 +19,8 @@ def test_representation_property_check_rejects_one_corrupted_entry():
     mod = real.fundamentals[1]
     actions = dict(mod.actions)
     key = ("e", (0, 1))
-    actions[key] = actions[key] + SparseMatrix.from_entries(mod.dim, {(0, 0): Fraction(1)})
+    actions[key] = [dict(col) for col in actions[key]]
+    actions[key][0][0] = actions[key][0].get(0, 0) + Fraction(1)
     # the failing pair is named the way the command line prints roots
     with pytest.raises(AssertionError, match=r"fails on e\(-2a1-a2\), e\(a2\)$"):
         representation_property_check(real.algebra, actions)
@@ -30,10 +31,11 @@ def test_module_relation_check_rejects_one_corrupted_entry():
     mod = build_irrep(real, Weight((0, 1)))
     actions = dict(mod.actions)
     key = ("e", (1, 0))
-    j = next(j for j, col in enumerate(actions[key].cols) if col)
-    r, x = next(iter(actions[key].cols[j].items()))
+    j = next(j for j, col in enumerate(actions[key]) if col)
+    r, x = next(iter(actions[key][j].items()))
     # doubles one entry; weights still shift correctly, so only [e1, f1] = h1 can fail
-    actions[key] = actions[key] + SparseMatrix.from_entries(mod.dim, {(r, j): x})
+    actions[key] = [dict(col) for col in actions[key]]
+    actions[key][j][r] = 2 * x
     with pytest.raises(AssertionError, match=r"delta_ij h_i fails on a1, a1$"):
         HighestWeightModule(mod.algebra, mod.lam, mod.weights, actions)
     HighestWeightModule(mod.algebra, mod.lam, mod.weights, dict(mod.actions))
