@@ -82,7 +82,10 @@ def _resolve(flag_value, env_name, config_value):
         return flag_value
     env = os.environ.get(env_name)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
     return config_value
 
 
@@ -165,6 +168,8 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     seed = _resolve(seed, "SOLVSPH_SEED", config.options.seed)
     if height < 0:
         raise ValueError(f"height bound must be at least 0, got {height}")
+    if cap < 1:
+        raise ValueError(f"module dimension cap must be at least 1, got {cap}")
     if trials < 1:
         raise ValueError(f"open-orbit trials must be at least 1, got {trials}")
 

@@ -3,9 +3,11 @@
 Dense matrices are lists of rows, sparse vectors dicts index -> value with no
 zeros (summed by ``add_into``), sparse matrices lists of such columns (applied
 by ``apply``).  Numbers are ints or Fractions; nothing here is floating point.
+A lattice of sparse integer vectors gets its Z-basis from ``echelon``.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def add_into(out, vec, c=1):
@@ -24,6 +26,59 @@ def apply(cols, vec):
     out = {}
     for j, c in vec.items():
         add_into(out, cols[j], c)
+    return out
+
+
+def divide(vec, d):
+    """vec / d for a sparse integer vector that d divides; AssertionError otherwise."""
+    if any(x % d for x in vec.values()):
+        raise AssertionError(f"inexact division of {vec} by {d}")
+    return {k: x // d for k, x in vec.items()}
+
+
+def echelon(vectors):
+    """The Hermite basis of the lattice spanned by sparse integer vectors: a
+    dict pivot -> row in pivot order, each pivot the least index of its row
+    with a positive entry, and the entries above it reduced modulo it.  Where
+    a row's pivot entry a does not divide a vector's b, the pair is replaced
+    by a unimodular combination with pivot gcd(a, b), so the rows span the
+    whole lattice, not a sublattice of it.
+    """
+    rows = {}
+    for vec in vectors:
+        v = dict(vec)
+        while v:
+            p = min(v)
+            if p not in rows:
+                rows[p] = v if v[p] > 0 else {k: -x for k, x in v.items()}
+                break
+            r = rows[p]
+            a, b = r[p], v[p]
+            if b % a:  # s a + t b = g, and (a/g) v - (b/g) r vanishes at p
+                g = gcd(a, b)
+                s = pow(a // g, -1, abs(b) // g)
+                rows[p] = add_into({k: s * x for k, x in r.items()}, v, (g - s * a) // b)
+                v = add_into({k: a // g * x for k, x in v.items()}, r, -(b // g))
+            else:
+                add_into(v, r, -(b // a))
+    out = {p: rows[p] for p in sorted(rows)}
+    for i, (p, r) in enumerate(out.items()):
+        for row in list(out.values())[:i]:
+            if q := row.get(p, 0) // r[p]:
+                add_into(row, r, -q)
+    return out
+
+
+def coordinates(rows, vec):
+    """The integer coordinates of vec over the rows of ``echelon``, keyed by
+    position; AssertionError when vec is outside their span."""
+    v, out = dict(vec), {}
+    for i, (p, row) in enumerate(rows.items()):
+        if p in v:
+            out[i] = c = divide({p: v[p]}, row[p])[p]
+            add_into(v, row, -c)
+    if v:
+        raise AssertionError("vector is outside the lattice")
     return out
 
 

@@ -2,13 +2,13 @@
 
 Everything the combinatorial pipeline claims is re-derived here from
 scratch, for every type: irreducible modules are built weight space by
-weight space from the Cartan matrix alone (``_irreducible``), with no
-per-type matrices.  ``build_irrep`` is the one path that builds them, and a
-``MatrixRealization`` keeps each module it has built, so a weight is built
-once per realization.  Semi-invariant dimensions are exact kernels: the
-images of the basis vectors of one S-weight under the unipotent basis are
-read from the module's own sparse columns and counted by sparse
-elimination.  Arithmetic is exact, and every matrix, of a module or of the
+weight space from the Cartan matrix alone (``_irreducible``), on their
+Kostant Z-form, so every basis element of the algebra acts by an integer
+matrix.  ``build_irrep`` is the one path that builds them, and a
+``MatrixRealization`` keeps each module it has built.  Semi-invariant
+dimensions are exact kernels: the integer images of the basis vectors of one
+S-weight under the unipotent basis are read from the module's own columns
+and counted by ``linalg.echelon``.  Every matrix, of a module or of the
 adjoint representation, is a list of sparse columns (dicts row -> value),
 applied by ``linalg.apply``.  The simple root vectors act directly on a
 module and the coroots by the weight diagonal; the other root vectors act
@@ -59,12 +59,6 @@ def _bracket_column(a, b, j):
     return add_into(apply(a, b[j]), apply(b, a[j]), -1)
 
 
-def _commutator(a, b, c):
-    """The matrix c(ab - ba), built column by column."""
-    cols = [_bracket_column(a, b, j) for j in range(len(a))]
-    return cols if c == 1 else [{r: c * x for r, x in col.items()} for col in cols]
-
-
 def weyl_dim(rs, lam):
     """Dimension of the irreducible module of highest weight lam: the product
     over the positive coroots h of <lam + rho, h> / <rho, h>, in integers."""
@@ -84,8 +78,8 @@ def _with_derived_actions(algebra, actions):
     """Complete the simple root vector and coroot actions to the whole algebra.
 
     Every other root vector acts as the bracket along its fixed extraspecial
-    pair, divided by the structure constant.  Positive roots come in order
-    of height, so both factors of each bracket are known when it is taken.
+    pair, divided exactly by the structure constant.  Positive roots come in
+    order of height, so both factors of each bracket are known when it is taken.
     """
     rs = algebra.root_system
     for eps in [r.coords for r in rs.positive_roots if r.height > 1]:
@@ -94,39 +88,9 @@ def _with_derived_actions(algebra, actions):
         for sign in (1, -1):
             a = actions[("e", tuple(sign * x for x in gamma))]
             b = actions[("e", tuple(sign * x for x in delta))]
-            actions[("e", tuple(sign * x for x in eps))] = _commutator(a, b, Fraction(sign, n))
+            cols = [linalg.divide(_bracket_column(a, b, j), sign * n) for j in range(len(a))]
+            actions[("e", tuple(sign * x for x in eps))] = cols
     return actions
-
-
-class _Blocks:
-    """Weight-graded basis; each basis vector is zero at the pivots before it
-    in its block, so one pass in block order reduces a vector in the span to 0."""
-
-    def __init__(self):
-        self.weights = []  # weight coords per basis vector
-        self.vectors = []  # pivot-normalized sparse vectors
-        self.pivots = []
-        self.by_weight = {}  # weight coords -> list of basis indices
-
-    def add(self, wt, vec):
-        """Reduce vec against the block of wt once, append a nonzero remainder,
-        normalized, to the basis, and return the coordinates of vec."""
-        blk = self.by_weight.setdefault(wt, [])
-        v = dict(vec)
-        coords = {}
-        for bi in blk:
-            c = v.get(self.pivots[bi], 0)
-            if c:
-                add_into(v, self.vectors[bi], -c)
-                coords[bi] = c
-        if v:
-            piv = min(v)
-            lead = coords[len(self.vectors)] = Fraction(v[piv])
-            blk.append(len(self.vectors))
-            self.weights.append(wt)
-            self.vectors.append({k: x / lead for k, x in v.items()})
-            self.pivots.append(piv)
-        return coords
 
 
 class HighestWeightModule:
@@ -198,50 +162,63 @@ class HighestWeightModule:
 
 
 def _irreducible(algebra, lam):
-    """The irreducible module V(lam), built from the Cartan matrix alone.
+    """The irreducible module V(lam) on its Kostant Z-form, from the Cartan matrix.
 
     A basis vector v below the highest is stored as its signature
-    e_1 v + ... + e_n v: its parts lie in the distinct weights wt(v) + a_i,
-    as coordinates over the bases already built there.  Only highest
-    vectors have zero signature in an irreducible module, so the signature
-    is injective below the top (Humphreys, sections 20-21).  Basis vectors
-    come in order of depth.  The signature of f_k b is the sum over i of
-    f_k(e_i b), plus <wt(b), a_k coroot> b, so f_k is applied only to
-    vectors one step higher than b, whose f_k columns are known.
+    e_1 v + ... + e_n v, in integer coordinates over the weights wt(v) + a_i.
+    Only highest vectors have zero signature, so it is injective below the
+    top (Humphreys, sections 20-21).  Weight spaces come in order of depth:
+    the signature of f_k b is the sum over i of f_k(e_i b), plus
+    <wt(b), a_k coroot> b, and those f_k columns are already known.
+
+    The basis spans V_Z = U_Z^- v_lam (Humphreys, section 27; Steinberg,
+    Lectures on Chevalley Groups, section 2).  U_Z^- is generated by the
+    divided powers f_k^(m) = f_k^m / m!, so V_Z at a weight mu is spanned by
+    the f_k^(m) b = f_k(f_k^(m-1) b) / m over every k, m >= 1 and basis
+    vector b of weight mu + m a_k, reduced to a Z-basis by ``linalg.echelon``.
+    V_Z is stable under every e_a and f_a of the Chevalley basis, so every
+    division is exact; each is checked, so a wrong lattice fails the build.
     """
     rs = algebra.root_system
-    n = rs.n
     shifts = [rs.root_to_weight(a).coords for a in rs.simple_roots]
-    blocks = _Blocks()
-    blocks.add(lam.coords, {0: Fraction(1)})
-
-    def raising(j):  # the signature of basis vector j
-        return blocks.vectors[j] if j else {}
-
-    lowering = [{} for _ in range(n)]  # k -> basis index -> column of f_k
-    level = range(1)
+    weights, sigs = [lam.coords], [{}]  # per basis vector: weight coords, signature
+    lowering = [{} for _ in range(rs.n)]  # k -> basis index -> column of f_k
+    powers = [{} for _ in range(rs.n)]  # k -> weight -> (m, coordinates) of each f_k^(m) b there
+    level = [(lam.coords, range(1))]  # the weights of one depth, with their basis indices
     while level:
-        start = len(blocks.vectors)
-        for j in level:
-            wt = blocks.weights[j]
-            for k in range(n):
-                sig = {j: Fraction(wt[k])} if wt[k] else {}
-                for r, x in raising(j).items():
-                    add_into(sig, lowering[k][r], x)
-                low = tuple(a - b for a, b in zip(wt, shifts[k]))
-                lowering[k][j] = blocks.add(low, sig) if sig else {}
-        level = range(start, len(blocks.vectors))
+        spans = {}  # weight one step down -> [(k, m, b or None, signature of f_k^(m) b)]
+        for wt, js in level:
+            for k in range(rs.n):
+                first = {j: add_into(apply(lowering[k], sigs[j]), {j: wt[k]}) for j in js}
+                span = spans.setdefault(tuple(a - b for a, b in zip(wt, shifts[k])), [])
+                span += [(k, 1, j, sig) for j, sig in first.items()]
+                for m, vec in powers[k].pop(wt, []):
+                    span.append((k, m + 1, None, linalg.divide(apply(first, vec), m + 1)))
+        level = []
+        for low, span in spans.items():
+            rows = linalg.echelon(sig for _, _, _, sig in span)
+            start = len(weights)
+            weights += [low] * len(rows)
+            sigs += rows.values()
+            if rows:
+                level.append((low, range(start, len(weights))))
+            for k, m, b, sig in span:
+                vec = {start + i: c for i, c in linalg.coordinates(rows, sig).items()}
+                if b is not None:
+                    lowering[k][b] = vec
+                if vec:
+                    powers[k].setdefault(low, []).append((m, vec))
 
-    dim = len(blocks.weights)
+    dim = len(weights)
     actions = {}
     for k, alpha in enumerate(rs.simple_roots):
-        up = [tuple(a + b for a, b in zip(w, shifts[k])) for w in blocks.weights]
-        actions[("h", k)] = [{j: w[k]} if w[k] else {} for j, w in enumerate(blocks.weights)]
+        up = [tuple(a + b for a, b in zip(w, shifts[k])) for w in weights]
+        actions[("h", k)] = [{j: w[k]} if w[k] else {} for j, w in enumerate(weights)]
         actions[("e", alpha.coords)] = [
-            {r: x for r, x in raising(j).items() if blocks.weights[r] == up[j]} for j in range(dim)
+            {r: x for r, x in sigs[j].items() if weights[r] == up[j]} for j in range(dim)
         ]
         actions[("e", (-alpha).coords)] = [lowering[k][j] for j in range(dim)]
-    weights = [Weight(w) for w in blocks.weights]
+    weights = [Weight(w) for w in weights]
     return HighestWeightModule(algebra, lam, weights, _with_derived_actions(algebra, actions))
 
 
@@ -357,18 +334,20 @@ class MultiplicityRecord:
         return (rs.dual_weight(self.lam).coords, self.chi)
 
 
-def _nil_image(mod, sub: SubgroupData, vec):
-    """The images x_i v of a sparse vector v under the unipotent basis x_i,
-    stacked into one sparse vector keyed by (i, row) and read from the
-    module's own columns."""
+def _nil_images(mod, sub: SubgroupData, vectors):
+    """For each sparse vector v, the images under the unipotent basis, each x_i
+    scaled to its primitive integer multiple (no kernel changes), read from
+    the module's columns and stacked into one vector keyed by (i, row)."""
     if mod.algebra is not sub.algebra:
         raise AlgebraMismatch("module and subgroup live over different algebras")
-    out = {}
-    for i, x in enumerate(sub.nil_basis):
-        image = {}
-        for key, c in x.terms.items():
-            add_into(image, apply(mod.actions[key], vec), c)
-        out.update(((i, r), y) for r, y in image.items())
+    nil = [_primitive(x.terms) for x in sub.nil_basis]
+    out = []
+    for vec in vectors:
+        stacked = {}
+        for i, terms in enumerate(nil):  # x_i v = the sum of c X_key v over its terms
+            image = apply({key: apply(mod.actions[key], vec) for key in terms}, terms)
+            stacked.update(((i, r), y) for r, y in image.items())
+        out.append(stacked)
     return out
 
 
@@ -378,16 +357,12 @@ def semi_invariant_dim(mod, sub: SubgroupData, chi) -> MultiplicityRecord:
     A vector qualifies when it is an S-weight vector of weight chi and is
     killed by every basis element of the unipotent part: the dimension is
     the number of basis vectors of S-weight chi less the rank of their
-    stacked images, counted by sparse elimination.
+    stacked integer images, counted by ``linalg.echelon``.
     """
-    if mod.algebra is not sub.algebra:
-        raise AlgebraMismatch("module and subgroup live over different algebras")
     chi = tuple(chi)
     cols = [j for wt, js in mod.by_weight.items() if sub.tau.restrict(wt) == chi for j in js]
-    images = _Blocks()
-    for j in cols:
-        images.add(None, _nil_image(mod, sub, {j: 1}))
-    return MultiplicityRecord(mod.lam, chi, len(cols) - len(images.vectors))
+    images = _nil_images(mod, sub, ({j: 1} for j in cols))
+    return MultiplicityRecord(mod.lam, chi, len(cols) - len(linalg.echelon(images)))
 
 
 def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
@@ -415,7 +390,7 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
 
 def annihilated_by_nil(mod, sub: SubgroupData, vec):
     """Whether every unipotent basis element kills the vector."""
-    return not _nil_image(mod, sub, {j: x for j, x in enumerate(vec) if x})
+    return not _nil_images(mod, sub, [{j: x for j, x in enumerate(vec) if x}])[0]
 
 
 def vector_s_weight(mod, sub: SubgroupData, vec):
@@ -492,8 +467,8 @@ def exp_nilpotent(cols, vectors):
 
 def _primitive(terms):
     """The integer multiple of a rational vector whose entries have gcd 1."""
-    den = lcm(*(Fraction(c).denominator for c in terms.values()))
-    ints = {k: int(c * den) for k, c in terms.items()}
+    den = lcm(*(c.denominator for c in terms.values()))  # ints have one too
+    ints = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
     g = gcd(*ints.values())
     return {k: x // g for k, x in ints.items()}
 

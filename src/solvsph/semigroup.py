@@ -5,13 +5,15 @@ free on n + m generators: one pair (dual of omega_i, tau(omega_i)) per
 fundamental weight, and one pair per active family, built from the sum
 of fundamental weights over the family's anchors.  Membership in the
 generated semigroup is decided by one product with a left inverse of the
-generator matrix (the generators are independent over Q), reduced once,
-followed by a nonnegative-integrality check.
+generator matrix (the generators are independent over Q), reduced once
+and kept as an integer matrix over a common denominator, followed by a
+nonnegative-integrality check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import NotSpherical
@@ -50,7 +52,8 @@ class SemigroupGenerators:
         red, pivots = linalg.rref(aug)
         if pivots[:k] != list(range(k)):
             raise AssertionError("generators are not linearly independent")
-        self._reducer = [row[k:] for row in red]  # E
+        self._den = lcm(*(x.denominator for row in red for x in row[k:]))  # D
+        self._reducer = [[int(x * self._den) for x in row[k:]] for row in red]  # D E
 
     def all_generators(self):
         return self.torus_gens + self.active_gens
@@ -63,15 +66,16 @@ class SemigroupGenerators:
         """Nonnegative integer coefficients over the generators, or None."""
         w, chi = pair
         coords = w.coords if isinstance(w, Weight) else tuple(w)
-        target = [Fraction(c) for c in coords] + [Fraction(c) for c in chi]
+        target = [*coords, *chi]
         if len(target) != self.n + self.d:
             raise ValueError("pair has the wrong number of coordinates")
-        # M x = target has a solution exactly when E target vanishes past row n + m
+        # M x = target has a solution exactly when E target vanishes past row
+        # n + m; the solution is then D E target / D, read in integers
         reduced = [sum(e * t for e, t in zip(row, target)) for row in self._reducer]
         sol, rest = reduced[: self.n + self.m], reduced[self.n + self.m :]
-        if any(rest) or any(c.denominator != 1 or c < 0 for c in sol):
+        if any(rest) or any(c < 0 or c % self._den for c in sol):
             return None
-        return tuple(int(c) for c in sol)
+        return tuple(c // self._den for c in sol)
 
     def zero_character_generators(self):
         """Generators whose character component vanishes."""

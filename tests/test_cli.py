@@ -124,7 +124,11 @@ def test_verify_flag_beats_env(monkeypatch):
 
 @pytest.mark.parametrize(
     "flag, env, option, value",
-    [("--height", "SOLVSPH_HEIGHT", "height_bound", -3), ("--trials", "SOLVSPH_TRIALS", "trials", 0)],
+    [
+        ("--height", "SOLVSPH_HEIGHT", "height_bound", -3),
+        ("--trials", "SOLVSPH_TRIALS", "trials", 0),
+        ("--cap", "SOLVSPH_CAP", "dim_cap", -1),
+    ],
 )
 def test_verify_rejects_out_of_range_options_from_every_source(
     flag, env, option, value, tmp_path, monkeypatch, capsys
@@ -142,6 +146,14 @@ def test_verify_rejects_out_of_range_options_from_every_source(
     path.write_text(config.to_text())
     code, out, err = _run_main(["verify", str(path)], capsys)
     assert code == 2 and "[PASS]" not in out and "at least" in err
+
+
+@pytest.mark.parametrize("env", ["SOLVSPH_HEIGHT", "SOLVSPH_CAP", "SOLVSPH_TRIALS", "SOLVSPH_SEED"])
+def test_verify_names_the_variable_of_a_non_integer_environment_value(env, monkeypatch, capsys):
+    monkeypatch.setenv(env, "abc")
+    code, out, err = _run_main(["verify", "--preset", "borel", "--group", "A1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {env} must be an integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("exc", [AssertionError("self-check failed"), ZeroDivisionError("division by zero")])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from solvsph import cli, linalg
 from solvsph.fuzzing import POOL_RANK3
@@ -146,6 +147,37 @@ def test_representation_property_of_constructed_modules():
     realc = _realization([("C", 2)])
     mod = build_irrep(realc, Weight((0, 1)))
     assert representation_property_check(realc.algebra, mod.actions)
+
+
+def _assert_integral_module(real, lam):
+    """The module is built on a Z-form: every entry of every basis key's
+    matrix, derived root vectors included, is an int, and every divided
+    power x^m / m! of a root vector keeps the lattice."""
+    rs = real.algebra.root_system
+    mod = build_irrep(real, lam)
+    assert mod.dim == weyl_dim(rs, lam)
+    assert set(mod.actions) == set(real.algebra.basis_keys())
+    for key, cols in mod.actions.items():
+        assert all(type(x) is int for col in cols for x in col.values())
+        for j in range(mod.dim) if key[0] == "e" else ():
+            v, m = {j: 1}, 1
+            while v := linalg.apply(cols, v):
+                v, m = linalg.divide(v, m), m + 1
+    assert representation_property_check(real.algebra, mod.actions)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(spec=st.sampled_from(POOL_RANK3), coords=st.lists(st.integers(0, 3), min_size=3, max_size=3))
+def test_modules_are_integer_matrices_on_fuzzed_types(spec, coords):
+    rs = build_root_system(spec)
+    lam = Weight(tuple(coords[: rs.n]))
+    assume(weyl_dim(rs, lam) <= 300)
+    _assert_integral_module(build_realization(build_algebra(rs)), lam)
+
+
+def test_f4_omega3_is_an_integer_module():
+    real = _realization([("F", 4)])
+    _assert_integral_module(real, real.algebra.root_system.fundamental_weight(2))
 
 
 def test_lowering_then_raising_matches_bracket_on_highest_vector():

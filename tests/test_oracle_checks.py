@@ -11,6 +11,8 @@ from solvsph import (
     oracle,
     representation_property_check,
 )
+from solvsph.chevalley import ChevalleyAlgebra
+from solvsph.cli import main
 from solvsph.oracle import HighestWeightModule
 
 
@@ -77,3 +79,22 @@ def test_build_realization_catches_every_corrupted_structure_constant(spec, entr
                 alg._n[key] = n
     assert caught == 2 * entries
     build_realization(alg)
+
+
+def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):
+    # doubling N(a1, a2) makes [e(a1), e(a2)] / N inexact on V(1, 0) of A2
+    constant = ChevalleyAlgebra.structure_constant
+
+    def doubled(self, a, b):
+        n = constant(self, a, b)
+        return 2 * n if (tuple(a), tuple(b)) == ((1, 0), (0, 1)) else n
+
+    monkeypatch.setattr(ChevalleyAlgebra, "structure_constant", doubled)
+    alg = build_algebra(build_root_system([("A", 2)]))
+    assert alg.extraspecial[(1, 1)] == ((1, 0), (0, 1))
+    with pytest.raises(AssertionError, match="inexact division"):
+        build_realization(alg)
+    code = main(["verify", "--preset", "borel", "--group", "A2", "--height", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: AssertionError: inexact division")
