@@ -8,7 +8,8 @@ minimal in the root order is given the positive constant p + 1, and every
 other constant is forced from those choices by antisymmetry, the
 opposite-root sign rule and the four-root relation between constants of
 roots summing to zero.  Any consistent sign choice gives the same
-downstream results; this one is fixed for reproducibility.
+downstream results; this one is fixed for reproducibility.  The constants
+are computed in integers, and a division with a remainder raises.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch
 from .linalg import add_into
-from .rootsys import Root, RootSystem, fmt_root
+from .rootsys import Root, RootSystem, _num, fmt_root
 
 
 def fmt_key(key):
@@ -28,7 +29,8 @@ def fmt_key(key):
 
 
 class AlgebraElement:
-    """Sparse rational combination of basis vectors.
+    """Sparse combination of basis vectors, with int coefficients (Fractions
+    where not integral).
 
     Keys are ("e", coords) for root vectors and ("h", i) for simple
     coroots; zero coefficients are never stored.
@@ -41,8 +43,8 @@ class AlgebraElement:
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                c = Fraction(coeff)
-                if c != 0:
+                c = coeff if type(coeff) is int else _num(Fraction(coeff))
+                if c:
                     self.terms[key] = c
 
     def is_zero(self):
@@ -60,7 +62,7 @@ class AlgebraElement:
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        s = Fraction(scalar)
+        s = scalar if type(scalar) is int else Fraction(scalar)
         return AlgebraElement(self.algebra, {k: c * s for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -90,7 +92,6 @@ class ChevalleyAlgebra:
         self._all_roots = self._pos_set | {tuple(-x for x in c) for c in self._pos_set}
         self._order = {r.coords: i for i, r in enumerate(root_system.positive_roots)}
         self.extraspecial = {}
-        self._n = {}
         self._build_constants()
 
     # -- construction -----------------------------------------------------
@@ -104,23 +105,27 @@ class ChevalleyAlgebra:
             cur = tuple(c - a for c, a in zip(cur, alpha))
         return p
 
-    def _form(self, x, y):
-        return self.root_system.root_form(Root(tuple(x)), Root(tuple(y)))
-
     def _build_constants(self):
         pos = [r.coords for r in self.root_system.positive_roots]
+        norm = {r.coords: self.root_system.root_form(r, r) for r in self.root_system.positive_roots}
+        norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
         n_pos = {}
+
+        def exact(num, den):
+            if num % den:
+                raise ArithmeticError("structure constant is not an integer")
+            return num // den
 
         def mixed(x, y):
             """Constant for [e_x, e_{-y}] with x, y distinct positive roots."""
             diff = tuple(a - b for a, b in zip(x, y))
             if diff not in self._all_roots:
-                return Fraction(0)
+                return 0
             if diff in self._pos_set:
-                return Fraction(self._form(diff, diff), self._form(x, x)) * n_pos[(diff, y)]
+                return exact(norm[diff] * n_pos[(diff, y)], norm[x])
             # x - y is a negative root: same constant as [e_y, e_{-x}]
             rev = tuple(-d for d in diff)
-            return Fraction(self._form(rev, rev), self._form(y, y)) * n_pos[(rev, x)]
+            return exact(norm[rev] * n_pos[(rev, x)], norm[y])
 
         for eps in pos:
             if sum(eps) == 1:
@@ -134,20 +139,17 @@ class ChevalleyAlgebra:
                     pairs.append((a, b))
             gamma, delta = pairs[0]
             self.extraspecial[eps] = (gamma, delta)
-            n_gd = Fraction(self._string_down(delta, gamma) + 1)
+            n_gd = self._string_down(delta, gamma) + 1
             n_pos[(gamma, delta)] = n_gd
             n_pos[(delta, gamma)] = -n_gd
             for a, b in pairs[1:]:
-                # four-root relation applied to (gamma, delta, -a, -b)
-                t2 = Fraction(0)
+                # four-root relation applied to (gamma, delta, -a, -b), over one denominator
                 da = tuple(d - x for d, x in zip(delta, a))
-                if da in self._all_roots:
-                    t2 = mixed(delta, a) * mixed(gamma, b) / self._form(da, da)
-                t3 = Fraction(0)
                 ga = tuple(g - x for g, x in zip(gamma, a))
-                if ga in self._all_roots:
-                    t3 = -mixed(gamma, a) * mixed(delta, b) / self._form(ga, ga)
-                n_ab = Fraction(self._form(eps, eps)) * (t2 + t3) / n_gd
+                t2 = mixed(delta, a) * mixed(gamma, b) if da in norm else 0
+                t3 = -mixed(gamma, a) * mixed(delta, b) if ga in norm else 0
+                n2, n3 = norm.get(da, 1), norm.get(ga, 1)
+                n_ab = exact(norm[eps] * (t2 * n3 + t3 * n2), n2 * n3 * n_gd)
                 n_pos[(a, b)] = n_ab
                 n_pos[(b, a)] = -n_ab
 
@@ -169,7 +171,7 @@ class ChevalleyAlgebra:
                 c = mixed(x, y)
                 table[(x, ny)] = c
                 table[(ny, x)] = -c
-        self._n = {k: _as_int(v) for k, v in table.items() if v != 0}
+        self._n = {k: v for k, v in table.items() if v}
 
     # -- basis ------------------------------------------------------------
 
@@ -240,13 +242,6 @@ class ChevalleyAlgebra:
 
     def __repr__(self):
         return f"ChevalleyAlgebra({self.root_system.describe()})"
-
-
-def _as_int(x):
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise ArithmeticError("structure constant is not an integer")
-    return int(f)
 
 
 def build_algebra(root_system):

@@ -71,7 +71,7 @@ def _parse_json_config(text):
         raise ConfigParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
     try:
         return JobConfig.from_json_dict(data["config"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ConfigParseError(
             f"JSON document has no valid config member ({type(exc).__name__}: {exc})"
         ) from None

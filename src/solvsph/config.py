@@ -23,6 +23,19 @@ from .errors import ConfigParseError
 from .rootsys import build_root_system
 from .subgroup import NilradicalSpec, TorusRestriction, validate
 
+MAX_DIGITS = 4300  # as many digits as Python's int(str) accepts
+
+
+def _coefficient(text, lineno=None):
+    """Fraction(text), refused first when the literal has more than MAX_DIGITS
+    digits or an exponent above MAX_DIGITS: Fraction takes seconds to expand it."""
+    exponent = text.lower().partition("e")[2]
+    if sum(map(str.isdigit, text)) > MAX_DIGITS or exponent and abs(int(exponent)) > MAX_DIGITS:
+        limit = f"more than {MAX_DIGITS} digits or an exponent above {MAX_DIGITS}"
+        raise ConfigParseError(f"coefficient literal has {limit}", lineno)
+    return Fraction(text)
+
+
 @dataclass(frozen=True)
 class JobOptions:
     height_bound: int = 4
@@ -60,7 +73,7 @@ class JobConfig:
             components=tuple((str(t), int(str(r))) for t, r in data["group"]),
             torus_rows=tuple(tuple(int(str(x)) for x in row) for row in data.get("torus", [])),
             groups=tuple(
-                tuple((tuple(int(str(x)) for x in coords), Fraction(str(c))) for coords, c in group)
+                tuple((tuple(int(str(x)) for x in coords), _coefficient(str(c))) for coords, c in group)
                 for group in data.get("nilradical", [])
             ),
             options=JobOptions(**opts),
@@ -130,7 +143,7 @@ def parse_config_text(text) -> JobConfig:
                 raise ConfigParseError("unterminated root vector", lineno)
             try:
                 coords = tuple(int(x) for x in chunk[1:close].split())
-                coeff = Fraction(chunk[close + 1 :].strip())
+                coeff = _coefficient(chunk[close + 1 :].strip(), lineno)
             except (ValueError, ZeroDivisionError):
                 raise ConfigParseError(f"bad constraint entry {chunk!r}", lineno)
             group.append((coords, coeff))

@@ -7,7 +7,7 @@ A lattice of sparse integer vectors gets its Z-basis from ``echelon``.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def add_into(out, vec, c=1):
@@ -34,6 +34,15 @@ def divide(vec, d):
     if any(x % d for x in vec.values()):
         raise AssertionError(f"inexact division of {vec} by {d}")
     return {k: x // d for k, x in vec.items()}
+
+
+def primitive(vec):
+    """The positive multiple of a sparse rational vector whose entries are
+    integers with gcd 1."""
+    den = lcm(*(c.denominator for c in vec.values()))  # ints have one too
+    ints = {k: c.numerator * (den // c.denominator) for k, c in vec.items()}
+    g = gcd(*ints.values())
+    return {k: x // g for k, x in ints.items()}
 
 
 def echelon(vectors):

@@ -33,7 +33,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from . import linalg
 from .errors import AlgebraMismatch, DimensionCap, NotDominant, NotSpherical
@@ -335,16 +334,15 @@ class MultiplicityRecord:
 
 
 def _nil_images(mod, sub: SubgroupData, vectors):
-    """For each sparse vector v, the images under the unipotent basis, each x_i
-    scaled to its primitive integer multiple (no kernel changes), read from
-    the module's columns and stacked into one vector keyed by (i, row)."""
+    """For each sparse vector v, the images under the unipotent basis (whose
+    elements are primitive integer vectors), read from the module's columns
+    and stacked into one vector keyed by (i, row)."""
     if mod.algebra is not sub.algebra:
         raise AlgebraMismatch("module and subgroup live over different algebras")
-    nil = [_primitive(x.terms) for x in sub.nil_basis]
     out = []
     for vec in vectors:
         stacked = {}
-        for i, terms in enumerate(nil):  # x_i v = the sum of c X_key v over its terms
+        for i, terms in enumerate(x.terms for x in sub.nil_basis):  # x_i v = sum of c X_key v
             image = apply({key: apply(mod.actions[key], vec) for key in terms}, terms)
             stacked.update(((i, r), y) for r, y in image.items())
         out.append(stacked)
@@ -369,8 +367,9 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
     """The lowered highest vector witnessing the j-th active generator.
 
     Returns a nonzero module vector of S-weight tau(lam) - phi_j that the
-    unipotent part annihilates; both facts are checked by the caller via
-    annihilated_by_nil and vector_s_weight.
+    unipotent part annihilates, scaled to its primitive integer multiple;
+    both facts are checked by the caller via annihilated_by_nil and
+    vector_s_weight.
     """
     if not 0 <= j < table.m:
         raise IndexError(f"family index {j} out of range (m = {table.m})")
@@ -383,9 +382,10 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
         pair = rs.pairing(mod.lam, beta)
         if pair <= 0:
             raise AssertionError(f"nonpositive pairing of {mod.lam} with {beta}")
-        coeff = (fam.coefficients[beta.coords] / scale) * Fraction(1, pair)
+        coeff = Fraction(fam.coefficients[beta.coords], scale * pair)
         add_into(vec, mod.actions[("e", (-beta).coords)][0], coeff)
-    return [vec.get(i, Fraction(0)) for i in range(mod.dim)]
+    vec = linalg.primitive(vec)
+    return [vec.get(i, 0) for i in range(mod.dim)]
 
 
 def annihilated_by_nil(mod, sub: SubgroupData, vec):
@@ -465,14 +465,6 @@ def exp_nilpotent(cols, vectors):
     return out
 
 
-def _primitive(terms):
-    """The integer multiple of a rational vector whose entries have gcd 1."""
-    den = lcm(*(c.denominator for c in terms.values()))  # ints have one too
-    ints = {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-    g = gcd(*ints.values())
-    return {k: x // g for k, x in ints.items()}
-
-
 def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     """Randomized certificate that the Borel has an open orbit on G/H.
 
@@ -481,8 +473,9 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     c_a uniform in [0, p) with p = PRIME = 2^31 - 1, and tests whether
     b + Ad(exp f) h = g: since b is spanned by Chevalley basis vectors, that
     holds exactly when the e(-a) coordinates of exp(ad f) x, over a basis x
-    of h, have rank |positive roots| mod p.  Each basis vector of h is first
-    scaled to a primitive integer vector, so no input datum is inverted mod p.
+    of h, have rank |positive roots| mod p.  Each basis vector of h is a
+    primitive integer vector (tau is onto, and the unipotent basis is built
+    so), so no input datum is inverted mod p.
 
     True is exact: those coordinates are polynomials in the c_a over the
     rationals without p in the denominator (p > 2 ht(theta), so every 1/k!
@@ -504,7 +497,7 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     if len(basis) < len(negatives):
         return False
     vectors = [
-        {index[k]: r for k, x in _primitive(terms).items() if (r := x % PRIME)} for terms in basis
+        {index[k]: r for k, x in terms.items() if (r := x % PRIME)} for terms in basis
     ]
 
     ad_neg = [

@@ -1,10 +1,10 @@
 """Root systems, weights and Weyl combinatorics of semisimple groups.
 
 Roots are stored as integer coordinate vectors over the simple roots,
-weights as rational coordinate vectors over the fundamental weights, so
+weights as coordinate vectors over the fundamental weights (integer when
+integral; a coordinate is a Fraction only where it is not an integer), so
 that ``pairing(omega_i, alpha_j) == delta_ij`` is a coordinate readoff.
-All scalars are exact (ints and Fractions); there is no floating point
-anywhere in the package.
+There is no floating point anywhere in the package.
 
 Conventions.  ``cartan[i][j]`` is the pairing of the simple root alpha_j
 against the coroot of alpha_i, i.e. 2(alpha_i, alpha_j)/(alpha_i, alpha_i).
@@ -82,12 +82,13 @@ class Root:
 
 @dataclass(frozen=True)
 class Weight:
-    """A weight, as rational coefficients over the fundamental weights."""
+    """A weight over the fundamental weights: ints, Fractions where not integral."""
 
     coords: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(_num(Fraction(c)) for c in self.coords))
+        if type(self.coords) is not tuple or not set(map(type, self.coords)) <= {int}:
+            object.__setattr__(self, "coords", tuple(_num(Fraction(c)) for c in self.coords))
 
     @property
     def is_dominant(self):
@@ -146,29 +147,30 @@ def _component_cartan(letter, rank):
 
 
 def _symmetrizer(cartan, n):
-    """Positive rationals d_i with d_i * cartan[i][j] symmetric.
+    """Positive integers d_i with d_i * cartan[i][j] symmetric.
 
     d_i is half the squared length of alpha_i; computed by propagating
-    the symmetry condition along the Dynkin graph, normalized so the
-    minimum over each connected component is 1.
+    the symmetry condition along the Dynkin graph from 6 (exact, as squared
+    root lengths differ by a factor 2 or 3), normalized so the minimum over
+    each connected component is 1.
     """
     d = [None] * n
     for start in range(n):
         if d[start] is not None:
             continue
         comp = [start]
-        d[start] = Fraction(1)
+        d[start] = 6
         queue = [start]
         while queue:
             i = queue.pop()
             for j in range(n):
                 if i != j and cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                    d[j] = d[i] * cartan[i][j] // cartan[j][i]
                     comp.append(j)
                     queue.append(j)
         low = min(d[i] for i in comp)
         for i in comp:
-            d[i] = d[i] / low
+            d[i] //= low
     return d
 
 
@@ -191,8 +193,8 @@ class RootSystem:
             raise InvalidType(f"total rank {self.n} is above the limit of {MAX_RANK}")
         self.cartan = self._build_cartan()
         self._d = tuple(_symmetrizer(self.cartan, self.n))
-        # d_i * cartan[i][j], symmetric; the d_i are 1, 2 or 3, so these are ints
-        self._form = tuple(tuple(_num(d * a) for a in row) for d, row in zip(self._d, self.cartan))
+        # d_i * cartan[i][j], symmetric
+        self._form = tuple(tuple(d * a for a in row) for d, row in zip(self._d, self.cartan))
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = tuple(self.positive_roots[: self.n])
         self._pos_set = {r.coords for r in self.positive_roots}
@@ -275,7 +277,8 @@ class RootSystem:
             num = self.root_form(lam, mu)
         else:
             num = self.weight_root_form(lam, mu)
-        return _num(Fraction(2) * Fraction(num) / Fraction(self.root_form(mu, mu)))
+        num, den = 2 * num, self.root_form(mu, mu)
+        return num // den if num % den == 0 else Fraction(num, den)
 
     def support(self, alpha):
         return alpha.support()

@@ -5,15 +5,15 @@ free on n + m generators: one pair (dual of omega_i, tau(omega_i)) per
 fundamental weight, and one pair per active family, built from the sum
 of fundamental weights over the family's anchors.  Membership in the
 generated semigroup is decided by one product with a left inverse of the
-generator matrix (the generators are independent over Q), reduced once
-and kept as an integer matrix over a common denominator, followed by a
-nonnegative-integrality check.
+generator matrix M (the generators are independent over Q), kept as an
+integer matrix over a common denominator and built from the integer
+``linalg.echelon`` of [M | I] and one fraction-free back-substitution,
+followed by a nonnegative-integrality check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .errors import NotSpherical
@@ -44,23 +44,27 @@ class SemigroupGenerators:
         self.torus_gens = list(torus_gens)  # (Weight, chi tuple)
         self.active_gens = list(active_gens)
         self.anchor_wts = list(anchor_wts)
-        cols = [self._as_vector(g) for g in self.all_generators()]
+        cols = [[*w.coords, *chi] for w, chi in self.all_generators()]  # the columns of M
         k, rows = self.n + self.m, self.n + self.d
-        # rref of [M | I] is [EM | E] with E invertible; the generators are
-        # independent when EM is the identity on top of zero rows
-        aug = [[col[r] for col in cols] + [int(r == c) for c in range(rows)] for r in range(rows)]
-        red, pivots = linalg.rref(aug)
+        # the Hermite basis of [M | I] is [UM | U], U unimodular: the generators are
+        # independent when UM has pivots 0..k-1; the rows of U past k span the left kernel of M
+        red = linalg.echelon({**{c: x for c, col in enumerate(cols) if (x := col[r])}, k + r: 1}
+                             for r in range(rows))
+        pivots = list(red)
         if pivots[:k] != list(range(k)):
             raise AssertionError("generators are not linearly independent")
-        self._den = lcm(*(x.denominator for row in red for x in row[k:]))  # D
-        self._reducer = [[int(x * self._den) for x in row[k:]] for row in red]  # D E
+        top = [red[p] for p in pivots[:k]]
+        for i in reversed(range(k)):  # clear UM above pivot i, fraction-free
+            for r in range(i):
+                if b := top[r].get(i):
+                    a, g = top[i][i], gcd(top[i][i], b)
+                    top[r] = linalg.add_into({c: a // g * y for c, y in top[r].items()}, top[i], -(b // g))
+        self._den = lcm(*(row[i] for i, row in enumerate(top)))  # D; UM is now diagonal
+        top = [{c: self._den // row[i] * y for c, y in row.items()} for i, row in enumerate(top)]
+        self._reducer = [[row.get(k + r, 0) for r in range(rows)] for row in top + [red[p] for p in pivots[k:]]]
 
     def all_generators(self):
         return self.torus_gens + self.active_gens
-
-    def _as_vector(self, gen):
-        w, chi = gen
-        return [Fraction(c) for c in w.coords] + [Fraction(c) for c in chi]
 
     def decompose(self, pair):
         """Nonnegative integer coefficients over the generators, or None."""
@@ -69,8 +73,8 @@ class SemigroupGenerators:
         target = [*coords, *chi]
         if len(target) != self.n + self.d:
             raise ValueError("pair has the wrong number of coordinates")
-        # M x = target has a solution exactly when E target vanishes past row
-        # n + m; the solution is then D E target / D, read in integers
+        # M x = target has a solution exactly when U target vanishes past row
+        # n + m; the solution is then the reducer's product with target / D
         reduced = [sum(e * t for e, t in zip(row, target)) for row in self._reducer]
         sol, rest = reduced[: self.n + self.m], reduced[self.n + self.m :]
         if any(rest) or any(c < 0 or c % self._den for c in sol):

@@ -40,7 +40,7 @@ class ActiveFamily:
 
     phi: tuple
     roots: list  # active roots, in root order
-    coefficients: dict  # root coords -> Fraction, the cut-out functional
+    coefficients: dict  # root coords -> int, the primitive cut-out functional
 
 
 @dataclass
@@ -59,7 +59,8 @@ def check_spherical(sub: SubgroupData) -> SphericityVerdict:
     """Evaluate the sphericity criterion exactly.
 
     Spherical iff every class has codimension <= 1 and the weights of the
-    codimension-one classes are linearly independent over Q.
+    codimension-one classes are linearly independent over Q, which the
+    integer ``linalg.echelon`` of the weights decides.
     """
     violations = []
     big = [c.phi for c in sub.classes if c.codim > 1]
@@ -67,8 +68,7 @@ def check_spherical(sub: SubgroupData) -> SphericityVerdict:
         violations.append(("CodimTooLarge", big))
     ones = [c.phi for c in sub.classes if c.codim == 1]
     if ones:
-        rows = [[Fraction(x) for x in phi] for phi in ones]
-        if linalg.rank(rows) < len(ones):
+        if len(linalg.echelon({i: x for i, x in enumerate(phi) if x} for phi in ones)) < len(ones):
             violations.append(("DependentWeights", ones))
     return SphericityVerdict(not violations, violations)
 
@@ -228,13 +228,13 @@ def verify_active_axioms(sub: SubgroupData, table: ActiveRootTable) -> AxiomRepo
                 ratios = set()
                 for a, s in shifted:
                     n_ag = sub.algebra.structure_constant(a.coords, g)
-                    denom = Fraction(n_ag) * fam_j.coefficients[s.coords]
+                    denom = n_ag * fam_j.coefficients[s.coords]
                     if denom == 0:
                         raise AxiomViolation(
                             "functional_compatibility",
                             f"vanishing image coefficient at {fmt_root(a)} + {fmt_root(Root(g))}",
                         )
-                    ratios.add(fam_i.coefficients[a.coords] / denom)
+                    ratios.add(Fraction(fam_i.coefficients[a.coords], denom))
                 if len(ratios) != 1 or 0 in ratios:
                     raise AxiomViolation(
                         "functional_compatibility",

@@ -99,7 +99,7 @@ class WeightClass:
 
     phi: tuple
     roots: list
-    functionals: list = field(default_factory=list)  # coefficient dicts keyed by root coords
+    functionals: list = field(default_factory=list)  # primitive integer dicts keyed by root coords
     codim: int = 0
 
     def functional_value(self, functional, element_terms):
@@ -128,6 +128,7 @@ class SubgroupData:
         self.dim_s = tau.d
 
     def _build_nil_basis(self):
+        """A basis of the unipotent part, each element a primitive integer vector."""
         basis = []
         for cls in self.classes:
             if not cls.functionals:
@@ -135,9 +136,9 @@ class SubgroupData:
                     basis.append(self.algebra.e(r))
                 continue
             cols = [r.coords for r in cls.roots]
-            rows = [[f.get(c, Fraction(0)) for c in cols] for f in cls.functionals]
+            rows = [[f.get(c, 0) for c in cols] for f in cls.functionals]
             for vec in linalg.nullspace(rows, len(cols)):
-                terms = {("e", c): v for c, v in zip(cols, vec) if v != 0}
+                terms = linalg.primitive({("e", c): v for c, v in zip(cols, vec) if v != 0})
                 basis.append(AlgebraElement(self.algebra, terms))
         return basis
 
@@ -214,14 +215,11 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
                 raise MixedWeightConstraint(
                     f"constraint group mixes S-weights {phi} and {this_phi}"
                 )
-            functional[root.coords] = Fraction(coeff)
-        classes[phi].functionals.append(functional)
+            functional[root.coords] = coeff
+        classes[phi].functionals.append(linalg.primitive(functional))
 
     for cls in classes.values():
-        if cls.functionals:
-            cols = [r.coords for r in cls.roots]
-            rows = [[f.get(c, Fraction(0)) for c in cols] for f in cls.functionals]
-            cls.codim = linalg.rank(rows)
+        cls.codim = len(linalg.echelon(cls.functionals))
 
     ordered = [classes[phi] for phi in sorted(classes)]
     sub = SubgroupData(algebra, tau, nilradical, ordered)

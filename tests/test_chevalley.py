@@ -53,7 +53,10 @@ def test_bracket_of_distant_roots_is_zero():
 
 
 def test_structure_constant_magnitude_is_string_length():
-    for spec in [[("A", 3)], [("B", 2)], [("C", 2)], [("G", 2)]]:
+    # |N_ab| = p + 1 and N_ba = -N_ab (Carter, Simple Groups of Lie Type, Thm 4.1.2)
+    specs = [[("A", 3)], [("B", 2)], [("C", 2)], [("G", 2)], [("B", 3)], [("C", 3)], [("D", 4)]]
+    specs += [[("F", 4)], [("E", 6)], [("E", 7)], [("E", 8)], [("A", 1), ("C", 2)]]
+    for spec in specs:
         alg = _algebra(spec)
         rs = alg.root_system
         allr = _all_root_coords(rs)
@@ -61,6 +64,7 @@ def test_structure_constant_magnitude_is_string_length():
         for a, b in itertools.product(allr, repeat=2):
             s = tuple(x + y for x, y in zip(a, b))
             n = alg.structure_constant(a, b)
+            assert type(n) is int, (spec, a, b)
             if any(s) and s in roots:
                 p = 0
                 cur = tuple(x - y for x, y in zip(b, a))

@@ -383,6 +383,40 @@ def test_json_options_are_checked_as_the_text_format_checks_them(options, messag
     assert text_err.value.line == 4
 
 
+def test_json_coefficient_with_zero_denominator_is_an_input_error(tmp_path, capsys):
+    data = get_preset("borel").to_json_dict()
+    data["nilradical"] = [[[[1, 0], "1/0"]]]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"config": data}))
+    code, out, err = _run_main(["verify", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "ZeroDivisionError" in err and err.count("\n") == 1
+    # the text format refuses it too, naming its line
+    with pytest.raises(ConfigParseError, match="bad constraint entry") as text_err:
+        parse_config_text("[group]\nA 2\n[nilradical]\n(1 0) 1/0\n")
+    assert text_err.value.line == 4
+
+
+@pytest.mark.parametrize("literal", ["1e30000000", "-2E-30000000", "7" * 5000, "1/" + "3" * 5000])
+def test_huge_coefficient_literal_is_refused_before_it_is_expanded(literal, tmp_path, capsys):
+    # Fraction("1e30000000") alone takes many seconds
+    message = "coefficient literal has more than 4300 digits or an exponent above 4300"
+    text = tmp_path / "job.txt"
+    text.write_text(f"[group]\nA 2\n[nilradical]\n(1 0) {literal}\n")
+    data = get_preset("borel").to_json_dict()
+    data["nilradical"] = [[[[1, 0], literal]]]
+    blob = tmp_path / "job.json"
+    blob.write_text(json.dumps({"config": data}))
+    for path, where in ((text, "line 4: "), (blob, "")):
+        start = time.perf_counter()
+        code, out, err = _run_main(["check", str(path)], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == "" and err == f"error: {where}{message}\n"
+    # the largest accepted literals parse as before
+    config = parse_config_text("[group]\nA 2\n[nilradical]\n(1 0) 1e4300, (0 1) 1/" + "9" * 4298 + "\n")
+    assert config.groups[0][0][1] == 10**4300
+
+
 def test_cap_check_covers_only_the_modules_verify_builds(capsys, monkeypatch):
     # A3 borel at height 0 builds the trivial module and the 4-dimensional V(w1) only
     argv = ["verify", "--preset", "borel", "--group", "A3", "--height", "0", "--cap"]

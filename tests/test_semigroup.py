@@ -4,16 +4,20 @@ import pytest
 
 from solvsph import (
     NotSpherical,
+    SemigroupGenerators,
     Weight,
     active_roots,
     anchor_weights,
     bounded_members,
+    build_root_system,
     build_subgroup,
+    check_spherical,
     decompose,
     generators,
     get_preset,
 )
-from solvsph.linalg import rank
+from solvsph.fuzzing import POOL_RANK3, random_mixed_config
+from solvsph.linalg import rank, solve
 
 
 def _gens(name, components=None):
@@ -164,3 +168,38 @@ def test_decompose_refuses_a_pair_outside_the_span_of_fewer_generators():
     assert gens.decompose((Weight((1, 0)), (0, 1))) == (0, 1)
     assert gens.decompose((Weight((1, 0)), (0, 0))) is None
     assert gens.decompose((Weight((1, 0)), (1, 0))) is None
+
+
+def test_decompose_matches_a_rational_solve_on_fuzzed_configs():
+    # decompose returns x exactly when M x = pair has a nonnegative integral
+    # solution over Q, and then the two agree
+    rng = random.Random(2027)
+    spherical = 0
+    for _ in range(40):
+        sub = build_subgroup(random_mixed_config(rng, POOL_RANK3))
+        if not check_spherical(sub):
+            continue
+        spherical += 1
+        gens = generators(sub, active_roots(sub))
+        cols = [[*w.coords, *chi] for w, chi in gens.all_generators()]
+        matrix = [list(row) for row in zip(*cols)]
+        pairs = bounded_members(gens, 3)
+        for _ in range(60):
+            w = tuple(rng.randint(-1, 3) for _ in range(gens.n))
+            pairs.add((w, tuple(rng.randint(-2, 2) for _ in range(gens.d))))
+        for w, chi in pairs:
+            x = solve(matrix, [*w, *chi])
+            if x is not None and all(c >= 0 and c.denominator == 1 for c in x):
+                assert gens.decompose((w, chi)) == tuple(x)
+            else:
+                assert gens.decompose((w, chi)) is None
+    assert spherical >= 10
+
+
+def test_dependent_generators_are_refused():
+    rs = build_root_system([("A", 2)])
+    w1, w2 = rs.fundamental_weight(0), rs.fundamental_weight(1)
+    torus = [(w1, (1,)), (w2, (0,))]
+    for active in ([(w1 + w2, (1,))], [(w1 + w1, (2,)), (w2, (1,))]):
+        with pytest.raises(AssertionError, match="generators are not linearly independent"):
+            SemigroupGenerators(rs, 1, torus, active, [w for w, _ in active])
