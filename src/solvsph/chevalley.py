@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import AlgebraMismatch
 from .linalg import add_into
-from .rootsys import Root, RootSystem, _num, fmt_root
+from .rootsys import Root, RootSystem, fmt_root, integers
 
 
 def fmt_key(key):
@@ -43,9 +43,9 @@ class AlgebraElement:
         self.terms = {}
         if terms:
             for key, coeff in terms.items():
-                c = coeff if type(coeff) is int else _num(Fraction(coeff))
+                c = coeff if type(coeff) is int else Fraction(coeff)
                 if c:
-                    self.terms[key] = c
+                    self.terms[key] = c if type(c) is int or c.denominator > 1 else c.numerator
 
     def is_zero(self):
         return not self.terms
@@ -177,7 +177,7 @@ class ChevalleyAlgebra:
 
     def e(self, root):
         """The basis vector of a root (a Root, or raw coordinates)."""
-        coords = root.coords if isinstance(root, Root) else tuple(int(x) for x in root)
+        coords = root.coords if isinstance(root, Root) else integers(root)
         if coords not in self._all_roots:
             raise ValueError(f"{coords} is not a root")
         return AlgebraElement(self, {("e", coords): 1})

@@ -64,9 +64,10 @@ def load_config(args) -> JobConfig:
 
 
 def _parse_json_config(text):
-    """The ``config`` member of a JSON document, as ``semigroup --json`` prints."""
+    """The ``config`` member of a JSON document, as ``semigroup --json`` prints;
+    numbers are kept as their text and parsed as the text format parses them."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=str, parse_int=str)
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
     try:

@@ -4,7 +4,8 @@ Three families are always valid by construction: torus relabellings with
 a subset of the simple roots left out of the unipotent part, arbitrary
 subtori over the full unipotent radical, and rejection-sampled free-form
 constraints.  Mixed sampling also produces valid but non-spherical data
-(dependent weights, or stacked constraints on one component).
+(dependent weights); no weight class gets more than one constraint group,
+so it never makes the codimension-too-large violation.
 """
 
 from __future__ import annotations

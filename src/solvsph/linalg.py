@@ -1,9 +1,11 @@
-"""Exact linear algebra over the rationals, the integers and F_p.
+"""Exact linear algebra over the integers and F_p.
 
 Dense matrices are lists of rows, sparse vectors dicts index -> value with no
 zeros (summed by ``add_into``), sparse matrices lists of such columns (applied
-by ``apply``).  Numbers are ints or Fractions; nothing here is floating point.
-A lattice of sparse integer vectors gets its Z-basis from ``echelon``.
+by ``apply``).  Every elimination over Z the package runs is ``echelon``, the
+Hermite basis of a lattice of sparse integer vectors.  Rationals appear only
+in ``primitive`` (config coefficients) and in the test references ``rref``,
+``rank``, ``solve`` and ``in_row_span``; nothing here is floating point.
 """
 
 from fractions import Fraction
@@ -124,24 +126,14 @@ def rank(rows):
     return len(rref(rows)[1])
 
 
-def nullspace(rows, ncols=None):
-    """Basis of the right kernel, as a list of vectors of Fractions."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols is required for an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+def nullspace(rows, ncols):
+    """A Z-basis of the integer right kernel, as primitive int vectors: the rows
+    of U, in the Hermite basis [U rows^T | U] of [rows^T | I], whose pivot lies
+    in the I part."""
+    nrows = len(rows)
+    columns = ({**{i: row[j] for i, row in enumerate(rows) if row[j]}, nrows + j: 1} for j in range(ncols))
+    kernel = [row for p, row in echelon(columns).items() if p >= nrows]
+    return [[row.get(nrows + j, 0) for j in range(ncols)] for row in kernel]
 
 
 def solve(rows, rhs):
@@ -222,14 +214,11 @@ def smith_diagonal(rows):
 
 
 def is_surjective_over_z(rows, ncols):
-    """Whether the integer matrix defines a surjection Z^ncols -> Z^nrows."""
-    nrows = len(rows)
-    if nrows == 0:
-        return True
-    if ncols < nrows:
-        return False
-    diag = smith_diagonal(rows)
-    return len(diag) == nrows and all(x == 1 for x in diag)
+    """Whether the integer matrix defines a surjection Z^ncols -> Z^nrows: its
+    columns span Z^nrows exactly when their Hermite basis has the pivots
+    0, ..., nrows - 1, each equal to 1."""
+    ech = echelon({i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(ncols))
+    return list(ech) == list(range(len(rows))) and all(row[p] == 1 for p, row in ech.items())
 
 
 def rank_mod_p(rows, p):

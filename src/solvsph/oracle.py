@@ -32,7 +32,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebraMismatch, DimensionCap, NotDominant, NotSpherical
@@ -148,7 +147,7 @@ class HighestWeightModule:
                 raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
 
     def highest_vector(self):
-        return [Fraction(int(i == 0)) for i in range(self.dim)]
+        return [int(i == 0) for i in range(self.dim)]
 
     def act_element(self, element):
         """Matrix of an algebra element (linear combination of basis keys)."""
@@ -306,7 +305,7 @@ def build_irrep(realization, lam, dim_cap=20000):
     rs = realization.algebra.root_system
     if not isinstance(lam, Weight):
         lam = Weight(tuple(lam))
-    if not lam.is_dominant or not lam.is_integral:
+    if not lam.is_dominant:
         raise NotDominant(f"{lam} is not a dominant integral weight")
     predicted = weyl_dim(rs, lam)
     if predicted > dim_cap:
@@ -377,12 +376,14 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
     fam = table.families[j]
     first = fam.roots[0].coords
     scale = fam.coefficients[first]
-    vec = {}
-    for beta in fam.roots:
-        pair = rs.pairing(mod.lam, beta)
+    pairs = [(beta, rs.pairing(mod.lam, beta)) for beta in fam.roots]
+    for beta, pair in pairs:
         if pair <= 0:
             raise AssertionError(f"nonpositive pairing of {mod.lam} with {beta}")
-        coeff = Fraction(fam.coefficients[beta.coords], scale * pair)
+    den = math.lcm(*(scale * pair for _, pair in pairs))  # c_beta / (scale pair), times den, in ints
+    vec = {}
+    for beta, pair in pairs:
+        coeff = fam.coefficients[beta.coords] * (den // (scale * pair))
         add_into(vec, mod.actions[("e", (-beta).coords)][0], coeff)
     vec = linalg.primitive(vec)
     return [vec.get(i, 0) for i in range(mod.dim)]

@@ -1,9 +1,9 @@
 """Root systems, weights and Weyl combinatorics of semisimple groups.
 
 Roots are stored as integer coordinate vectors over the simple roots,
-weights as coordinate vectors over the fundamental weights (integer when
-integral; a coordinate is a Fraction only where it is not an integer), so
-that ``pairing(omega_i, alpha_j) == delta_ij`` is a coordinate readoff.
+weights as integer coordinate vectors over the fundamental weights (a
+non-integral weight is refused when it is built), so that
+``pairing(omega_i, alpha_j) == delta_ij`` is a coordinate readoff.
 There is no floating point anywhere in the package.
 
 Conventions.  ``cartan[i][j]`` is the pairing of the simple root alpha_j
@@ -16,9 +16,8 @@ in their natural order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InvalidType, NotDominant, ZeroRoot
+from .errors import InvalidType, NonIntegralWeight, NotDominant, ZeroRoot
 
 # admissible ranks per simple type (min, max); None = unbounded
 _ADMISSIBLE = {
@@ -46,11 +45,13 @@ def positive_root_count(letter, rank):
     }[letter]
 
 
-def _num(x):
-    """Normalize a rational to int when it is integral."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+def integers(values, error=ValueError):
+    """The values as a tuple of ints; ``error`` when one is not an integer."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise error(f"{values} has non-integral entries")
+    return ints
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,16 @@ class Root:
 
 @dataclass(frozen=True)
 class Weight:
-    """A weight over the fundamental weights: ints, Fractions where not integral."""
+    """An integral weight, as int coordinates over the fundamental weights."""
 
     coords: tuple
 
     def __post_init__(self):
-        if type(self.coords) is not tuple or not set(map(type, self.coords)) <= {int}:
-            object.__setattr__(self, "coords", tuple(_num(Fraction(c)) for c in self.coords))
+        object.__setattr__(self, "coords", integers(self.coords, NonIntegralWeight))
 
     @property
     def is_dominant(self):
         return all(c >= 0 for c in self.coords)
-
-    @property
-    def is_integral(self):
-        return all(isinstance(c, int) for c in self.coords)
 
     def __add__(self, other):
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -251,7 +247,7 @@ class RootSystem:
 
     def root(self, coords):
         """The Root with these coordinates, validated against the root set."""
-        c = tuple(int(x) for x in coords)
+        c = integers(coords)
         if not self.is_root(c):
             raise ValueError(f"{c} is not a root of {self.describe()}")
         return Root(c)
@@ -277,8 +273,10 @@ class RootSystem:
             num = self.root_form(lam, mu)
         else:
             num = self.weight_root_form(lam, mu)
-        num, den = 2 * num, self.root_form(mu, mu)
-        return num // den if num % den == 0 else Fraction(num, den)
+        q, r = divmod(2 * num, self.root_form(mu, mu))
+        if r:
+            raise ArithmeticError(f"non-integral pairing of {lam} with {mu}")
+        return q
 
     def support(self, alpha):
         return alpha.support()

@@ -19,12 +19,11 @@ from .chevalley import AlgebraElement, ChevalleyAlgebra
 from .errors import (
     DuplicateRoot,
     MixedWeightConstraint,
-    NonIntegralWeight,
     NonSurjectiveTau,
     NotSubalgebra,
     ZeroCoefficient,
 )
-from .rootsys import Root, Weight
+from .rootsys import Root, Weight, integers
 
 
 class TorusRestriction:
@@ -36,7 +35,7 @@ class TorusRestriction:
 
     def __init__(self, rows, n):
         self.n = int(n)
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
+        self.rows = tuple(integers(row) for row in rows)
         self.d = len(self.rows)
         self._images = {}  # weight coords -> image, filled by restrict
         for row in self.rows:
@@ -49,14 +48,12 @@ class TorusRestriction:
         """Image of a torus character (integral weight) in Z^d.
 
         Each image is computed once and kept: the rows never change, and
-        non-integral input raises before anything is stored.
+        non-integral input raises NonIntegralWeight before anything is stored.
         """
         coords = weight.coords if isinstance(weight, Weight) else tuple(weight)
         image = self._images.get(coords)
         if image is None:
-            if not all(isinstance(c, int) or Fraction(c).denominator == 1 for c in coords):
-                raise NonIntegralWeight(f"{coords} has non-integral coordinates")
-            ints = tuple(int(c) for c in coords)
+            ints = Weight(coords).coords
             image = tuple(sum(r * c for r, c in zip(row, ints)) for row in self.rows)
             self._images[coords] = image
         return image
@@ -138,8 +135,7 @@ class SubgroupData:
             cols = [r.coords for r in cls.roots]
             rows = [[f.get(c, 0) for c in cols] for f in cls.functionals]
             for vec in linalg.nullspace(rows, len(cols)):
-                terms = linalg.primitive({("e", c): v for c, v in zip(cols, vec) if v != 0})
-                basis.append(AlgebraElement(self.algebra, terms))
+                basis.append(AlgebraElement(self.algebra, {("e", c): v for c, v in zip(cols, vec) if v}))
         return basis
 
     def contains_in_nil(self, element):

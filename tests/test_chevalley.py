@@ -135,6 +135,13 @@ def test_unknown_root_vector_rejected():
         alg.e((2, 0))
 
 
+def test_root_vector_refuses_non_integral_coordinates():
+    alg = _algebra([("A", 2)])
+    with pytest.raises(ValueError, match="non-integral"):
+        alg.e((1.9, 0.2))
+    assert alg.e((1.0, 0)) == alg.e((1, 0))
+
+
 def test_bracket_keys_match_bracket_and_are_ints():
     from solvsph.fuzzing import POOL_RANK3
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -415,6 +416,25 @@ def test_huge_coefficient_literal_is_refused_before_it_is_expanded(literal, tmp_
     # the largest accepted literals parse as before
     config = parse_config_text("[group]\nA 2\n[nilradical]\n(1 0) 1e4300, (0 1) 1/" + "9" * 4298 + "\n")
     assert config.groups[0][0][1] == 10**4300
+
+
+@pytest.mark.parametrize(
+    "literal", ["0.1000000000000000001", "1e400", "7" * 5000], ids=["decimal", "exponent", "5000-digits"]
+)
+def test_json_numbers_are_read_as_the_text_format_reads_them(literal, tmp_path, capsys):
+    # a JSON number is neither rounded to a float nor expanded before the digit limit
+    text = tmp_path / "job.txt"
+    text.write_text(f"[group]\nA 2\n[torus]\n1 0\n0 1\n[nilradical]\n(1 0) {literal}\n")
+    blob = tmp_path / "job.json"
+    blob.write_text('{"config": {"group": [["A", 2]], "torus": [[1, 0], [0, 1]], '
+                    '"nilradical": [[[[1, 0], %s]]]}}' % literal)
+    code, out, err = _run_main(["semigroup", str(text), "--json"], capsys)
+    assert _run_main(["semigroup", str(blob), "--json"], capsys) == (code, out, err.replace("line 7: ", ""))
+    if code == 0:
+        (((_, coeff),),) = JobConfig.from_json_dict(json.loads(out)["config"]).groups
+        assert coeff == Fraction(literal)
+    else:
+        assert code == 2 and "more than 4300 digits" in err
 
 
 def test_cap_check_covers_only_the_modules_verify_builds(capsys, monkeypatch):

@@ -1,22 +1,34 @@
-"""The combinatorial core and the modules of ``verify`` run on ints.
+"""Below the config parser, ``verify`` runs on ints.
 
 A ``verify`` run is profiled, and every call into ``fractions.py`` is
 counted by the module and function that made it.  Fractions belong to the
-config coefficients, the rational kernels of ``linalg`` and the subgroup
-built from them, and to two oracle functions; the root system, the
-Chevalley constants, sphericity and the semigroup reducer make none.
+config coefficients only, up to the primitive integer functionals that
+``validate`` makes of them: the config parser, the presets, ``NilradicalSpec``,
+``validate`` and ``linalg.primitive`` may call into ``fractions.py``, and no
+other function of the package does.
 """
 
+import ast
 import collections
 import fractions
 import random
 import sys
+from pathlib import Path
 
+import solvsph
 from solvsph import cli, oracle
 from solvsph.fuzzing import random_spherical_config
 
-NO_FRACTIONS = {"solvsph.rootsys", "solvsph.chevalley", "solvsph.semigroup", "solvsph.sphericity"}
-ORACLE_ALLOWED = {"semi_invariant_witness", "highest_vector"}
+# the only callers of fractions.py in the package: whole modules, or one
+# top-level class or function of a module
+CONFIG_BOUNDARY = {
+    "solvsph.config",
+    "solvsph.presets",
+    "solvsph.subgroup.NilradicalSpec",
+    "solvsph.subgroup.validate",
+    "solvsph.linalg.primitive",
+}
+NO_FRACTIONS_IMPORT = ["rootsys", "oracle", "semigroup"]
 
 
 def _integer_coefficient_config():
@@ -30,8 +42,8 @@ def _integer_coefficient_config():
 
 
 def _profiled_verify(argv, monkeypatch, capsys):
-    """Calls into fractions.py by (caller module, caller function), and the
-    modules the run built."""
+    """Calls into fractions.py by (caller module, caller class or function),
+    and the modules the run built."""
     realizations = []
 
     def keep(algebra, build=oracle.build_realization):
@@ -45,8 +57,8 @@ def _profiled_verify(argv, monkeypatch, capsys):
         if event == "call" and frame.f_code.co_filename == fractions.__file__:
             caller = frame.f_back
             qualname = getattr(caller.f_code, "co_qualname", caller.f_code.co_name)
-            function = qualname.split(".<locals>")[0].rsplit(".", 1)[-1]  # comprehensions too
-            calls[caller.f_globals.get("__name__"), function] += 1
+            name = qualname.split(".<locals>")[0].split(".")[0]  # comprehensions and methods too
+            calls[str(caller.f_globals.get("__name__")), name] += 1
 
     sys.setprofile(profile)
     try:
@@ -65,9 +77,20 @@ def test_verify_makes_no_fractions_in_the_integer_core(tmp_path, monkeypatch, ca
     for argv in runs:
         calls, modules = _profiled_verify(argv, monkeypatch, capsys)
         assert calls, "the profile saw no Fraction at all"
-        bad = {k: n for k, n in calls.items() if k[0] in NO_FRACTIONS}
-        bad.update({k: n for k, n in calls.items() if k[0] == "solvsph.oracle" and k[1] not in ORACLE_ALLOWED})
+        bad = {
+            (module, name): n
+            for (module, name), n in calls.items()
+            if module.startswith("solvsph.") and not {module, f"{module}.{name}"} & CONFIG_BOUNDARY
+        }
         assert not bad, (argv, bad)
         assert len(modules) > 1
         for mod in modules:
             assert all(type(c) is int for w in mod.weights for c in w.coords), mod
+
+
+def test_the_integer_core_does_not_import_fractions():
+    for name in NO_FRACTIONS_IMPORT:
+        tree = ast.parse((Path(solvsph.__file__).parent / f"{name}.py").read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported, name

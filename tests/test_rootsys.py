@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from solvsph import (
     InvalidType,
+    NonIntegralWeight,
     NotDominant,
     Root,
     Weight,
@@ -96,6 +98,34 @@ def test_pairing_zero_root_rejected():
     rs = build_root_system([("A", 2)])
     with pytest.raises(ZeroRoot):
         rs.pairing(rs.fundamental_weight(0), Root((0, 0)))
+
+
+def test_pairings_are_ints():
+    for spec in ["A3", "B3", "C3", "D4", "G2", "F4", "E6", "A1 C2"]:
+        rs = build_root_system([(c[0], int(c[1:])) for c in spec.split()])
+        roots = list(rs.positive_roots) + [-r for r in rs.positive_roots]
+        pairs = [(rs.fundamental_weight(i), a) for i in range(rs.n) for a in rs.positive_roots]
+        for lam, mu in pairs + [(a, b) for a in roots for b in roots]:
+            assert type(rs.pairing(lam, mu)) is int, (spec, lam, mu)
+
+
+def test_weights_are_integral():
+    with pytest.raises(NonIntegralWeight):
+        Weight((Fraction(1, 2),))
+    with pytest.raises(NonIntegralWeight):
+        Weight((1, 2.5))
+    w = Weight((Fraction(4, 2), 1))
+    assert w == Weight((2, 1)) and all(type(c) is int for c in w.coords)
+
+
+def test_root_refuses_non_integral_coordinates():
+    rs = build_root_system([("A", 2)])
+    with pytest.raises(ValueError, match="non-integral"):
+        rs.root((1.5, 0))
+    with pytest.raises(ValueError, match="non-integral"):
+        rs.root((Fraction(3, 2), 0))
+    assert rs.root((Fraction(2, 2), 1.0)).coords == (1, 1)
+    assert all(type(c) is int for c in rs.root((Fraction(2, 2), 1.0)).coords)
 
 
 def test_support():

@@ -57,6 +57,29 @@ def test_codim_two_is_not_spherical():
     assert verdict.violations[0][0] == "CodimTooLarge"
 
 
+def test_codim_too_large_end_to_end(tmp_path, capsys):
+    # a trivial torus puts every positive root in one class; two single-root
+    # constraints on it leave codimension 2
+    from solvsph import JobConfig, cli, oracle
+    from solvsph.fuzzing import POOL_RANK3
+
+    pool = [comps for comps in POOL_RANK3 if sum(r for _, r in comps) >= 2]
+    assert len(pool) == 12
+    for comps in pool:
+        n = sum(r for _, r in comps)
+        simple = [tuple(int(i == j) for j in range(n)) for i in range(2)]
+        config = JobConfig(comps, (), tuple(((coords, 1),) for coords in simple))
+        sub = build_subgroup(config)
+        assert [c.codim for c in sub.classes] == [2]
+        verdict = check_spherical(sub)
+        assert not verdict.spherical and verdict.violations[0][0] == "CodimTooLarge", comps
+        assert oracle.open_orbit_check(sub) is False
+        path = tmp_path / "job.txt"
+        path.write_text(config.to_text())
+        assert cli.main(["verify", str(path), "--height", "1"]) == 1
+        assert "NOT spherical: [('CodimTooLarge'" in capsys.readouterr().out
+
+
 def test_dependent_weights_on_one_dimensional_torus():
     from solvsph import NilradicalSpec, TorusRestriction, build_algebra, build_root_system, validate
 

@@ -67,6 +67,14 @@ def test_restrict_rejects_non_integral():
         restrict(tau, Weight((Fraction(1, 2),)))
 
 
+def test_torus_rows_refuse_non_integral_entries():
+    for rows, n in (([[Fraction(3, 2)]], 1), ([[1.9, 0], [0, 1]], 2)):
+        with pytest.raises(ValueError, match="non-integral"):
+            TorusRestriction(rows, n)
+    tau = TorusRestriction([[Fraction(4, 2), 1.0]], 2)
+    assert tau.rows == ((2, 1),) and all(type(x) is int for x in tau.rows[0])
+
+
 def test_example_torus_identifies_outer_simple_roots():
     alg, tau, _ = _example_sp4_data()
     rs = alg.root_system
