@@ -4,7 +4,8 @@ Basis: one vector e_alpha per root alpha (positive and negative) and one
 coroot h_i per simple root, normalized so that [e_alpha, e_{-alpha}] is
 the coroot of alpha.  Signs follow the classical recipe: for each
 non-simple positive root the decomposition pair (gamma, delta) with gamma
-minimal in the root order is given the positive constant p + 1, and every
+minimal in the root order (the head of ``RootSystem.decompositions``) is
+given the positive constant p + 1, and every
 other constant is forced from those choices by antisymmetry, the
 opposite-root sign rule and the four-root relation between constants of
 roots summing to zero.  Any consistent sign choice gives the same
@@ -13,8 +14,6 @@ are computed in integers, and a division with a remainder raises.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import AlgebraMismatch
 from .linalg import add_into
@@ -29,8 +28,8 @@ def fmt_key(key):
 
 
 class AlgebraElement:
-    """Sparse combination of basis vectors, with int coefficients (Fractions
-    where not integral).
+    """Sparse combination of basis vectors, with int coefficients (anything
+    else that is not an integer raises ValueError).
 
     Keys are ("e", coords) for root vectors and ("h", i) for simple
     coroots; zero coefficients are never stored.
@@ -40,12 +39,7 @@ class AlgebraElement:
 
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = coeff if type(coeff) is int else Fraction(coeff)
-                if c:
-                    self.terms[key] = c if type(c) is int or c.denominator > 1 else c.numerator
+        self.terms = {k: c for k, c in zip(terms, integers(terms.values())) if c} if terms else {}
 
     def is_zero(self):
         return not self.terms
@@ -62,7 +56,7 @@ class AlgebraElement:
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        s = scalar if type(scalar) is int else Fraction(scalar)
+        (s,) = integers([scalar])
         return AlgebraElement(self.algebra, {k: c * s for k, c in self.terms.items()})
 
     __rmul__ = __mul__
@@ -88,9 +82,6 @@ class ChevalleyAlgebra:
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self._pos_set = {r.coords for r in root_system.positive_roots}
-        self._all_roots = self._pos_set | {tuple(-x for x in c) for c in self._pos_set}
-        self._order = {r.coords: i for i, r in enumerate(root_system.positive_roots)}
         self.extraspecial = {}
         self._build_constants()
 
@@ -100,14 +91,15 @@ class ChevalleyAlgebra:
         """Largest p with beta - p*alpha a root."""
         p = 0
         cur = tuple(b - a for b, a in zip(beta, alpha))
-        while cur in self._all_roots:
+        while cur in self.root_system._roots:
             p += 1
             cur = tuple(c - a for c, a in zip(cur, alpha))
         return p
 
     def _build_constants(self):
-        pos = [r.coords for r in self.root_system.positive_roots]
-        norm = {r.coords: self.root_system.root_form(r, r) for r in self.root_system.positive_roots}
+        rs = self.root_system
+        roots, positive = rs._roots, rs._index
+        norm = {r.coords: rs.root_form(r, r) for r in rs.positive_roots}
         norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
         n_pos = {}
 
@@ -119,26 +111,18 @@ class ChevalleyAlgebra:
         def mixed(x, y):
             """Constant for [e_x, e_{-y}] with x, y distinct positive roots."""
             diff = tuple(a - b for a, b in zip(x, y))
-            if diff not in self._all_roots:
+            if diff not in roots:
                 return 0
-            if diff in self._pos_set:
+            if diff in positive:
                 return exact(norm[diff] * n_pos[(diff, y)], norm[x])
             # x - y is a negative root: same constant as [e_y, e_{-x}]
             rev = tuple(-d for d in diff)
             return exact(norm[rev] * n_pos[(rev, x)], norm[y])
 
-        for eps in pos:
-            if sum(eps) == 1:
+        for eps, pairs in rs.decompositions.items():
+            if not pairs:
                 continue
-            pairs = []
-            for a in pos:
-                if self._order[a] >= self._order[eps]:
-                    break
-                b = tuple(e - x for e, x in zip(eps, a))
-                if b in self._pos_set and self._order[a] < self._order[b]:
-                    pairs.append((a, b))
-            gamma, delta = pairs[0]
-            self.extraspecial[eps] = (gamma, delta)
+            gamma, delta = self.extraspecial[eps] = pairs[0]
             n_gd = self._string_down(delta, gamma) + 1
             n_pos[(gamma, delta)] = n_gd
             n_pos[(delta, gamma)] = -n_gd
@@ -160,12 +144,12 @@ class ChevalleyAlgebra:
             nb = tuple(-x for x in b)
             table[(a, b)] = c
             table[(na, nb)] = -c
-        for x in pos:
-            for y in pos:
+        for x in positive:
+            for y in positive:
                 if x == y:
                     continue
                 diff = tuple(a - b for a, b in zip(x, y))
-                if diff not in self._all_roots:
+                if diff not in roots:
                     continue
                 ny = tuple(-b for b in y)
                 c = mixed(x, y)
@@ -178,13 +162,14 @@ class ChevalleyAlgebra:
     def e(self, root):
         """The basis vector of a root (a Root, or raw coordinates)."""
         coords = root.coords if isinstance(root, Root) else integers(root)
-        if coords not in self._all_roots:
+        if not self.root_system.is_root(coords):
             raise ValueError(f"{coords} is not a root")
         return AlgebraElement(self, {("e", coords): 1})
 
     def h(self, i):
         """The simple coroot basis vector h_i (0-based)."""
-        return AlgebraElement(self, {("h", int(i)): 1})
+        (i,) = integers([i])
+        return AlgebraElement(self, {("h", i): 1})
 
     def coroot(self, root):
         """The coroot of an arbitrary root, as a combination of the h_i."""
@@ -194,7 +179,7 @@ class ChevalleyAlgebra:
 
     def basis_keys(self):
         """All basis keys: root vectors for every root, then simple coroots."""
-        keys = [("e", c) for c in sorted(self._all_roots, key=lambda c: (sum(c), c))]
+        keys = [("e", c) for c in sorted(self.root_system._roots, key=lambda c: (sum(c), c))]
         keys += [("h", i) for i in range(self.root_system.n)]
         return keys
 
@@ -212,7 +197,8 @@ class ChevalleyAlgebra:
     def bracket_keys(self, key_x, key_y):
         """[x, y] of two basis keys, as a dict key -> nonzero int."""
         (kx, vx), (ky, vy) = key_x, key_y
-        cartan = self.root_system.cartan
+        rs = self.root_system
+        cartan = rs.cartan
         if kx == "h":
             if ky == "h":
                 return {}
@@ -225,8 +211,8 @@ class ChevalleyAlgebra:
         s = tuple(a + b for a, b in zip(vx, vy))
         if not any(s):
             # [e_alpha, e_-alpha] is the coroot of alpha
-            sign = 1 if vx in self._pos_set else -1
-            coeffs = self.root_system.positive_coroots[self._order[tuple(sign * a for a in vx)]]
+            sign = 1 if vx in rs._index else -1
+            coeffs = rs.positive_coroots[rs._index[tuple(sign * a for a in vx)]]
             return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
         c = self._n.get((vx, vy), 0)
         return {("e", s): c} if c else {}

@@ -16,6 +16,7 @@ from .config import JobConfig, build_subgroup
 from .errors import SolvsphError
 from .rootsys import build_root_system
 from .sphericity import check_spherical
+from .subgroup import TorusRestriction
 
 POOL_RANK3 = [
     (("A", 1),),
@@ -95,13 +96,10 @@ def _free_form(rng, components):
     rs = build_root_system(components)
     d = rng.randint(1, rs.n)
     rows = random_surjective(rng, d, rs.n)
+    tau = TorusRestriction(rows, rs.n)
     by_phi = {}
     for r in rs.positive_roots:
-        phi = tuple(
-            sum(row[j] * sum(rs.cartan[j][k] * r.coords[k] for k in range(rs.n)) for j in range(rs.n))
-            for row in rows
-        )
-        by_phi.setdefault(phi, []).append(r)
+        by_phi.setdefault(tau.restrict(rs.root_to_weight(r)), []).append(r)
     groups = []
     for phi, roots in by_phi.items():
         if rng.random() < 0.5:

@@ -11,6 +11,11 @@ against the coroot of alpha_i, i.e. 2(alpha_i, alpha_j)/(alpha_i, alpha_i).
 Positive roots are ordered by height and, within a height, so that
 alpha_1 < alpha_2 < ...; hence ``positive_roots[:n]`` are the simple roots
 in their natural order.
+
+A RootSystem tabulates, once, the set of all roots, each positive root's
+position in root order and ``decompositions[eps]``: the pairs (a, b) of
+positive roots with a + b = eps and a before b, in the order of a.  The
+Chevalley constants and the active-root anchors read that table.
 """
 
 from __future__ import annotations
@@ -174,7 +179,7 @@ class RootSystem:
     """The root and weight combinatorics of a simply connected semisimple group."""
 
     def __init__(self, components):
-        components = tuple((str(t).upper(), int(r)) for t, r in components)
+        components = tuple((str(t).upper(), *integers([r], InvalidType)) for t, r in components)
         if not components:
             raise InvalidType("at least one simple component is required")
         for letter, rank in components:
@@ -193,7 +198,9 @@ class RootSystem:
         self._form = tuple(tuple(d * a for a in row) for d, row in zip(self._d, self.cartan))
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = tuple(self.positive_roots[: self.n])
-        self._pos_set = {r.coords for r in self.positive_roots}
+        self._index = {r.coords: i for i, r in enumerate(self.positive_roots)}
+        self._roots = {*self._index, *(tuple(-x for x in c) for c in self._index)}
+        self.decompositions = self._decompose()
         # the coroot of each positive root over the simple coroots, in the same order
         self.positive_coroots = tuple(self.coroot_coefficients(r) for r in self.positive_roots)
 
@@ -236,14 +243,28 @@ class RootSystem:
         ordered = sorted(known, key=lambda c: (sum(c), tuple(-x for x in c)))
         return tuple(Root(c) for c in ordered)
 
+    def _decompose(self):
+        """Per positive root eps, the pairs (a, b) of positive roots with
+        a + b = eps and a before b, in the order of a."""
+        index, out = self._index, {}
+        height = {a: sum(a) for a in index}
+        for eps in index:
+            pairs = out[eps] = []
+            for a in index:
+                if 2 * height[a] > height[eps]:  # a before b forces height(a) <= height(b)
+                    break
+                b = tuple(e - x for e, x in zip(eps, a))
+                if index.get(b, -1) > index[a]:
+                    pairs.append((a, b))
+        return out
+
     # -- membership -------------------------------------------------------
 
     def is_positive_root(self, coords):
-        return tuple(coords) in self._pos_set
+        return tuple(coords) in self._index
 
     def is_root(self, coords):
-        c = tuple(coords)
-        return c in self._pos_set or tuple(-x for x in c) in self._pos_set
+        return tuple(coords) in self._roots
 
     def root(self, coords):
         """The Root with these coordinates, validated against the root set."""
@@ -338,25 +359,22 @@ def build_root_system(spec):
     return RootSystem(spec)
 
 
-def fmt_root(root):
-    """Readable form of a root, e.g. 'a1+2a2'."""
+def _fmt(coords, symbol):
     parts = []
-    for i, k in enumerate(root.coords):
+    for i, k in enumerate(coords):
         if k == 0:
             continue
         sign = "-" if k < 0 else ("+" if parts else "")
         mag = abs(k)
-        parts.append(f"{sign}{'' if mag == 1 else mag}a{i + 1}")
+        parts.append(f"{sign}{'' if mag == 1 else mag}{symbol}{i + 1}")
     return "".join(parts) or "0"
+
+
+def fmt_root(root):
+    """Readable form of a root, e.g. 'a1+2a2'."""
+    return _fmt(root.coords, "a")
 
 
 def fmt_weight(w):
     """Readable form of a weight, e.g. 'w1+w3' or '0'."""
-    parts = []
-    for i, c in enumerate(w.coords):
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        parts.append(f"{sign}{'' if mag == 1 else mag}w{i + 1}")
-    return "".join(parts) or "0"
+    return _fmt(w.coords, "w")

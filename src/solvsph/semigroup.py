@@ -4,16 +4,14 @@ The semigroup lives in (dominant weights) x (characters of S).  It is
 free on n + m generators: one pair (dual of omega_i, tau(omega_i)) per
 fundamental weight, and one pair per active family, built from the sum
 of fundamental weights over the family's anchors.  Membership in the
-generated semigroup is decided by one product with a left inverse of the
-generator matrix M (the generators are independent over Q), kept as an
-integer matrix over a common denominator and built from the integer
-``linalg.echelon`` of [M | I] and one fraction-free back-substitution,
-followed by a nonnegative-integrality check.
+generated semigroup is decided by Hermite reduction: the generators, each
+tagged by a unit vector of its own, are reduced once by ``linalg.echelon``
+(the one elimination over Z); a target lies in their integer span exactly
+when it reduces to zero over that basis, the tags then hold minus its
+coefficients, and it is a member when those are nonnegative.
 """
 
 from __future__ import annotations
-
-from math import gcd, lcm
 
 from . import linalg
 from .errors import NotSpherical
@@ -44,24 +42,15 @@ class SemigroupGenerators:
         self.torus_gens = list(torus_gens)  # (Weight, chi tuple)
         self.active_gens = list(active_gens)
         self.anchor_wts = list(anchor_wts)
-        cols = [[*w.coords, *chi] for w, chi in self.all_generators()]  # the columns of M
-        k, rows = self.n + self.m, self.n + self.d
-        # the Hermite basis of [M | I] is [UM | U], U unimodular: the generators are
-        # independent when UM has pivots 0..k-1; the rows of U past k span the left kernel of M
-        red = linalg.echelon({**{c: x for c, col in enumerate(cols) if (x := col[r])}, k + r: 1}
-                             for r in range(rows))
-        pivots = list(red)
-        if pivots[:k] != list(range(k)):
+        # generator g is tagged by a 1 at n + d + g; a row of the Hermite basis with its
+        # pivot among the tags is a vanishing combination of the generators
+        width = self.n + self.d
+        self._basis = linalg.echelon(
+            {**{i: x for i, x in enumerate((*w.coords, *chi)) if x}, width + g: 1}
+            for g, (w, chi) in enumerate(self.all_generators())
+        )
+        if max(self._basis) >= width:
             raise AssertionError("generators are not linearly independent")
-        top = [red[p] for p in pivots[:k]]
-        for i in reversed(range(k)):  # clear UM above pivot i, fraction-free
-            for r in range(i):
-                if b := top[r].get(i):
-                    a, g = top[i][i], gcd(top[i][i], b)
-                    top[r] = linalg.add_into({c: a // g * y for c, y in top[r].items()}, top[i], -(b // g))
-        self._den = lcm(*(row[i] for i, row in enumerate(top)))  # D; UM is now diagonal
-        top = [{c: self._den // row[i] * y for c, y in row.items()} for i, row in enumerate(top)]
-        self._reducer = [[row.get(k + r, 0) for r in range(rows)] for row in top + [red[p] for p in pivots[k:]]]
 
     def all_generators(self):
         return self.torus_gens + self.active_gens
@@ -70,16 +59,22 @@ class SemigroupGenerators:
         """Nonnegative integer coefficients over the generators, or None."""
         w, chi = pair
         coords = w.coords if isinstance(w, Weight) else tuple(w)
-        target = [*coords, *chi]
-        if len(target) != self.n + self.d:
+        target = (*coords, *chi)
+        width = self.n + self.d
+        if len(target) != width:
             raise ValueError("pair has the wrong number of coordinates")
-        # M x = target has a solution exactly when U target vanishes past row
-        # n + m; the solution is then the reducer's product with target / D
-        reduced = [sum(e * t for e, t in zip(row, target)) for row in self._reducer]
-        sol, rest = reduced[: self.n + self.m], reduced[self.n + self.m :]
-        if any(rest) or any(c < 0 or c % self._den for c in sol):
+        # target - sum x_g gen_g is left below the tags, and -x in them
+        rest = {i: t for i, t in enumerate(target) if t}
+        for p, row in self._basis.items():
+            if t := rest.get(p):
+                q, r = divmod(t, row[p])
+                if r:
+                    return None
+                linalg.add_into(rest, row, -q)
+        coeffs = tuple(-rest.pop(width + g, 0) for g in range(self.n + self.m))
+        if rest or min(coeffs) < 0:
             return None
-        return tuple(c // self._den for c in sol)
+        return coeffs
 
     def zero_character_generators(self):
         """Generators whose character component vanishes."""

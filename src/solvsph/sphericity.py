@@ -12,7 +12,6 @@ every active root carries a distinguished simple root in its support (its
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -73,16 +72,6 @@ def check_spherical(sub: SubgroupData) -> SphericityVerdict:
     return SphericityVerdict(not violations, violations)
 
 
-def _decompositions(rs, alpha):
-    """Unordered pairs of positive roots summing to alpha."""
-    out = []
-    for beta in rs.positive_roots:
-        rest = tuple(a - b for a, b in zip(alpha.coords, beta.coords))
-        if rs.is_positive_root(rest) and beta.coords <= rest:
-            out.append((beta, Root(rest)))
-    return out
-
-
 def anchor_root(rs, active_set, alpha):
     """The unique simple root of Supp(alpha) marking inactive summands.
 
@@ -91,19 +80,12 @@ def anchor_root(rs, active_set, alpha):
     candidate set is scanned exhaustively; for genuine spherical data
     exactly one survives, anything else signals corrupted input.
     """
-    candidates = []
-    decs = _decompositions(rs, alpha)
-    for g in sorted(alpha.support()):
-        ok = True
-        for b, c in decs:
-            if (b.coords in active_set) != (g not in b.support()):
-                ok = False
-                break
-            if (c.coords in active_set) != (g not in c.support()):
-                ok = False
-                break
-        if ok:
-            candidates.append(g)
+    decs = rs.decompositions[alpha.coords]
+    candidates = [
+        g
+        for g in sorted(alpha.support())
+        if all((r in active_set) == (r[g] == 0) for pair in decs for r in pair)
+    ]
     if not candidates:
         raise NoValidCandidate(f"no anchor candidate for {fmt_root(alpha)}")
     if len(candidates) > 1:
@@ -181,12 +163,12 @@ def verify_active_axioms(sub: SubgroupData, table: ActiveRootTable) -> AxiomRepo
     active_set = {r.coords for fam in table.families for r in fam.roots}
 
     for alpha_coords in active_set:
-        for b, c in _decompositions(rs, Root(alpha_coords)):
-            n_active = (b.coords in active_set) + (c.coords in active_set)
+        for b, c in rs.decompositions[alpha_coords]:
+            n_active = (b in active_set) + (c in active_set)
             if n_active != 1:
                 raise AxiomViolation(
                     "exactly_one_active",
-                    f"{fmt_root(Root(alpha_coords))} = {fmt_root(b)} + {fmt_root(c)} has {n_active} active summands",
+                    f"{fmt_root(Root(alpha_coords))} = {fmt_root(Root(b))} + {fmt_root(Root(c))} has {n_active} active summands",
                 )
             counts["exactly_one_active"] += 1
 
@@ -224,8 +206,8 @@ def verify_active_axioms(sub: SubgroupData, table: ActiveRootTable) -> AxiomRepo
                         )
                     shifted.append((a, Root(s)))
                 counts["shift_inclusion"] += 1
-                # one constant c with xi_i(x) = c * xi_j([x, e_gamma]) on the family
-                ratios = set()
+                # one constant c with xi_i(x) = c * xi_j([x, e_gamma]) on the family: equal nonzero num/den
+                ratios = []
                 for a, s in shifted:
                     n_ag = sub.algebra.structure_constant(a.coords, g)
                     denom = n_ag * fam_j.coefficients[s.coords]
@@ -234,11 +216,13 @@ def verify_active_axioms(sub: SubgroupData, table: ActiveRootTable) -> AxiomRepo
                             "functional_compatibility",
                             f"vanishing image coefficient at {fmt_root(a)} + {fmt_root(Root(g))}",
                         )
-                    ratios.add(Fraction(fam_i.coefficients[a.coords], denom))
-                if len(ratios) != 1 or 0 in ratios:
+                    ratios.append((fam_i.coefficients[a.coords], denom))
+                num0, den0 = ratios[0]
+                if num0 == 0 or any(num * den0 != num0 * den for num, den in ratios):
                     raise AxiomViolation(
                         "functional_compatibility",
-                        f"no single constant links families {i + 1} and {j + 1} along {fmt_root(Root(g))}: {sorted(ratios)}",
+                        f"no single constant links families {i + 1} and {j + 1} along {fmt_root(Root(g))}: "
+                        + ", ".join(f"{num}/{den}" for num, den in ratios),
                     )
                 counts["functional_compatibility"] += 1
 

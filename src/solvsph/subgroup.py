@@ -23,7 +23,7 @@ from .errors import (
     NotSubalgebra,
     ZeroCoefficient,
 )
-from .rootsys import Root, Weight, integers
+from .rootsys import Root, Weight, fmt_root, integers
 
 
 class TorusRestriction:
@@ -34,7 +34,7 @@ class TorusRestriction:
     """
 
     def __init__(self, rows, n):
-        self.n = int(n)
+        (self.n,) = integers([n])
         self.rows = tuple(integers(row) for row in rows)
         self.d = len(self.rows)
         self._images = {}  # weight coords -> image, filled by restrict
@@ -198,11 +198,11 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
             if not isinstance(root, Root):
                 root = rs.root(root)
             if not rs.is_positive_root(root.coords):
-                raise ValueError(f"{root} is not a positive root")
+                raise ValueError(f"{fmt_root(root)} is not a positive root")
             if coeff == 0:
-                raise ZeroCoefficient(f"zero coefficient on {root}")
+                raise ZeroCoefficient(f"zero coefficient on {fmt_root(root)}")
             if root.coords in seen:
-                raise DuplicateRoot(f"{root} appears in more than one constraint")
+                raise DuplicateRoot(f"{fmt_root(root)} appears in more than one constraint")
             seen.add(root.coords)
             this_phi = tau.restrict(rs.root_to_weight(root))
             if phi is None:

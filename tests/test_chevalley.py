@@ -1,9 +1,20 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from solvsph import AlgebraMismatch, Root, build_algebra, build_root_system, bracket
+from solvsph import (
+    AlgebraElement,
+    AlgebraMismatch,
+    Root,
+    Weight,
+    build_algebra,
+    build_root_system,
+    bracket,
+    fmt_root,
+    fmt_weight,
+)
 
 
 def _algebra(spec):
@@ -27,6 +38,10 @@ def test_elements_name_roots_the_way_the_cli_prints_them():
     a1, a2 = alg.root_system.simple_roots
     x = alg.e(a1) * 2 + alg.e(-(a1 + a2)) + alg.h(1) * -1
     assert repr(x) == "1*e(-a1-a2) + 2*e(a1) + -1*h2"
+    cases = [((0, 0, 0), "0"), ((0, -1, 0), "-w2"), ((2, 0, -3), "2w1-3w3"), ((-1, 1, 4), "-w1+w2+4w3")]
+    for coords, text in cases:
+        assert fmt_weight(Weight(coords)) == text
+        assert fmt_root(Root(coords)) == text.replace("w", "a")
 
 
 def test_simple_bracket_a2():
@@ -133,6 +148,40 @@ def test_unknown_root_vector_rejected():
     alg = _algebra([("A", 2)])
     with pytest.raises(ValueError):
         alg.e((2, 0))
+
+
+def test_elements_refuse_non_integral_coefficients():
+    alg = _algebra([("A", 2)])
+    with pytest.raises(ValueError, match="non-integral"):
+        alg.e((1, 0)) * Fraction(1, 2)
+    with pytest.raises(ValueError, match="non-integral"):
+        AlgebraElement(alg, {("h", 0): Fraction(1, 2)})
+    assert AlgebraElement(alg, {("h", 0): Fraction(4, 2)}).terms == {("h", 0): 2}
+
+
+def test_coroot_index_must_be_an_integer():
+    alg = _algebra([("A", 2)])
+    with pytest.raises(ValueError, match="non-integral"):
+        alg.h(1.5)
+    assert alg.h(1.0) == alg.h(1)
+
+
+def test_decompositions_match_a_scan_of_root_pairs_and_head_the_constants():
+    from solvsph.fuzzing import POOL_RANK3
+
+    extra = [(("B", 4),), (("C", 4),), (("D", 4),), (("F", 4),), (("E", 6),), (("E", 7),), (("E", 8),)]
+    for spec in POOL_RANK3 + extra:
+        alg = _algebra(list(spec))
+        rs = alg.root_system
+        pos = [r.coords for r in rs.positive_roots]
+        expected = {eps: [] for eps in pos}
+        for i, a in enumerate(pos):
+            for b in pos[i + 1 :]:
+                s = tuple(x + y for x, y in zip(a, b))
+                if s in expected:
+                    expected[s].append((a, b))
+        assert rs.decompositions == expected, spec
+        assert alg.extraspecial == {eps: pairs[0] for eps, pairs in expected.items() if pairs}, spec
 
 
 def test_root_vector_refuses_non_integral_coordinates():

@@ -476,6 +476,17 @@ def test_closure_failure_names_roots_as_the_cli_prints_them(tmp_path, capsys):
     assert "e(a1)" in err and "e(a2)" in err and "e(1, 0)" not in err
 
 
+@pytest.mark.parametrize(
+    "nilradical", ["(1 0) 1\n(1 0) 2\n", "(1 0) 0\n", "(-1 0) 1\n"], ids=["duplicate", "zero", "negative"]
+)
+def test_validation_errors_name_roots_as_the_cli_prints_them(nilradical, tmp_path, capsys):
+    path = tmp_path / "job.cfg"
+    path.write_text("[group]\nA 2\n[nilradical]\n" + nilradical)
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "a1" in err and "Root(" not in err
+
+
 def test_rank_limit_is_checked_up_front(tmp_path, capsys):
     path = tmp_path / "job.cfg"
     path.write_text("[group]\nA 9\nA 8\n")

@@ -74,6 +74,13 @@ def test_cli_output_matches_the_recording(case, tmp_path, monkeypatch):
     assert _run(case, tmp_path) == expected
 
 
+def test_the_recorded_cases_are_the_ones_drawn_today():
+    drawn = list(_cases())
+    assert len(drawn) == len(RECORDED)
+    for i, (case, recorded) in enumerate(zip(drawn, RECORDED)):
+        assert case == {k: recorded[k] for k in ("argv", "config") if k in recorded}, i
+
+
 def _regenerate():
     for name in ENV:
         os.environ.pop(name, None)

@@ -28,7 +28,7 @@ CONFIG_BOUNDARY = {
     "solvsph.subgroup.validate",
     "solvsph.linalg.primitive",
 }
-NO_FRACTIONS_IMPORT = ["rootsys", "oracle", "semigroup"]
+NO_FRACTIONS_IMPORT = ["rootsys", "chevalley", "sphericity", "oracle", "semigroup"]
 
 
 def _integer_coefficient_config():

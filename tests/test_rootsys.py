@@ -181,6 +181,12 @@ def test_inadmissible_types_rejected():
             build_root_system(spec)
 
 
+def test_non_integral_rank_rejected():
+    with pytest.raises(InvalidType, match="non-integral"):
+        build_root_system([("A", 2.5)])
+    assert build_root_system([("A", 2.0)]).n == 2
+
+
 def test_root_form_matches_the_symmetrized_double_sum():
     from solvsph.fuzzing import POOL_RANK3
 

@@ -27,6 +27,12 @@ def _sl4():
     return rs, build_algebra(rs)
 
 
+def test_torus_restriction_refuses_a_non_integral_rank():
+    with pytest.raises(ValueError, match="non-integral"):
+        TorusRestriction([[1, 0]], 2.7)
+    assert TorusRestriction([[1, 0]], 2.0).n == 2
+
+
 def _example_sp4_data():
     rs, alg = _sl4()
     tau = TorusRestriction([[1, 1, 1], [0, 1, 0]], 3)
