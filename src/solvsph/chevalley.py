@@ -161,9 +161,7 @@ class ChevalleyAlgebra:
 
     def e(self, root):
         """The basis vector of a root (a Root, or raw coordinates)."""
-        coords = root.coords if isinstance(root, Root) else integers(root)
-        if not self.root_system.is_root(coords):
-            raise ValueError(f"{coords} is not a root")
+        coords = self.root_system.root(root.coords if isinstance(root, Root) else root).coords
         return AlgebraElement(self, {("e", coords): 1})
 
     def h(self, i):

@@ -6,7 +6,9 @@
     solvsph presets list | show NAME
 
 A config file is either in the text format or a JSON document whose
-``config`` member holds the config, as ``semigroup --json`` prints it.
+``config`` member holds the config, as ``semigroup --json`` prints it; both
+are read by the field rules of ``config``, whose integer rule also reads
+``--group``, the verify flags and the SOLVSPH_* variables.
 
 Exit codes: 0 success, 1 negative verdict or failed check, 2 input error
 (an unreadable config included), 3 internal error (a failed self-check or an
@@ -25,7 +27,7 @@ import os
 import sys
 
 from . import oracle, presets
-from .config import JobConfig, build_subgroup, parse_config_text
+from .config import JobConfig, _component, _integer, _parse_file, build_subgroup
 from .errors import AxiomViolation, ConfigParseError, DimensionCap, NotSpherical, SolvsphError
 from .rootsys import fmt_root, fmt_weight
 from .semigroup import bounded_members, generators
@@ -33,49 +35,23 @@ from .sphericity import active_roots, check_spherical, verify_active_axioms
 
 
 def _parse_group_override(text):
-    parts = text.replace("X", "x").split("x")
-    out = []
-    for p in parts:
-        p = p.strip()
-        if len(p) < 2 or not p[1:].isdigit():
-            raise ConfigParseError(f"bad group spec {p!r} (expected e.g. A2 or A1xC2)")
-        out.append((p[0].upper(), int(p[1:])))
-    return tuple(out)
+    """``--group``: components joined by x, e.g. A2 or A1xC2."""
+    return tuple(_component(p.strip()[:1], p.strip()[1:]) for p in text.replace("X", "x").split("x"))
 
 
 def load_config(args) -> JobConfig:
     if args.preset:
         override = _parse_group_override(args.group) if getattr(args, "group", None) else None
-        try:
-            return presets.get_preset(args.preset, override)
-        except (KeyError, ValueError) as exc:
-            # args[0]: str() of a KeyError would quote the message
-            raise ConfigParseError(exc.args[0]) from None
+        return presets.get_preset(args.preset, override)
     if not args.config:
         raise ConfigParseError("either a config file or --preset is required")
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:  # a byte-order mark is dropped
             text = fh.read()
-    except OSError as exc:
-        raise ConfigParseError(f"cannot read {args.config}: {exc.strerror or exc}") from None
-    if text.lstrip().startswith("{"):
-        return _parse_json_config(text)
-    return parse_config_text(text)
-
-
-def _parse_json_config(text):
-    """The ``config`` member of a JSON document, as ``semigroup --json`` prints;
-    numbers are kept as their text and parsed as the text format parses them."""
-    try:
-        data = json.loads(text, parse_float=str, parse_int=str)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
-    try:
-        return JobConfig.from_json_dict(data["config"])
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-        raise ConfigParseError(
-            f"JSON document has no valid config member ({type(exc).__name__}: {exc})"
-        ) from None
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a null byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigParseError(f"cannot read {args.config}: {reason}") from None
+    return _parse_file(text)
 
 
 def _resolve(flag_value, env_name, config_value):
@@ -83,10 +59,7 @@ def _resolve(flag_value, env_name, config_value):
         return flag_value
     env = os.environ.get(env_name)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
+        return _integer(env, f"{env_name} must be an integer")
     return config_value
 
 
@@ -167,12 +140,10 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     cap = _resolve(cap, "SOLVSPH_CAP", config.options.dim_cap)
     trials = _resolve(trials, "SOLVSPH_TRIALS", config.options.trials)
     seed = _resolve(seed, "SOLVSPH_SEED", config.options.seed)
-    if height < 0:
-        raise ValueError(f"height bound must be at least 0, got {height}")
-    if cap < 1:
-        raise ValueError(f"module dimension cap must be at least 1, got {cap}")
-    if trials < 1:
-        raise ValueError(f"open-orbit trials must be at least 1, got {trials}")
+    for value, least, what in ((height, 0, "height bound"), (cap, 1, "module dimension cap"),
+                               (trials, 1, "open-orbit trials")):
+        if value < least:
+            raise ValueError(f"{what} must be at least {least}, got {value}")
 
     sub = build_subgroup(config)
     verdict = check_spherical(sub)
@@ -235,11 +206,7 @@ def cmd_presets(action, name=None, out=None):
         return 0
     if name is None:
         raise ConfigParseError("presets show needs a preset name")
-    try:
-        config = presets.get_preset(name)
-    except KeyError as exc:
-        raise ConfigParseError(exc.args[0]) from None
-    print(config.to_text(), end="", file=out)
+    print(presets.get_preset(name).to_text(), end="", file=out)
     return 0
 
 
@@ -263,10 +230,10 @@ def _build_parser():
 
     p_verify = subs.add_parser("verify", help="run the brute-force verification")
     add_source(p_verify)
-    p_verify.add_argument("--height", type=int, help="enumeration height bound")
-    p_verify.add_argument("--cap", type=int, help="module dimension cap")
-    p_verify.add_argument("--trials", type=int, help="open-orbit sample count")
-    p_verify.add_argument("--seed", type=int, help="random seed")
+    p_verify.add_argument("--height", help="enumeration height bound")
+    p_verify.add_argument("--cap", help="module dimension cap")
+    p_verify.add_argument("--trials", help="open-orbit sample count")
+    p_verify.add_argument("--seed", help="random seed")
 
     p_presets = subs.add_parser("presets", help="list or show bundled configurations")
     p_presets.add_argument("action", choices=["list", "show"])
@@ -283,7 +250,9 @@ def _run(args):
             return cmd_check(config)
         if args.command == "semigroup":
             return cmd_semigroup(config, as_json=args.json)
-        return cmd_verify(config, args.height, args.cap, args.trials, args.seed)
+        flags = {k: getattr(args, k) for k in ("height", "cap", "trials", "seed")}
+        flags = {k: v if v is None else _integer(v, f"--{k} wants an integer") for k, v in flags.items()}
+        return cmd_verify(config, **flags)
     except (NotSpherical, AxiomViolation) as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return 1

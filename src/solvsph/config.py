@@ -1,6 +1,6 @@
-"""Job configurations: the text format, JSON form, and assembly.
+"""Job configurations: the text format, its JSON form, and assembly.
 
-The text format is line oriented with four sections:
+The text format is line oriented with four sections ('#' starts a comment):
 
     [group]         one "TYPE RANK" line per simple component
     [torus]         d rows of n integers (omit the section for d = 0)
@@ -9,13 +9,19 @@ The text format is line oriented with four sections:
     [options]       key = value pairs (height_bound, dim_cap, trials,
                     seed, format)
 
-Roots are integer coefficient vectors over the simple roots; rationals
-are written p/q.  '#' starts a comment.
+The JSON form (``to_json_dict``) ignores unknown option keys.  Both forms read
+each field from its text, surrounding whitespace ignored, by one set of rules:
+a type letter is uppercased; a rank, torus entry, root coordinate or integer
+option is an ASCII [+-]?[0-9]+ (``_integer``); ``format`` is text or json; a
+coefficient is an ASCII p/q, decimal or exponent within MAX_DIGITS digits and
+exponent; a group is required.  An error names its line in the text format only.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import json
+import re
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from .chevalley import build_algebra
@@ -24,16 +30,48 @@ from .rootsys import build_root_system
 from .subgroup import NilradicalSpec, TorusRestriction, validate
 
 MAX_DIGITS = 4300  # as many digits as Python's int(str) accepts
+_INTEGER = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}")
+
+
+def _integer(text, complaint, lineno=None):
+    """int(text) for an ASCII [+-]?[0-9]+, whitespace around it ignored; any
+    other text is refused as "complaint, got 'text'"."""
+    text = text.strip()
+    if _INTEGER.fullmatch(text) is None:
+        raise ConfigParseError(f"{complaint}, got {text!r}", lineno)
+    return int(text)
+
+
+def _component(letter, rank, lineno=None):
+    """One (TYPE, RANK) pair of the group."""
+    return letter.strip().upper(), _integer(rank, "rank wants an integer", lineno)
 
 
 def _coefficient(text, lineno=None):
-    """Fraction(text), refused first when the literal has more than MAX_DIGITS
+    """Fraction(text) for an ASCII literal, refused first when it has more than MAX_DIGITS
     digits or an exponent above MAX_DIGITS: Fraction takes seconds to expand it."""
+    text = text.strip()
     exponent = text.lower().partition("e")[2]
-    if sum(map(str.isdigit, text)) > MAX_DIGITS or exponent and abs(int(exponent)) > MAX_DIGITS:
+    huge = _INTEGER.fullmatch(exponent) and abs(int(exponent)) > MAX_DIGITS
+    if huge or sum(map(str.isdigit, text)) > MAX_DIGITS:
         limit = f"more than {MAX_DIGITS} digits or an exponent above {MAX_DIGITS}"
         raise ConfigParseError(f"coefficient literal has {limit}", lineno)
-    return Fraction(text)
+    try:
+        if text.isascii() and "_" not in text:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigParseError(f"bad constraint entry: {text!r} is not an ASCII rational literal", lineno)
+
+
+def _parse_option(key, value, lineno=None):
+    """The value of one known option."""
+    value = value.strip()
+    if key != "format":
+        return _integer(value, f"option {key} wants an integer", lineno)
+    if value not in ("text", "json"):
+        raise ConfigParseError(f"format must be text or json, got {value!r}", lineno)
+    return value
 
 
 @dataclass(frozen=True)
@@ -43,6 +81,9 @@ class JobOptions:
     trials: int = 200
     seed: int = 0
     format: str = "text"
+
+
+_OPTION_KEYS = tuple(f.name for f in fields(JobOptions))
 
 
 @dataclass(frozen=True)
@@ -65,36 +106,41 @@ class JobConfig:
 
     @classmethod
     def from_json_dict(cls, data):
-        given = data.get("options", {})  # unknown keys are ignored
-        opts = {k: _parse_option(k, str(given[k])) for k in asdict(JobOptions()) if k in given}
-        # integers are read from their text, as in the text format, so that
-        # 2.5 or true is refused rather than read as 2 or 1
-        return cls(
-            components=tuple((str(t), int(str(r))) for t, r in data["group"]),
-            torus_rows=tuple(tuple(int(str(x)) for x in row) for row in data.get("torus", [])),
-            groups=tuple(
-                tuple((tuple(int(str(x)) for x in coords), _coefficient(str(c))) for coords, c in group)
-                for group in data.get("nilradical", [])
-            ),
-            options=JobOptions(**opts),
+        """The config of a JSON object; each value is read from its text."""
+        given = data.get("options", {})
+        return _job(
+            [(None, str(t), str(r)) for t, r in data.get("group", [])],
+            [(None, [str(x) for x in row]) for row in data.get("torus", [])],
+            [(None, [([str(x) for x in coords], str(c)) for coords, c in group])
+             for group in data.get("nilradical", [])],
+            [(None, key, str(given[key])) for key in _OPTION_KEYS if key in given],
         )
 
     def to_text(self):
-        lines = ["[group]"]
-        lines += [f"{t} {r}" for t, r in self.components]
-        lines.append("")
-        lines.append("[torus]")
-        lines += [" ".join(str(x) for x in row) for row in self.torus_rows]
-        lines.append("")
-        lines.append("[nilradical]")
-        for group in self.groups:
-            lines.append(
-                ", ".join(f"({' '.join(str(x) for x in coords)}) {coeff}" for coords, coeff in group)
-            )
-        lines.append("")
-        lines.append("[options]")
-        lines += [f"{k} = {v}" for k, v in asdict(self.options).items()]
-        return "\n".join(lines) + "\n"
+        sections = {
+            "group": [f"{t} {r}" for t, r in self.components],
+            "torus": [" ".join(map(str, row)) for row in self.torus_rows],
+            "nilradical": [", ".join(f"({' '.join(map(str, c))}) {x}" for c, x in g) for g in self.groups],
+            "options": [f"{k} = {v}" for k, v in asdict(self.options).items()],
+        }
+        return "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items()) + "\n"
+
+
+def _job(group, torus, nilradical, options):
+    """The JobConfig of field texts, listed with their line numbers."""
+    if not group:
+        raise ConfigParseError("missing [group] section")
+    return JobConfig(
+        tuple(_component(letter, rank, lineno) for lineno, letter, rank in group),
+        tuple(tuple(_integer(x, "torus entry wants an integer", lineno) for x in row)
+              for lineno, row in torus),
+        tuple(
+            tuple((tuple(_integer(x, "root coordinate wants an integer", lineno) for x in coords),
+                   _coefficient(coeff, lineno)) for coords, coeff in entries)
+            for lineno, entries in nilradical
+        ),
+        JobOptions(**{key: _parse_option(key, value, lineno) for lineno, key, value in options}),
+    )
 
 
 def parse_config_text(text) -> JobConfig:
@@ -115,25 +161,16 @@ def parse_config_text(text) -> JobConfig:
             raise ConfigParseError("content before any section header", lineno)
         sections[current].append((lineno, line))
 
-    if not sections["group"]:
-        raise ConfigParseError("missing [group] section")
-    components = []
+    group = []
     for lineno, line in sections["group"]:
         parts = line.split()
-        if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+        if len(parts) != 2:
             raise ConfigParseError(f"expected 'TYPE RANK', got {line!r}", lineno)
-        components.append((parts[0].upper(), int(parts[1])))
+        group.append((lineno, *parts))
 
-    torus_rows = []
-    for lineno, line in sections["torus"]:
-        try:
-            torus_rows.append(tuple(int(x) for x in line.split()))
-        except ValueError:
-            raise ConfigParseError(f"torus row is not integers: {line!r}", lineno)
-
-    groups = []
+    nilradical = []
     for lineno, line in sections["nilradical"]:
-        group = []
+        entries = []
         for chunk in line.split(","):
             chunk = chunk.strip()
             if not chunk.startswith("("):
@@ -141,44 +178,34 @@ def parse_config_text(text) -> JobConfig:
             close = chunk.find(")")
             if close < 0:
                 raise ConfigParseError("unterminated root vector", lineno)
-            try:
-                coords = tuple(int(x) for x in chunk[1:close].split())
-                coeff = _coefficient(chunk[close + 1 :].strip(), lineno)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigParseError(f"bad constraint entry {chunk!r}", lineno)
-            group.append((coords, coeff))
-        if group:
-            groups.append(tuple(group))
+            entries.append((chunk[1:close].split(), chunk[close + 1 :]))
+        nilradical.append((lineno, entries))
 
-    opts = asdict(JobOptions())
+    options = []
     for lineno, line in sections["options"]:
         if "=" not in line:
             raise ConfigParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in opts:
+        if key not in _OPTION_KEYS:
             raise ConfigParseError(f"unknown option {key!r}", lineno)
-        opts[key] = _parse_option(key, value, lineno)
+        options.append((lineno, key, value))
 
-    return JobConfig(
-        components=tuple(components),
-        torus_rows=tuple(torus_rows),
-        groups=tuple(groups),
-        options=JobOptions(**opts),
-    )
+    return _job(group, [(lineno, line.split()) for lineno, line in sections["torus"]], nilradical, options)
 
 
-def _parse_option(key, value, lineno=None):
-    """The value of one known option, given as text in either format."""
-    if key == "format":
-        if value not in ("text", "json"):
-            raise ConfigParseError(f"format must be text or json, got {value!r}", lineno)
-        return value
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigParseError(f"option {key} wants an integer, got {value!r}", lineno) from None
+def _parse_file(text) -> JobConfig:
+    """The config of a file's text: the ``config`` member of a JSON document,
+    as ``semigroup --json`` prints it, or else the text format."""
+    if not text.lstrip().startswith("{"):
+        return parse_config_text(text)
+    try:  # numbers are kept as their text
+        return JobConfig.from_json_dict(json.loads(text, parse_float=str, parse_int=str)["config"])
+    except json.JSONDecodeError as exc:
+        raise ConfigParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
+        reason = f"{type(exc).__name__}: {exc}"  # a shape to_json_dict never writes
+        raise ConfigParseError(f"JSON document has no valid config member ({reason})") from None
 
 
 def build_subgroup(config: JobConfig):

@@ -1,7 +1,8 @@
 """Bundled subgroup configurations.
 
 Parametrized presets (borel, maximal-unipotent, tu-prime) accept a group
-override; the remaining ones are tied to a fixed group.
+override; the remaining ones are tied to a fixed group.  An unknown name, or
+an override of a fixed preset, is an input error (ConfigParseError).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .config import JobConfig, JobOptions
+from .errors import ConfigParseError
 from .rootsys import build_root_system
 
 
@@ -82,8 +84,8 @@ def preset_description(name):
 def get_preset(name, components=None) -> JobConfig:
     """A bundled configuration, optionally on an overridden group."""
     if name not in _PRESETS:
-        raise KeyError(f"unknown preset {name!r} (available: {', '.join(preset_names())})")
+        raise ConfigParseError(f"unknown preset {name!r} (available: {', '.join(preset_names())})")
     builder, parametrized, _ = _PRESETS[name]
     if components is not None and not parametrized:
-        raise ValueError(f"preset {name!r} is tied to a fixed group")
+        raise ConfigParseError(f"preset {name!r} is tied to a fixed group")
     return builder(tuple(components) if components else _DEFAULT_COMPONENTS)

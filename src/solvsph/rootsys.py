@@ -270,7 +270,8 @@ class RootSystem:
         """The Root with these coordinates, validated against the root set."""
         c = integers(coords)
         if not self.is_root(c):
-            raise ValueError(f"{c} is not a root of {self.describe()}")
+            name = fmt_root(Root(c)) if len(c) == self.n else f"a vector of {len(c)} coordinates"
+            raise ValueError(f"{name} is not a root of {self.describe()}")
         return Root(c)
 
     # -- bilinear form ----------------------------------------------------

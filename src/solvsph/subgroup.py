@@ -38,11 +38,12 @@ class TorusRestriction:
         self.rows = tuple(integers(row) for row in rows)
         self.d = len(self.rows)
         self._images = {}  # weight coords -> image, filled by restrict
-        for row in self.rows:
+        for row in self.rows:  # rows are named as a config writes them
             if len(row) != self.n:
-                raise ValueError(f"torus row {row} does not have {self.n} entries")
+                raise ValueError(f"torus row {' '.join(map(str, row))!r} does not have {self.n} entries")
         if not linalg.is_surjective_over_z(self.rows, self.n):
-            raise NonSurjectiveTau(f"{self.rows} is not onto Z^{self.d}")
+            rows = ", ".join(repr(" ".join(map(str, row))) for row in self.rows)
+            raise NonSurjectiveTau(f"torus rows {rows} are not onto Z^{self.d}")
 
     def restrict(self, weight):
         """Image of a torus character (integral weight) in Z^d.

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ import pytest
 
 from solvsph import ConfigParseError, JobConfig, get_preset, oracle, parse_config_text, preset_names
 from solvsph.config import JobOptions
+from solvsph.fuzzing import POOL_RANK3, random_mixed_config
 from solvsph.cli import cmd_check, cmd_semigroup, cmd_verify, main
 
 
@@ -151,10 +154,16 @@ def test_verify_rejects_out_of_range_options_from_every_source(
 
 @pytest.mark.parametrize("env", ["SOLVSPH_HEIGHT", "SOLVSPH_CAP", "SOLVSPH_TRIALS", "SOLVSPH_SEED"])
 def test_verify_names_the_variable_of_a_non_integer_environment_value(env, monkeypatch, capsys):
-    monkeypatch.setenv(env, "abc")
-    code, out, err = _run_main(["verify", "--preset", "borel", "--group", "A1"], capsys)
-    assert (code, out) == (2, "")
-    assert err == f"error: {env} must be an integer, got 'abc'\n"
+    for value in ["abc", "\u0661", "1_0"]:  # int() would read the last two as 1 and 10
+        monkeypatch.setenv(env, value)
+        code, out, err = _run_main(["verify", "--preset", "borel", "--group", "A1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {env} must be an integer, got {value!r}\n"
+
+
+def test_verify_flags_take_only_ascii_integers(capsys):
+    code, out, err = _run_main(["verify", "--preset", "borel", "--group", "A1", "--height", "\u0661"], capsys)
+    assert (code, out, err) == (2, "", "error: --height wants an integer, got '\u0661'\n")
 
 
 @pytest.mark.parametrize("exc", [AssertionError("self-check failed"), ZeroDivisionError("division by zero")])
@@ -272,6 +281,22 @@ def test_bad_json_config_is_input_error(text, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_deeply_nested_json_config_is_input_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text('{"config": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_byte_order_mark_before_a_config_is_dropped(tmp_path, capsys):
+    for name, text in [("job.cfg", "[group]\nA 2\n"), ("job.json", '{"config": {"group": [["A", 2]]}}')]:
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        code, out, err = _run_main(["check", str(path)], capsys)
+        assert code == 0 and out.startswith("group: A2") and err == ""
+
+
 def test_verify_builds_each_module_once(monkeypatch, capsys):
     built = []
     original = oracle._irreducible
@@ -320,10 +345,12 @@ def test_closed_stdout_exits_141_silently(unbuffered):
 
 
 def test_unreadable_config_is_input_error(tmp_path, capsys):
-    for path in [tmp_path / "missing.cfg", tmp_path]:
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"# \xff\n[group]\nA 2\n")
+    for path in [tmp_path / "missing.cfg", tmp_path, latin1]:
         code, out, err = _run_main(["check", str(path)], capsys)
         assert code == 2 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("group", ["B4", "C4", "D4", "F4"])
@@ -391,7 +418,7 @@ def test_json_coefficient_with_zero_denominator_is_an_input_error(tmp_path, caps
     path.write_text(json.dumps({"config": data}))
     code, out, err = _run_main(["verify", str(path)], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "ZeroDivisionError" in err and err.count("\n") == 1
+    assert err.startswith("error: ") and "bad constraint entry" in err and err.count("\n") == 1
     # the text format refuses it too, naming its line
     with pytest.raises(ConfigParseError, match="bad constraint entry") as text_err:
         parse_config_text("[group]\nA 2\n[nilradical]\n(1 0) 1/0\n")
@@ -497,3 +524,93 @@ def test_rank_limit_is_checked_up_front(tmp_path, capsys):
         assert "total rank 17 is above the limit of 16" in err
     code, _, _ = _run_main(["check", "--preset", "borel", "--group", "A16"], capsys)
     assert code == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[nilradical]\n(2 0) 1\n", "error: 2a1 is not a root of A2\n"),
+    ("[torus]\n1\n", "error: torus row '1' does not have 2 entries\n"),
+    ("[torus]\n10 0\n0 1\n", "error: torus rows '10 0', '0 1' are not onto Z^2\n"),
+], ids=["non-root", "short-row", "not-onto"])
+def test_config_errors_write_vectors_as_the_config_does(text, message, tmp_path, capsys):
+    path = tmp_path / "job.cfg"
+    path.write_text("[group]\nA 2\n" + text)
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert (code, out, err) == (2, "", message)
+    assert re.search(r"\(-?[0-9]+,", err) is None
+
+
+# one config in both formats, every field given as text; each input below
+# goes in turn into every field
+_FIELDS = {"letter": "A", "rank": "2", "torus": "1", "coord": "1", "coeff": "1", "option": "2"}
+
+
+def _both_formats(tmp_path, fields):
+    text = tmp_path / "job.cfg"
+    blob = tmp_path / "job.json"
+    f = fields
+    text.write_text(
+        (f"[group]\n{f['letter']} {f['rank']}\n" if "letter" in f else "")
+        + f"[torus]\n{f['torus']} 0\n0 1\n[nilradical]\n({f['coord']} 0) {f['coeff']}\n"
+        + f"[options]\nheight_bound = {f['option']}\n"
+    )
+    config = {
+        "torus": [[f["torus"], 0], [0, 1]],
+        "nilradical": [[[[f["coord"], 0], f["coeff"]]]],
+        "options": {"height_bound": f["option"]},
+    }
+    if "letter" in f:
+        config["group"] = [[f["letter"], f["rank"]]]
+    blob.write_text(json.dumps({"config": config}))
+    return text, blob
+
+
+@pytest.mark.parametrize(
+    "value", ["a", "+2", " A ", "2_0", "1_0", "\u0661", "\u00b2", 1.0, True, "1/0"],
+    ids=["lower", "plus", "spaces", "underscore", "underscore-1", "arabic-indic", "superscript",
+         "float", "true", "zero-denominator"],
+)
+def test_text_and_json_configs_read_each_field_alike(value, tmp_path, capsys):
+    for name in _FIELDS:
+        text, blob = _both_formats(tmp_path, {**_FIELDS, name: value})
+        code, out, err = _run_main(["check", str(text)], capsys)
+        assert _run_main(["check", str(blob)], capsys) == (code, out, re.sub(r"line [0-9]+: ", "", err))
+        if code == 2:
+            assert err.count("\n") == 1 and "Error" not in err
+
+
+def test_text_and_json_configs_refuse_a_missing_group_alike(tmp_path, capsys):
+    fields = dict(_FIELDS)
+    del fields["letter"]
+    for path in _both_formats(tmp_path, fields):
+        assert _run_main(["check", str(path)], capsys) == (2, "", "error: missing [group] section\n")
+
+
+_FIELD_TEMPLATES = [
+    ("[group]\nA {}\n", "line 2: rank"),
+    ("[group]\nA 2\n[torus]\n{} 0\n0 1\n", "line 4: torus entry"),
+    ("[group]\nA 2\n[nilradical]\n({} 0) 1\n", "line 4: root coordinate"),
+    ("[group]\nA 2\n[nilradical]\n(1 0) {}\n", "line 4: bad constraint entry"),
+    ("[group]\nA 2\n[options]\nseed = {}\n", "line 4: option seed"),
+]
+
+
+@pytest.mark.parametrize("text, field", [
+    pytest.param("[group]\nA \u00b2\n", "line 2: rank", id="superscript-rank")
+] + [
+    pytest.param(template.format(value), field, id=f"{name}-{field[8:].replace(' ', '-')}")
+    for name, value in (("arabic-indic", "\u0661"), ("underscore", "1_0"))
+    for template, field in _FIELD_TEMPLATES
+])
+def test_non_ascii_and_underscored_integers_are_refused_naming_the_field(text, field, tmp_path, capsys):
+    path = tmp_path / "job.cfg"
+    path.write_text(text)
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert (code, out) == (2, "") and err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+def test_fuzzed_configs_round_trip_through_both_formats():
+    rng = random.Random(7)
+    for _ in range(200):
+        config = random_mixed_config(rng, POOL_RANK3)
+        assert parse_config_text(config.to_text()) == config
+        assert JobConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
