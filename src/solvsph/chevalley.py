@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import AlgebraMismatch
 from .linalg import add_into
-from .rootsys import Root, RootSystem, fmt_root, integers
+from .rootsys import Root, RootSystem, _string_down, fmt_root, integers
 
 
 def fmt_key(key):
@@ -87,15 +87,6 @@ class ChevalleyAlgebra:
 
     # -- construction -----------------------------------------------------
 
-    def _string_down(self, beta, alpha):
-        """Largest p with beta - p*alpha a root."""
-        p = 0
-        cur = tuple(b - a for b, a in zip(beta, alpha))
-        while cur in self.root_system._roots:
-            p += 1
-            cur = tuple(c - a for c, a in zip(cur, alpha))
-        return p
-
     def _build_constants(self):
         rs = self.root_system
         roots, positive = rs._roots, rs._index
@@ -123,7 +114,7 @@ class ChevalleyAlgebra:
             if not pairs:
                 continue
             gamma, delta = self.extraspecial[eps] = pairs[0]
-            n_gd = self._string_down(delta, gamma) + 1
+            n_gd = _string_down(roots, delta, gamma) + 1
             n_pos[(gamma, delta)] = n_gd
             n_pos[(delta, gamma)] = -n_gd
             for a, b in pairs[1:]:

@@ -15,6 +15,7 @@ a type letter is uppercased; a rank, torus entry, root coordinate or integer
 option is an ASCII [+-]?[0-9]+ (``_integer``); ``format`` is text or json; a
 coefficient is an ASCII p/q, decimal or exponent within MAX_DIGITS digits and
 exponent; a group is required.  An error names its line in the text format only.
+A JSON document or config member whose ``schema`` (1 when missing) is not 1 is refused.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ class JobConfig:
     @classmethod
     def from_json_dict(cls, data):
         """The config of a JSON object; each value is read from its text."""
+        _check_schema(data, "JSON config")
         given = data.get("options", {})
         return _job(
             [(None, str(t), str(r)) for t, r in data.get("group", [])],
@@ -124,6 +126,12 @@ class JobConfig:
             "options": [f"{k} = {v}" for k, v in asdict(self.options).items()],
         }
         return "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items()) + "\n"
+
+
+def _check_schema(data, what):
+    """Refuse a JSON object whose ``schema`` (1 when missing) is not 1."""
+    if _integer(str(data.get("schema", 1)), f"{what} schema wants an integer") != 1:
+        raise ConfigParseError(f"{what} has schema {data['schema']}; only schema 1 is read")
 
 
 def _job(group, torus, nilradical, options):
@@ -200,7 +208,9 @@ def _parse_file(text) -> JobConfig:
     if not text.lstrip().startswith("{"):
         return parse_config_text(text)
     try:  # numbers are kept as their text
-        return JobConfig.from_json_dict(json.loads(text, parse_float=str, parse_int=str)["config"])
+        document = json.loads(text, parse_float=str, parse_int=str)
+        _check_schema(document, "JSON document")
+        return JobConfig.from_json_dict(document["config"])
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"malformed JSON: {exc.msg}", exc.lineno) from None
     except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:

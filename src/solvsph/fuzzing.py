@@ -78,9 +78,7 @@ def _tu_subset(rng, components):
     rs = build_root_system(components)
     rows = tuple(tuple(r) for r in random_unimodular(rng, rs.n))
     subset = [i for i in range(rs.n) if rng.random() < 0.6]
-    groups = tuple(
-        ((tuple(int(i == j) for j in range(rs.n)), _coeff(rng)),) for i in subset
-    )
+    groups = tuple(((rs.simple_roots[i].coords, _coeff(rng)),) for i in subset)
     return JobConfig(tuple(components), rows, groups)
 
 
@@ -96,12 +94,8 @@ def _free_form(rng, components):
     rs = build_root_system(components)
     d = rng.randint(1, rs.n)
     rows = random_surjective(rng, d, rs.n)
-    tau = TorusRestriction(rows, rs.n)
-    by_phi = {}
-    for r in rs.positive_roots:
-        by_phi.setdefault(tau.restrict(rs.root_to_weight(r)), []).append(r)
     groups = []
-    for phi, roots in by_phi.items():
+    for roots in TorusRestriction(rows, rs.n).root_classes(rs).values():
         if rng.random() < 0.5:
             continue
         chosen = [r for r in roots if rng.random() < 0.7] or [rng.choice(roots)]
@@ -113,9 +107,7 @@ def _nonspherical_bare(rng, components):
     """Trivial torus with one simple root active: a dependent zero weight."""
     rs = build_root_system(components)
     i = rng.randrange(rs.n)
-    return JobConfig(
-        tuple(components), (), (((tuple(int(i == j) for j in range(rs.n)), _coeff(rng)),),)
-    )
+    return JobConfig(tuple(components), (), (((rs.simple_roots[i].coords, _coeff(rng)),),))
 
 
 def random_spherical_config(rng, pool=None, max_tries=40) -> JobConfig:

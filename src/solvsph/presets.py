@@ -14,17 +14,9 @@ from .errors import ConfigParseError
 from .rootsys import build_root_system
 
 
-def _identity_rows(n):
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _simple_coords(n, i):
-    return tuple(int(i == j) for j in range(n))
-
-
 def _borel(components):
     rs = build_root_system(components)
-    return JobConfig(tuple(components), _identity_rows(rs.n), ())
+    return JobConfig(tuple(components), tuple(r.coords for r in rs.simple_roots), ())
 
 
 def _maximal_unipotent(components):
@@ -34,8 +26,8 @@ def _maximal_unipotent(components):
 
 def _tu_prime(components):
     rs = build_root_system(components)
-    groups = tuple(((_simple_coords(rs.n, i), Fraction(1)),) for i in range(rs.n))
-    return JobConfig(tuple(components), _identity_rows(rs.n), groups)
+    rows = tuple(r.coords for r in rs.simple_roots)
+    return JobConfig(tuple(components), rows, tuple(((c, Fraction(1)),) for c in rows))
 
 
 def _sl4_sp4borel(components):

@@ -15,7 +15,8 @@ in their natural order.
 A RootSystem tabulates, once, the set of all roots, each positive root's
 position in root order and ``decompositions[eps]``: the pairs (a, b) of
 positive roots with a + b = eps and a before b, in the order of a.  The
-Chevalley constants and the active-root anchors read that table.
+Chevalley constants and the active-root anchors read that table.  Root
+generation and the constants measure root strings by one ``_string_down``.
 """
 
 from __future__ import annotations
@@ -51,12 +52,20 @@ def positive_root_count(letter, rank):
 
 
 def integers(values, error=ValueError):
-    """The values as a tuple of ints; ``error`` when one is not an integer."""
+    """The values as a tuple of ints; ``error``, naming them as a config writes them, if one is not."""
     values = tuple(values)
     ints = tuple(map(int, values))
     if ints != values:
-        raise error(f"{values} has non-integral entries")
+        raise error(f"{' '.join(map(str, values))!r} has non-integral entries")
     return ints
+
+
+def _string_down(roots, beta, alpha):
+    """Largest p with beta - p*alpha in ``roots``, a set of coordinate tuples."""
+    p = 1
+    while tuple(b - p * a for b, a in zip(beta, alpha)) in roots:
+        p += 1
+    return p - 1
 
 
 @dataclass(frozen=True)
@@ -217,29 +226,20 @@ class RootSystem:
         return tuple(tuple(row) for row in c)
 
     def _generate_positive_roots(self):
-        n = self.n
-        simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        known = set(simples)
-        layers = {1: list(simples)}
-        h = 1
-        while layers.get(h):
+        """Breadth-first over heights: beta + alpha_i is a root exactly when
+        the alpha_i-string below beta is longer than <beta, alpha_i^vee>."""
+        simples = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
+        known, layer = set(simples), simples
+        while layer:
             nxt = []
-            for beta in layers[h]:
-                for i in range(n):
-                    pair = sum(self.cartan[i][j] * beta[j] for j in range(n))
-                    p = 0
-                    cur = tuple(b - int(i == j) for j, b in enumerate(beta))
-                    while cur in known:
-                        p += 1
-                        cur = tuple(c - int(i == j) for j, c in enumerate(cur))
-                    if p - pair >= 1:
-                        gamma = tuple(b + int(i == j) for j, b in enumerate(beta))
-                        if gamma not in known:
-                            known.add(gamma)
-                            nxt.append(gamma)
-            h += 1
-            if nxt:
-                layers[h] = nxt
+            for beta in layer:
+                for row, alpha in zip(self.cartan, simples):
+                    pair = sum(a * b for a, b in zip(row, beta))
+                    gamma = tuple(b + a for b, a in zip(beta, alpha))
+                    if gamma not in known and _string_down(known, beta, alpha) > pair:
+                        known.add(gamma)
+                        nxt.append(gamma)
+            layer = nxt
         ordered = sorted(known, key=lambda c: (sum(c), tuple(-x for x in c)))
         return tuple(Root(c) for c in ordered)
 

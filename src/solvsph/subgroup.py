@@ -6,7 +6,9 @@ character restriction matrix tau (rows = a basis of the characters of S,
 columns = fundamental weights); N enters through constraint groups, each
 listing the positive roots of one S-weight component together with the
 coefficients of the linear functional cutting N out of that component.
-Roots mentioned in no group contribute their full root space to N.
+Roots mentioned in no group contribute their full root space to N.  The
+classes are ``TorusRestriction.root_classes``.  An element is in N when its
+terms are positive root vectors and their classes' functionals vanish on it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ class TorusRestriction:
             self._images[coords] = image
         return image
 
+    def root_classes(self, rs):
+        """Dict S-weight -> positive roots of ``rs``, in root order, classes by first root."""
+        classes = {}
+        for r in rs.positive_roots:
+            classes.setdefault(self.restrict(rs.root_to_weight(r)), []).append(r)
+        return classes
+
     def __eq__(self, other):
         return isinstance(other, TorusRestriction) and (self.rows, self.n) == (other.rows, other.n)
 
@@ -100,11 +109,6 @@ class WeightClass:
     functionals: list = field(default_factory=list)  # primitive integer dicts keyed by root coords
     codim: int = 0
 
-    def functional_value(self, functional, element_terms):
-        return sum(
-            coeff * element_terms.get(("e", coords), 0) for coords, coeff in functional.items()
-        )
-
 
 class SubgroupData:
     """Validated solvable subgroup: torus part, unipotent part, weight table."""
@@ -116,10 +120,7 @@ class SubgroupData:
         self.nilradical = nilradical
         self.classes = classes
         self.class_by_phi = {c.phi: c for c in classes}
-        self._phi_of_root = {}
-        for c in classes:
-            for r in c.roots:
-                self._phi_of_root[r.coords] = c.phi
+        self._phi_of_root = {r.coords: c.phi for c in classes for r in c.roots}
         self.dim_u = len(self.root_system.positive_roots)
         self.nil_basis = self._build_nil_basis()
         self.dim_n = len(self.nil_basis)
@@ -129,10 +130,6 @@ class SubgroupData:
         """A basis of the unipotent part, each element a primitive integer vector."""
         basis = []
         for cls in self.classes:
-            if not cls.functionals:
-                for r in cls.roots:
-                    basis.append(self.algebra.e(r))
-                continue
             cols = [r.coords for r in cls.roots]
             rows = [[f.get(c, 0) for c in cols] for f in cls.functionals]
             for vec in linalg.nullspace(rows, len(cols)):
@@ -141,18 +138,14 @@ class SubgroupData:
 
     def contains_in_nil(self, element):
         """Whether an algebra element lies in the unipotent part."""
-        by_phi = {}
-        for key, coeff in element.terms.items():
-            if key[0] != "e":
-                return False
-            coords = key[1]
-            if coords not in self._phi_of_root:
-                return False  # negative root vector
-            by_phi.setdefault(self._phi_of_root[coords], {})[key] = coeff
-        for phi, terms in by_phi.items():
-            cls = self.class_by_phi[phi]
-            for f in cls.functionals:
-                if cls.functional_value(f, terms) != 0:
+        terms, phis = element.terms, set()
+        for kind, coords in terms:
+            if kind != "e" or coords not in self._phi_of_root:
+                return False  # a coroot or a negative root vector
+            phis.add(self._phi_of_root[coords])
+        for phi in phis:
+            for f in self.class_by_phi[phi].functionals:
+                if sum(coeff * terms.get(("e", c), 0) for c, coeff in f.items()):
                     return False
         return True
 
@@ -182,12 +175,7 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
     if not isinstance(nilradical, NilradicalSpec):
         nilradical = NilradicalSpec(nilradical)
 
-    # classes of positive roots under tau
-    by_phi = {}
-    for r in rs.positive_roots:
-        phi = tau.restrict(rs.root_to_weight(r))
-        by_phi.setdefault(phi, []).append(r)
-    classes = {phi: WeightClass(phi, roots) for phi, roots in by_phi.items()}
+    classes = {phi: WeightClass(phi, roots) for phi, roots in tau.root_classes(rs).items()}
 
     seen = set()
     for group in nilradical.groups:
@@ -206,12 +194,9 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
                 raise DuplicateRoot(f"{fmt_root(root)} appears in more than one constraint")
             seen.add(root.coords)
             this_phi = tau.restrict(rs.root_to_weight(root))
-            if phi is None:
-                phi = this_phi
-            elif this_phi != phi:
-                raise MixedWeightConstraint(
-                    f"constraint group mixes S-weights {phi} and {this_phi}"
-                )
+            if phi not in (None, this_phi):
+                raise MixedWeightConstraint(f"constraint group mixes S-weights {phi} and {this_phi}")
+            phi = this_phi
             functional[root.coords] = coeff
         classes[phi].functionals.append(linalg.primitive(functional))
 

@@ -614,3 +614,20 @@ def test_fuzzed_configs_round_trip_through_both_formats():
         config = random_mixed_config(rng, POOL_RANK3)
         assert parse_config_text(config.to_text()) == config
         assert JobConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict()))) == config
+
+
+@pytest.mark.parametrize("document, schema", [
+    ({"schema": 99, "config": {"schema": 7, "group": [["A", 1]]}}, "99"),
+    ({"schema": 2, "config": {"group": [["A", 1]]}}, "2"),
+    ({"config": {"schema": 7, "group": [["A", 1]]}}, "7"),
+    ({"schema": 1, "config": {"schema": 0, "group": [["A", 1]]}}, "0"),
+    ({"schema": "one", "config": {"group": [["A", 1]]}}, "'one'"),
+])
+def test_json_config_of_another_schema_is_refused(document, schema, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(document))
+    code, out, err = _run_main(["check", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "schema" in err and schema in err
+

@@ -8,6 +8,7 @@ from solvsph import (
     NonIntegralWeight,
     NotDominant,
     Root,
+    TorusRestriction,
     Weight,
     ZeroRoot,
     build_root_system,
@@ -203,3 +204,17 @@ def test_root_form_matches_the_symmetrized_double_sum():
                     for j in range(rs.n)
                 )
                 assert rs.root_form(a, b) == expected, (spec, a, b)
+
+
+def test_non_integral_input_is_named_as_a_config_writes_it():
+    cases = [
+        (InvalidType, lambda: build_root_system([("A", 2.5)]), "'2.5'"),
+        (ValueError, lambda: TorusRestriction([[1.5, 0]], 2), "'1.5 0'"),
+        (NonIntegralWeight, lambda: Weight((Fraction(3, 2), 0)), "'3/2 0'"),
+    ]
+    for error, build, written in cases:
+        with pytest.raises(error, match="non-integral") as exc:
+            build()
+        message = str(exc.value)
+        assert written in message
+        assert "(" not in message and ")" not in message, message

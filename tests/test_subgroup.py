@@ -20,6 +20,10 @@ from solvsph import (
     validate,
     weight_table,
 )
+from solvsph import linalg
+from solvsph.chevalley import AlgebraElement
+from solvsph.config import build_subgroup
+from solvsph.fuzzing import POOL_RANK3, random_mixed_config
 
 
 def _sl4():
@@ -183,3 +187,41 @@ def test_rescaled_functional_gives_identical_table():
     assert [
         (phi, tuple(r.coords for r in roots), c) for phi, roots, c in weight_table(sub)
     ] == [(phi, tuple(r.coords for r in roots), c) for phi, roots, c in weight_table(sub2)]
+
+
+def test_contains_in_nil_agrees_with_the_rank_of_the_nil_basis():
+    outside_seen = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        sub = build_subgroup(random_mixed_config(rng, POOL_RANK3))
+        alg = sub.algebra
+        keys = alg.basis_keys()
+
+        def dense(element):
+            return [element.terms.get(key, 0) for key in keys]
+
+        rows = [dense(x) for x in sub.nil_basis]
+        base = linalg.rank(rows)
+
+        def in_span(element):
+            return linalg.rank(rows + [dense(element)]) == base
+
+        combo = AlgebraElement(alg)
+        for x in sub.nil_basis:
+            combo = combo + x * rng.randint(-3, 3)
+        assert sub.contains_in_nil(combo) and in_span(combo)
+        for x in sub.nil_basis:
+            assert sub.contains_in_nil(x)
+
+        positive = sub.root_system.positive_roots
+        outside = [r for r in positive if not in_span(alg.e(r))]
+        outside_seen += len(outside)
+        escapes = [combo + alg.e(r) for r in outside]
+        escapes += [combo + alg.h(i) for i in range(sub.root_system.n)]
+        escapes += [combo + alg.e(-r) for r in positive]
+        for y in escapes:
+            assert not in_span(y)
+            assert not sub.contains_in_nil(y), y
+        for r in positive:
+            assert sub.contains_in_nil(alg.e(r)) == in_span(alg.e(r))
+    assert outside_seen > 0
