@@ -21,6 +21,7 @@ from .errors import (
     MultipleCandidates,
     NonIntegralWeight,
     NonSurjectiveTau,
+    NotBasisKey,
     NotDominant,
     NotSpherical,
     NotSubalgebra,

@@ -5,17 +5,19 @@ coroot h_i per simple root, normalized so that [e_alpha, e_{-alpha}] is
 the coroot of alpha.  Signs follow the classical recipe: for each
 non-simple positive root the decomposition pair (gamma, delta) with gamma
 minimal in the root order (the head of ``RootSystem.decompositions``) is
-given the positive constant p + 1, and every
-other constant is forced from those choices by antisymmetry, the
-opposite-root sign rule and the four-root relation between constants of
-roots summing to zero.  Any consistent sign choice gives the same
-downstream results; this one is fixed for reproducibility.  The constants
-are computed in integers, and a division with a remainder raises.
+given the positive constant p + 1, and every other constant is forced from
+those choices by antisymmetry, the opposite-root sign rule and the four-root
+relation between constants of roots summing to zero.  Any consistent sign
+choice gives the same downstream results; this one is fixed for
+reproducibility.  The constants are computed in integers, and a division
+with a remainder raises.  ``bracket_keys`` reads them from ``_n``, and looks
+up the rest in tables of the roots alone: the root each pair of roots sums
+to, the coroot of each pair of opposites, every root's simple-coroot pairings.
 """
 
 from __future__ import annotations
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, NotBasisKey
 from .linalg import add_into
 from .rootsys import Root, RootSystem, _string_down, fmt_root, integers
 
@@ -128,25 +130,33 @@ class ChevalleyAlgebra:
                 n_pos[(a, b)] = n_ab
                 n_pos[(b, a)] = -n_ab
 
-        # Fill the full signed table from the positive-positive part.
-        table = {}
-        for (a, b), c in n_pos.items():
-            na = tuple(-x for x in a)
-            nb = tuple(-x for x in b)
-            table[(a, b)] = c
-            table[(na, nb)] = -c
-        for x in positive:
-            for y in positive:
-                if x == y:
-                    continue
-                diff = tuple(a - b for a, b in zip(x, y))
-                if diff not in roots:
-                    continue
-                ny = tuple(-b for b in y)
-                c = mixed(x, y)
-                table[(x, ny)] = c
-                table[(ny, x)] = -c
-        self._n = {k: v for k, v in table.items() if v}
+        # Fill the full signed table from the positive-positive part.  Every
+        # other pair is one positive and one negative root, x and -y with x - y
+        # a root, so it too is met in the decompositions, once; note each sum.
+        neg = {c: tuple(-x for x in c) for c in roots}
+        key, h = {c: ("e", c) for c in roots}, [("h", i) for i in range(rs.n)]
+        table, sums = {}, {}
+        for eps, pairs in rs.decompositions.items():
+            for a, b in pairs:
+                for x, y in ((a, b), (b, a)):
+                    table[x, y], table[neg[x], neg[y]] = n_pos[x, y], -n_pos[x, y]
+                    sums[key[x], key[y]], sums[key[neg[x]], key[neg[y]]] = key[eps], key[neg[eps]]
+                for x, y, diff in ((eps, a, b), (eps, b, a), (a, eps, neg[b]), (b, eps, neg[a])):
+                    c = mixed(x, y)
+                    table[x, neg[y]], table[neg[y], x] = c, -c
+                    sums[key[x], key[neg[y]]] = sums[key[neg[y]], key[x]] = key[diff]
+        self._n, self._sum = {k: v for k, v in table.items() if v}, sums
+        # the other brackets depend on the roots alone; zero is shared, as bracket_keys copies
+        self._keys, zero = frozenset([*key.values(), *h]), {}
+        self._fixed = {(x, y): zero for x in h for y in h}  # brackets with a coroot, or of opposites
+        for a, coeffs in zip(positive, rs.positive_coroots):
+            ea, fa = key[a], key[neg[a]]
+            self._fixed[ea, fa] = {h[i]: c for i, c in enumerate(coeffs) if c}
+            self._fixed[fa, ea] = {h[i]: -c for i, c in enumerate(coeffs) if c}
+            for hi, row in zip(h, rs.cartan):  # [h_i, e_a] = <a, a_i coroot> e_a
+                p = sum(x * y for x, y in zip(row, a))
+                self._fixed[hi, ea], self._fixed[ea, hi] = ({ea: p}, {ea: -p}) if p else (zero, zero)
+                self._fixed[hi, fa], self._fixed[fa, hi] = ({fa: -p}, {fa: p}) if p else (zero, zero)
 
     # -- basis ------------------------------------------------------------
 
@@ -184,27 +194,18 @@ class ChevalleyAlgebra:
     # -- bracket ----------------------------------------------------------
 
     def bracket_keys(self, key_x, key_y):
-        """[x, y] of two basis keys, as a dict key -> nonzero int."""
-        (kx, vx), (ky, vy) = key_x, key_y
-        rs = self.root_system
-        cartan = rs.cartan
-        if kx == "h":
-            if ky == "h":
-                return {}
-            # [h_i, e_alpha] = <alpha | alpha_i> e_alpha
-            pair = sum(a * b for a, b in zip(cartan[vx], vy))
-            return {key_y: pair} if pair else {}
-        if ky == "h":
-            pair = sum(a * b for a, b in zip(cartan[vy], vx))
-            return {key_x: -pair} if pair else {}
-        s = tuple(a + b for a, b in zip(vx, vy))
-        if not any(s):
-            # [e_alpha, e_-alpha] is the coroot of alpha
-            sign = 1 if vx in rs._index else -1
-            coeffs = rs.positive_coroots[rs._index[tuple(sign * a for a in vx)]]
-            return {("h", i): sign * c for i, c in enumerate(coeffs) if c}
-        c = self._n.get((vx, vy), 0)
-        return {("e", s): c} if c else {}
+        """[x, y] of two basis keys, as a dict key -> nonzero int; NotBasisKey
+        if either key names no basis vector."""
+        if s := self._sum.get((key_x, key_y)):
+            c = self._n.get((key_x[1], key_y[1]), 0)
+            return {s: c} if c else {}
+        if (terms := self._fixed.get((key_x, key_y))) is not None:
+            return dict(terms)
+        if key_x in self._keys and key_y in self._keys:
+            return {}  # two root vectors whose sum is neither 0 nor a root
+        bad = key_y if key_x in self._keys else key_x
+        name = fmt_key(bad) if bad[0] in ("e", "h") else repr(bad)
+        raise NotBasisKey(f"{name} is not a basis key of {self.root_system.describe()}")
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement):
         if x.algebra is not self or y.algebra is not self:

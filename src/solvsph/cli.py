@@ -28,7 +28,8 @@ import sys
 
 from . import oracle, presets
 from .config import JobConfig, _component, _integer, _parse_file, build_subgroup
-from .errors import AxiomViolation, ConfigParseError, DimensionCap, NotSpherical, SolvsphError
+from .errors import (AxiomViolation, ConfigParseError, DimensionCap, MultipleCandidates,
+                     NoValidCandidate, NotSpherical, SolvsphError)
 from .rootsys import fmt_root, fmt_weight
 from .semigroup import bounded_members, generators
 from .sphericity import active_roots, check_spherical, verify_active_axioms
@@ -253,15 +254,16 @@ def _run(args):
         flags = {k: getattr(args, k) for k in ("height", "cap", "trials", "seed")}
         flags = {k: v if v is None else _integer(v, f"--{k} wants an integer") for k, v in flags.items()}
         return cmd_verify(config, **flags)
-    except (NotSpherical, AxiomViolation) as exc:
+    except NotSpherical as exc:
         print(f"negative: {exc}", file=sys.stderr)
         return 1
+    except (AssertionError, ArithmeticError, AxiomViolation, MultipleCandidates, NoValidCandidate) as exc:
+        # the last three are the criterion's self-checks: they run only on input it has accepted
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (SolvsphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 def main(argv=None):

@@ -21,6 +21,10 @@ class AlgebraMismatch(SolvsphError):
     """Elements or modules belong to different algebras."""
 
 
+class NotBasisKey(SolvsphError):
+    """A key that names no basis vector of the algebra."""
+
+
 class NonIntegralWeight(SolvsphError):
     """A character of the maximal torus (integer coordinates) was required."""
 

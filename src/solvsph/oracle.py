@@ -12,12 +12,12 @@ and counted by ``linalg.echelon``.  Every matrix, of a module or of the
 adjoint representation, is a list of sparse columns (dicts row -> value),
 applied by ``linalg.apply``.  The simple root vectors act directly on a
 module and the coroots by the weight diagonal; the other root vectors act
-through brackets, derived in ``_with_derived_actions``.  Every bracket of two
-matrices is taken column by column (``_bracket_column``), and the checks
-compare it one column at a time.  Every module is checked against the
-defining relations of the algebra and the Weyl dimension formula when it is
-built.  The bracket table is checked once per simple factor, on a module the
-factor acts on faithfully, which covers the factor's part of it.
+through brackets, taken column by column in ``_with_derived_actions``.
+Every module is checked against the defining relations of the algebra and
+the Weyl dimension formula when it is built.  The bracket table is checked
+once per simple factor, on a module the factor acts on faithfully, which
+covers the factor's part of it.  Both checks compare a matrix bracket with
+the combination it should equal entry by entry, in one pass (``_bracket_defect``).
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
@@ -52,9 +52,28 @@ def _combination(n, terms):
     return cols
 
 
-def _bracket_column(a, b, j):
-    """Column j of the matrix ab - ba."""
-    return add_into(apply(a, b[j]), apply(b, a[j]), -1)
+def _bracket_defect(actions, nonzero, x, y, terms):
+    """Whether X_x X_y - X_y X_x differs from the sum of c X_k over the terms {k: c},
+    summed entry by entry into one dict keyed by row * dim + column; each
+    X_k = actions[k] is read through its nonzero columns (j, col) in nonzero[k]."""
+    a, b, out = actions[x], actions[y], {}
+    get, dim = out.get, len(a)
+    for j, col in nonzero[y]:
+        for r, v in col.items():
+            for i, w in a[r].items():
+                key = i * dim + j
+                out[key] = get(key, 0) + w * v
+    for j, col in nonzero[x]:
+        for r, v in col.items():
+            for i, w in b[r].items():
+                key = i * dim + j
+                out[key] = get(key, 0) - w * v
+    for k, c in terms.items():
+        for j, col in nonzero[k]:
+            for i, w in col.items():
+                key = i * dim + j
+                out[key] = get(key, 0) - c * w
+    return any(out.values())
 
 
 def weyl_dim(rs, lam):
@@ -86,7 +105,7 @@ def _with_derived_actions(algebra, actions):
         for sign in (1, -1):
             a = actions[("e", tuple(sign * x for x in gamma))]
             b = actions[("e", tuple(sign * x for x in delta))]
-            cols = [linalg.divide(_bracket_column(a, b, j), sign * n) for j in range(len(a))]
+            cols = [linalg.divide(add_into(apply(a, bj), apply(b, aj), -1), sign * n) for aj, bj in zip(a, b)]
             actions[("e", tuple(sign * x for x in eps))] = cols
     return actions
 
@@ -126,9 +145,10 @@ class HighestWeightModule:
         if self.weights[0] != self.lam:
             raise AssertionError("highest vector has the wrong weight")
         simple, wts = rs.simple_roots, [w.coords for w in self.weights]
-        e = [self.actions[("e", a.coords)] for a in simple]
-        f = [self.actions[("e", (-a).coords)] for a in simple]
-        h = [self.actions[("h", i)] for i in range(rs.n)]
+        e_keys = [("e", a.coords) for a in simple]
+        f_keys = [("e", (-a).coords) for a in simple]
+        h_keys = [("h", i) for i in range(rs.n)]
+        e, f, h = ([self.actions[k] for k in keys] for keys in (e_keys, f_keys, h_keys))
         for i, alpha in enumerate(simple):
             if h[i] != [{j: w[i]} if w[i] else {} for j, w in enumerate(wts)]:
                 raise AssertionError("coroot action is not the weight diagonal")
@@ -140,9 +160,10 @@ class HighestWeightModule:
                 if any(wts[r] != up[j] for j, col in enumerate(m) for r in col):
                     root = alpha if sign == 1 else -alpha
                     raise AssertionError(f"e({fmt_root(root)}) does not shift weights by its root")
+        nonzero = {k: [(j, col) for j, col in enumerate(m) if col] for k, m in self.actions.items()}
         for i, j in itertools.product(range(rs.n), repeat=2):
-            want = h[i] if i == j else [{}] * self.dim
-            if any(_bracket_column(e[i], f[j], c) != want[c] for c in range(self.dim)):
+            want = {h_keys[i]: 1} if i == j else {}
+            if _bracket_defect(self.actions, nonzero, e_keys[i], f_keys[j], want):
                 names = f"{fmt_root(simple[i])}, {fmt_root(simple[j])}"
                 raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
 
@@ -276,20 +297,16 @@ def _failure(x, y):
 def representation_property_check(algebra, actions):
     """Exact check that the matrices represent the algebra: on every ordered
     pair of basis keys, the matrix bracket equals the matrix of the bracket.
-    Each unordered pair is compared column by column, and the table must give
-    [y, x] = -[x, y], as [X_y, X_x] = -[X_x, X_y] holds for any matrices."""
+    Each unordered pair is compared in one pass over the nonzero columns
+    (``_bracket_defect``), and the table must give [y, x] = -[x, y], as
+    [X_y, X_x] = -[X_x, X_y] holds for any matrices."""
     keys = algebra.basis_keys()
-    support = {k: {j for j, col in enumerate(actions[k]) if col} for k in keys}
+    nonzero = {k: [(j, col) for j, col in enumerate(actions[k]) if col] for k in keys}
     for i, x in enumerate(keys):
         for y in keys[i:]:
             terms = algebra.bracket_keys(x, y)
-            # a column that is zero in X_x, X_y and every term matches
-            for j in support[x].union(support[y], *map(support.get, terms)):
-                col = _bracket_column(actions[x], actions[y], j)
-                for k, c in terms.items():
-                    add_into(col, actions[k][j], -c)
-                if col:
-                    raise _failure(x, y)
+            if _bracket_defect(actions, nonzero, x, y, terms):
+                raise _failure(x, y)
             if algebra.bracket_keys(y, x) != {k: -c for k, c in terms.items()}:
                 raise _failure(y, x)
     return True
@@ -502,8 +519,8 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     ]
 
     ad_neg = [
-        [{index[k]: c for k, c in algebra.bracket_keys(("e", (-a).coords), y).items()} for y in keys]
-        for a in rs.positive_roots
+        [{index[k]: c for k, c in algebra.bracket_keys(keys[f], y).items()} for y in keys]
+        for f in negatives
     ]
     rng = random.Random(seed)
     for _ in range(trials):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -201,3 +202,62 @@ def test_bracket_keys_match_bracket_and_are_ints():
             terms = alg.bracket_keys(x, y)
             assert terms == alg.bracket(alg.basis_element(x), alg.basis_element(y)).terms, (spec, x, y)
             assert all(type(c) is int and c != 0 for c in terms.values()), (spec, x, y)
+
+
+def _reference_bracket(alg, x, y):
+    """[x, y] of two basis keys from structure_constant, the positive coroots
+    and the Cartan matrix (row i holds <a_j, a_i coroot> over j), not from
+    bracket_keys."""
+    rs = alg.root_system
+    (kx, vx), (ky, vy) = x, y
+    if kx == ky == "h":
+        return {}
+    if "h" in (kx, ky):
+        (i, beta), sign = ((vx, vy), 1) if kx == "h" else ((vy, vx), -1)
+        pair = sum(c * b for c, b in zip(rs.cartan[i], beta))
+        return {("e", beta): sign * pair} if pair else {}
+    s = tuple(a + b for a, b in zip(vx, vy))
+    if not any(s):
+        sign = 1 if rs.is_positive_root(vx) else -1
+        coroot = rs.positive_coroots[[r.coords for r in rs.positive_roots].index(tuple(sign * a for a in vx))]
+        return {("h", i): sign * c for i, c in enumerate(coroot) if c}
+    c = alg.structure_constant(vx, vy)
+    assert (c != 0) == rs.is_root(s), (x, y)
+    return {("e", s): c} if c else {}
+
+
+def test_bracket_keys_match_an_independent_reference():
+    from solvsph.fuzzing import POOL_RANK3
+
+    extra = [(("G", 2),), (("F", 4),), (("E", 6),), (("A", 1), ("B", 2))]
+    for spec in [*POOL_RANK3, *extra]:
+        alg = _algebra(list(spec))
+        for x, y in itertools.product(alg.basis_keys(), repeat=2):
+            assert alg.bracket_keys(x, y) == _reference_bracket(alg, x, y), (spec, x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y, name",
+    [
+        (("h", 0), ("e", (2, 0)), "e(2a1)"),
+        (("e", (2, 0)), ("h", 1), "e(2a1)"),
+        (("e", (2, 0)), ("e", (-2, 0)), "e(2a1)"),
+        (("e", (1, 0)), ("e", (0, 0)), "e(0)"),
+        (("e", (1, 1, 0)), ("e", (1, 0)), "e(a1+a2)"),
+        (("h", 7), ("e", (1, 0)), "h8"),
+        (("h", -1), ("e", (1, 0)), "h0"),
+        (("e", (1, 0)), ("h", 2), "h3"),
+        (("h", 0), ("h", 2), "h3"),
+        (("f", (1, 0)), ("e", (0, 1)), "('f', (1, 0))"),
+        (("e", (1, 0)), ("x", 0), "('x', 0)"),
+    ],
+)
+def test_bracket_keys_refuses_a_key_outside_the_basis(x, y, name):
+    from solvsph import NotBasisKey, SolvsphError
+
+    alg = _algebra([("A", 2)])
+    assert issubclass(NotBasisKey, SolvsphError)
+    with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
+        alg.bracket_keys(x, y)
+    with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
+        alg.bracket(AlgebraElement(alg, {x: 1}), AlgebraElement(alg, {y: 1}))

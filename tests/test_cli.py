@@ -12,7 +12,19 @@ from pathlib import Path
 
 import pytest
 
-from solvsph import ConfigParseError, JobConfig, get_preset, oracle, parse_config_text, preset_names
+from solvsph import (
+    AxiomViolation,
+    ConfigParseError,
+    JobConfig,
+    MultipleCandidates,
+    NoValidCandidate,
+    build_root_system,
+    cli,
+    get_preset,
+    oracle,
+    parse_config_text,
+    preset_names,
+)
 from solvsph.config import JobOptions
 from solvsph.fuzzing import POOL_RANK3, random_mixed_config
 from solvsph.cli import cmd_check, cmd_semigroup, cmd_verify, main
@@ -364,6 +376,37 @@ def test_verify_tu_prime_e6(capsys):
     code, out, _ = _run_main(["verify", "--preset", "tu-prime", "--group", "E6", "--height", "1"], capsys)
     assert code == 0
     assert "[FAIL]" not in out
+
+
+def test_verify_borel_e7_checks_the_56_dimensional_module(capsys):
+    rs = build_root_system([("E", 7)])
+    assert [oracle.weyl_dim(rs, lam) for lam in oracle.checked_fundamentals(rs)] == [56]
+    code, out, err = _run_main(["verify", "--preset", "borel", "--group", "E7", "--height", "0"], capsys)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines and all(line.startswith("[PASS] ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "target, exc, command",
+    [
+        ("verify_active_axioms", AxiomViolation("partition", "a1 is in two families"), "check"),
+        ("active_roots", NoValidCandidate("no anchor candidate for a1+a2"), "check"),
+        ("active_roots", MultipleCandidates("anchors [0, 1] all valid for a1+a2"), "check"),
+        ("active_roots", NoValidCandidate("no anchor candidate for a1+a2"), "semigroup"),
+        ("active_roots", MultipleCandidates("anchors [0, 1] all valid for a1+a2"), "verify"),
+    ],
+)
+def test_a_failed_self_check_of_the_criterion_is_an_internal_error(target, exc, command, monkeypatch, capsys):
+    # these checks run only on a subgroup the criterion has accepted, so a
+    # failure is a fault of the program, not a verdict or an input error
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, broken)
+    code, _, err = _run_main([command, "--preset", "tu-prime"], capsys)
+    assert code == 3
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def _zero_witness(mod, sub, table, j):

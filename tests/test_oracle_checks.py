@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -98,3 +99,64 @@ def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err.startswith("internal error: AssertionError: inexact division")
+
+
+def _checked_module(spec):
+    alg = build_algebra(build_root_system(spec))
+    real = build_realization(alg)
+    (lam,) = oracle.checked_fundamentals(alg.root_system)
+    return alg, build_irrep(real, lam)
+
+
+@pytest.mark.parametrize("spec", [[("A", 1), ("C", 2)], [("G", 2)]])
+def test_representation_property_check_asks_for_every_ordered_pair(spec, monkeypatch):
+    alg = build_algebra(build_root_system(spec))
+    real = build_realization(alg)
+    keys = alg.basis_keys()
+    for lam in oracle.checked_fundamentals(alg.root_system):
+        asked = set()
+        lookup = ChevalleyAlgebra.bracket_keys.__get__(alg)
+
+        def recording(x, y):
+            asked.add((x, y))
+            return lookup(x, y)
+
+        monkeypatch.setattr(alg, "bracket_keys", recording)
+        assert representation_property_check(alg, build_irrep(real, lam).actions)
+        monkeypatch.undo()
+        assert asked == set(itertools.product(keys, repeat=2)), lam
+
+
+@pytest.mark.parametrize("spec, dim", [([("C", 2)], 4), ([("G", 2)], 7)])
+def test_representation_property_check_refuses_every_single_entry_corruption(spec, dim):
+    # each entry of each action matrix in turn: a nonzero entry gets 1 added,
+    # a zero entry (so every entry of an empty column) becomes 1
+    alg, mod = _checked_module(spec)
+    assert mod.dim == dim and representation_property_check(alg, mod.actions)
+    cases = 0
+    for key, cols in mod.actions.items():
+        for j, r in itertools.product(range(dim), repeat=2):
+            bad = [dict(col) for col in cols]
+            bad[j][r] = bad[j].get(r, 0) + 1
+            if not bad[j][r]:
+                del bad[j][r]
+            with pytest.raises(AssertionError, match="representation property fails on "):
+                representation_property_check(alg, {**mod.actions, key: bad})
+            cases += 1
+    assert cases == len(alg.basis_keys()) * dim * dim
+
+
+def test_representation_property_check_refuses_a_table_that_is_not_antisymmetric(monkeypatch):
+    alg, mod = _checked_module([("C", 2)])
+    x, y = ("e", (0, 1)), ("e", (1, 0))  # e(a2) comes before e(a1) in basis_keys
+    keys = alg.basis_keys()
+    assert keys.index(x) < keys.index(y) and alg.bracket_keys(x, y)
+    lookup = ChevalleyAlgebra.bracket_keys.__get__(alg)
+
+    def skewed(p, q):
+        # [e(a1), e(a2)] is given the value of [e(a2), e(a1)]
+        return lookup(q, p) if (p, q) == (y, x) else lookup(p, q)
+
+    monkeypatch.setattr(alg, "bracket_keys", skewed)
+    with pytest.raises(AssertionError, match=r"representation property fails on e\(a1\), e\(a2\)$"):
+        representation_property_check(alg, mod.actions)
