@@ -166,9 +166,9 @@ class ChevalleyAlgebra:
         return AlgebraElement(self, {("e", coords): 1})
 
     def h(self, i):
-        """The simple coroot basis vector h_i (0-based)."""
+        """The simple coroot basis vector h_i (0-based); NotBasisKey unless 0 <= i < n."""
         (i,) = integers([i])
-        return AlgebraElement(self, {("h", i): 1})
+        return self.basis_element(("h", i))
 
     def coroot(self, root):
         """The coroot of an arbitrary root, as a combination of the h_i."""
@@ -183,7 +183,22 @@ class ChevalleyAlgebra:
         return keys
 
     def basis_element(self, key):
+        """The basis vector of a basis key; NotBasisKey for any other key."""
+        if key not in self._keys:
+            raise self._refusal(key)
         return AlgebraElement(self, {key: 1})
+
+    def _refusal(self, key):
+        """NotBasisKey naming the key by ``fmt_key`` if it is well formed (an e key
+        with a tuple of ints, an h key with an int), by ``repr`` otherwise."""
+        match key:
+            case ("e", tuple(v)) if all(type(c) is int for c in v):
+                name = fmt_key(key)
+            case ("h", int()):
+                name = fmt_key(key)
+            case _:
+                name = repr(key)
+        return NotBasisKey(f"{name} is not a basis key of {self.root_system.describe()}")
 
     def structure_constant(self, a, b):
         """N with [e_a, e_b] = N e_{a+b}; zero when a+b is not a root."""
@@ -203,9 +218,7 @@ class ChevalleyAlgebra:
             return dict(terms)
         if key_x in self._keys and key_y in self._keys:
             return {}  # two root vectors whose sum is neither 0 nor a root
-        bad = key_y if key_x in self._keys else key_x
-        name = fmt_key(bad) if bad[0] in ("e", "h") else repr(bad)
-        raise NotBasisKey(f"{name} is not a basis key of {self.root_system.describe()}")
+        raise self._refusal(key_y if key_x in self._keys else key_x)
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement):
         if x.algebra is not self or y.algebra is not self:

@@ -10,9 +10,9 @@ A config file is either in the text format or a JSON document whose
 are read by the field rules of ``config``, whose integer rule also reads
 ``--group``, the verify flags and the SOLVSPH_* variables.
 
-Exit codes: 0 success, 1 negative verdict or failed check, 2 input error
-(an unreadable config included), 3 internal error (a failed self-check or an
-arithmetic fault), 141 stdout closed by its reader (as for SIGPIPE).
+Exit codes: 0 success, 1 negative verdict or failed check, 2 refused input (a
+SolvsphError or ValueError, an unreadable config included), 141 stdout closed
+by its reader (as for SIGPIPE), 3 any other failure: an internal error.
 Options fall back to SOLVSPH_HEIGHT / SOLVSPH_CAP / SOLVSPH_TRIALS /
 SOLVSPH_SEED and then to the config's [options] section.
 """
@@ -28,8 +28,7 @@ import sys
 
 from . import oracle, presets
 from .config import JobConfig, _component, _integer, _parse_file, build_subgroup
-from .errors import (AxiomViolation, ConfigParseError, DimensionCap, MultipleCandidates,
-                     NoValidCandidate, NotSpherical, SolvsphError)
+from .errors import ConfigParseError, DimensionCap, SolvsphError
 from .rootsys import fmt_root, fmt_weight
 from .semigroup import bounded_members, generators
 from .sphericity import active_roots, check_spherical, verify_active_axioms
@@ -254,13 +253,6 @@ def _run(args):
         flags = {k: getattr(args, k) for k in ("height", "cap", "trials", "seed")}
         flags = {k: v if v is None else _integer(v, f"--{k} wants an integer") for k, v in flags.items()}
         return cmd_verify(config, **flags)
-    except NotSpherical as exc:
-        print(f"negative: {exc}", file=sys.stderr)
-        return 1
-    except (AssertionError, ArithmeticError, AxiomViolation, MultipleCandidates, NoValidCandidate) as exc:
-        # the last three are the criterion's self-checks: they run only on input it has accepted
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except (SolvsphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -276,6 +268,9 @@ def main(argv=None):
         # exit cannot fail again, and exit as a shell reports SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except Exception as exc:  # refused input is handled by _run: whatever is left is internal
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return code
 
 

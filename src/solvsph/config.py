@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .chevalley import build_algebra
 from .errors import ConfigParseError
+from .oracle import DIM_CAP
 from .rootsys import build_root_system
 from .subgroup import NilradicalSpec, TorusRestriction, validate
 
@@ -78,7 +79,7 @@ def _parse_option(key, value, lineno=None):
 @dataclass(frozen=True)
 class JobOptions:
     height_bound: int = 4
-    dim_cap: int = 20000
+    dim_cap: int = DIM_CAP
     trials: int = 200
     seed: int = 0
     format: str = "text"

@@ -1,8 +1,8 @@
-"""Exception types raised across the package."""
+"""Exception types: a SolvsphError refuses input, a failed self-check is an AssertionError."""
 
 
 class SolvsphError(Exception):
-    """Base class for all package errors."""
+    """Refused input (a config, key, weight or option), or the NotSpherical verdict."""
 
 
 class InvalidType(SolvsphError):
@@ -64,16 +64,16 @@ class NotSpherical(SolvsphError):
         super().__init__(message or f"not spherical: {self.violations}")
 
 
-class NoValidCandidate(SolvsphError):
-    """No simple root satisfies the anchor property (corrupt input or bug)."""
+class NoValidCandidate(AssertionError):
+    """Self-check: no simple root satisfies the anchor property."""
 
 
-class MultipleCandidates(SolvsphError):
-    """Several simple roots satisfy the anchor property (corrupt input or bug)."""
+class MultipleCandidates(AssertionError):
+    """Self-check: several simple roots satisfy the anchor property."""
 
 
-class AxiomViolation(SolvsphError):
-    """An active-root consistency check failed (corrupt input or bug).
+class AxiomViolation(AssertionError):
+    """Self-check: an active-root consistency check failed.
 
     Carries a witness describing the failing instance.
     """

@@ -80,15 +80,23 @@ def echelon(vectors):
     return out
 
 
+def reduce_over(rows, vec):
+    """(integer coefficients keyed by position, remainder) of vec over the rows
+    of ``echelon``, each pivot cleared by floor division; no later row touches
+    a pivot, so the remainder is zero exactly when vec lies in the rows' span."""
+    v, out = dict(vec), {}
+    for i, (p, row) in enumerate(rows.items()):
+        if t := v.get(p):
+            out[i] = q = t // row[p]
+            add_into(v, row, -q)
+    return out, v
+
+
 def coordinates(rows, vec):
     """The integer coordinates of vec over the rows of ``echelon``, keyed by
     position; AssertionError when vec is outside their span."""
-    v, out = dict(vec), {}
-    for i, (p, row) in enumerate(rows.items()):
-        if p in v:
-            out[i] = c = divide({p: v[p]}, row[p])[p]
-            add_into(v, row, -c)
-    if v:
+    out, rest = reduce_over(rows, vec)
+    if rest:
         raise AssertionError("vector is outside the lattice")
     return out
 

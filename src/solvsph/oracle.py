@@ -41,6 +41,8 @@ from .rootsys import Weight, fmt_root
 from .sphericity import ActiveRootTable, check_spherical
 from .subgroup import SubgroupData
 
+DIM_CAP = 20000  # the default cap on the dimension of a module that is built
+
 
 def _combination(n, terms):
     """The n x n matrix sum of c * m over the (m, c) pairs."""
@@ -160,7 +162,8 @@ class HighestWeightModule:
                 if any(wts[r] != up[j] for j, col in enumerate(m) for r in col):
                     root = alpha if sign == 1 else -alpha
                     raise AssertionError(f"e({fmt_root(root)}) does not shift weights by its root")
-        nonzero = {k: [(j, col) for j, col in enumerate(m) if col] for k, m in self.actions.items()}
+        nonzero = {k: [(j, col) for j, col in enumerate(self.actions[k]) if col]
+                   for k in e_keys + f_keys + h_keys}  # the only matrices read below
         for i, j in itertools.product(range(rs.n), repeat=2):
             want = {h_keys[i]: 1} if i == j else {}
             if _bracket_defect(self.actions, nonzero, e_keys[i], f_keys[j], want):
@@ -315,7 +318,7 @@ def representation_property_check(algebra, actions):
 # -- modules ----------------------------------------------------------------
 
 
-def build_irrep(realization, lam, dim_cap=20000):
+def build_irrep(realization, lam, dim_cap=DIM_CAP):
     """The irreducible module of highest weight lam, built from the Cartan
     data by ``_irreducible`` on the realization's first request for lam and
     checked against the dimension formula; later requests return it."""
@@ -435,7 +438,7 @@ def dominant_weights_up_to(rs, height_bound):
     return [w for level in range(height_bound + 1) for w in dominant_weights_at_level(rs, level)]
 
 
-def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=20000):
+def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=DIM_CAP):
     """All (module weight, character) pairs with nonzero semi-invariants.
 
     Scans every dominant weight up to the bound and every character of S
@@ -475,7 +478,7 @@ def exp_nilpotent(cols, vectors):
         while term:
             k += 1
             if k > len(cols):
-                raise ValueError("operator is not nilpotent")
+                raise AssertionError("operator is not nilpotent")
             inv = pow(k, -1, PRIME)
             term = {i: r for i, x in apply(cols, term).items() if (r := x * inv % PRIME)}
             add_into(total, term)

@@ -7,8 +7,9 @@ of fundamental weights over the family's anchors.  Membership in the
 generated semigroup is decided by Hermite reduction: the generators, each
 tagged by a unit vector of its own, are reduced once by ``linalg.echelon``
 (the one elimination over Z); a target lies in their integer span exactly
-when it reduces to zero over that basis, the tags then hold minus its
-coefficients, and it is a member when those are nonnegative.
+when it reduces to zero over that basis (``linalg.reduce_over``), the tags
+then hold minus its coefficients, and it is a member when those are
+nonnegative.
 """
 
 from __future__ import annotations
@@ -21,14 +22,8 @@ from .sphericity import ActiveRootTable, check_spherical
 
 def anchor_weights(table: ActiveRootTable, rs):
     """Per family, the sum of fundamental weights over the anchor roots."""
-    out = []
-    for fam in table.families:
-        picked = sorted({table.anchor[r.coords] for r in fam.roots})
-        w = rs.zero_weight()
-        for i in picked:
-            w = w + rs.fundamental_weight(i)
-        out.append(w)
-    return out
+    return [sum(map(rs.fundamental_weight, {table.anchor[r.coords] for r in fam.roots}), rs.zero_weight())
+            for fam in table.families]
 
 
 class SemigroupGenerators:
@@ -64,13 +59,7 @@ class SemigroupGenerators:
         if len(target) != width:
             raise ValueError("pair has the wrong number of coordinates")
         # target - sum x_g gen_g is left below the tags, and -x in them
-        rest = {i: t for i, t in enumerate(target) if t}
-        for p, row in self._basis.items():
-            if t := rest.get(p):
-                q, r = divmod(t, row[p])
-                if r:
-                    return None
-                linalg.add_into(rest, row, -q)
+        _, rest = linalg.reduce_over(self._basis, {i: t for i, t in enumerate(target) if t})
         coeffs = tuple(-rest.pop(width + g, 0) for g in range(self.n + self.m))
         if rest or min(coeffs) < 0:
             return None

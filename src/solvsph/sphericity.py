@@ -11,6 +11,7 @@ every active root carries a distinguished simple root in its support (its
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -153,13 +154,8 @@ def verify_active_axioms(sub: SubgroupData, table: ActiveRootTable) -> AxiomRepo
     common support.  Raises AxiomViolation with a witness on failure.
     """
     rs = sub.root_system
-    counts = {
-        "exactly_one_active": 0,
-        "no_difference_within_family": 0,
-        "shift_inclusion": 0,
-        "functional_compatibility": 0,
-        "anchor_compatibility": 0,
-    }
+    counts = dict.fromkeys(["exactly_one_active", "no_difference_within_family", "shift_inclusion",
+                            "functional_compatibility", "anchor_compatibility"], 0)
     active_set = {r.coords for fam in table.families for r in fam.roots}
 
     for alpha_coords in active_set:
@@ -173,72 +169,59 @@ def verify_active_axioms(sub: SubgroupData, table: ActiveRootTable) -> AxiomRepo
             counts["exactly_one_active"] += 1
 
     for fam in table.families:
-        for a in fam.roots:
-            for b in fam.roots:
-                if a == b:
-                    continue
-                if rs.is_root(tuple(x - y for x, y in zip(a.coords, b.coords))):
-                    raise AxiomViolation(
-                        "no_difference_within_family",
-                        f"{fmt_root(a)} - {fmt_root(b)} is a root within one family",
-                    )
-                counts["no_difference_within_family"] += 1
+        for a, b in itertools.permutations(fam.roots, 2):
+            if rs.is_root(tuple(x - y for x, y in zip(a.coords, b.coords))):
+                raise AxiomViolation(
+                    "no_difference_within_family",
+                    f"{fmt_root(a)} - {fmt_root(b)} is a root within one family",
+                )
+            counts["no_difference_within_family"] += 1
 
     # shifts between families
-    for i, fam_i in enumerate(table.families):
-        for j, fam_j in enumerate(table.families):
-            if i == j:
-                continue
-            gammas = set()
+    for (i, fam_i), (j, fam_j) in itertools.permutations(enumerate(table.families), 2):
+        gammas = {diff for a in fam_i.roots for b in fam_j.roots
+                  if rs.is_positive_root(diff := tuple(y - x for x, y in zip(a.coords, b.coords)))}
+        for g in sorted(gammas):
+            shifted = []
             for a in fam_i.roots:
-                for b in fam_j.roots:
-                    diff = tuple(y - x for x, y in zip(a.coords, b.coords))
-                    if rs.is_positive_root(diff):
-                        gammas.add(diff)
-            for g in sorted(gammas):
-                shifted = []
-                for a in fam_i.roots:
-                    s = tuple(x + y for x, y in zip(a.coords, g))
-                    if not rs.is_positive_root(s) or Root(s) not in fam_j.roots:
-                        raise AxiomViolation(
-                            "shift_inclusion",
-                            f"family {i + 1} + {fmt_root(Root(g))} leaves family {j + 1} at {fmt_root(a)}",
-                        )
-                    shifted.append((a, Root(s)))
-                counts["shift_inclusion"] += 1
-                # one constant c with xi_i(x) = c * xi_j([x, e_gamma]) on the family: equal nonzero num/den
-                ratios = []
-                for a, s in shifted:
-                    n_ag = sub.algebra.structure_constant(a.coords, g)
-                    denom = n_ag * fam_j.coefficients[s.coords]
-                    if denom == 0:
-                        raise AxiomViolation(
-                            "functional_compatibility",
-                            f"vanishing image coefficient at {fmt_root(a)} + {fmt_root(Root(g))}",
-                        )
-                    ratios.append((fam_i.coefficients[a.coords], denom))
-                num0, den0 = ratios[0]
-                if num0 == 0 or any(num * den0 != num0 * den for num, den in ratios):
+                s = tuple(x + y for x, y in zip(a.coords, g))
+                if not rs.is_positive_root(s) or Root(s) not in fam_j.roots:
+                    raise AxiomViolation(
+                        "shift_inclusion",
+                        f"family {i + 1} + {fmt_root(Root(g))} leaves family {j + 1} at {fmt_root(a)}",
+                    )
+                shifted.append((a, Root(s)))
+            counts["shift_inclusion"] += 1
+            # one constant c with xi_i(x) = c * xi_j([x, e_gamma]) on the family: equal nonzero num/den
+            ratios = []
+            for a, s in shifted:
+                n_ag = sub.algebra.structure_constant(a.coords, g)
+                denom = n_ag * fam_j.coefficients[s.coords]
+                if denom == 0:
                     raise AxiomViolation(
                         "functional_compatibility",
-                        f"no single constant links families {i + 1} and {j + 1} along {fmt_root(Root(g))}: "
-                        + ", ".join(f"{num}/{den}" for num, den in ratios),
+                        f"vanishing image coefficient at {fmt_root(a)} + {fmt_root(Root(g))}",
                     )
-                counts["functional_compatibility"] += 1
+                ratios.append((fam_i.coefficients[a.coords], denom))
+            num0, den0 = ratios[0]
+            if num0 == 0 or any(num * den0 != num0 * den for num, den in ratios):
+                raise AxiomViolation(
+                    "functional_compatibility",
+                    f"no single constant links families {i + 1} and {j + 1} along {fmt_root(Root(g))}: "
+                    + ", ".join(f"{num}/{den}" for num, den in ratios),
+                )
+            counts["functional_compatibility"] += 1
 
     # anchors of equal-weight actives agree or stay out of the common support
     for fam in table.families:
-        for a in fam.roots:
-            for b in fam.roots:
-                if a == b:
-                    continue
-                pa, pb = table.anchor[a.coords], table.anchor[b.coords]
-                common = a.support() & b.support()
-                if pa != pb and (pa in common or pb in common):
-                    raise AxiomViolation(
-                        "anchor_compatibility",
-                        f"anchors of {fmt_root(a)} and {fmt_root(b)} disagree inside the common support",
-                    )
-                counts["anchor_compatibility"] += 1
+        for a, b in itertools.permutations(fam.roots, 2):
+            pa, pb = table.anchor[a.coords], table.anchor[b.coords]
+            common = a.support() & b.support()
+            if pa != pb and (pa in common or pb in common):
+                raise AxiomViolation(
+                    "anchor_compatibility",
+                    f"anchors of {fmt_root(a)} and {fmt_root(b)} disagree inside the common support",
+                )
+            counts["anchor_compatibility"] += 1
 
     return AxiomReport(counts)

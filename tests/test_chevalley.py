@@ -250,6 +250,10 @@ def test_bracket_keys_match_an_independent_reference():
         (("h", 0), ("h", 2), "h3"),
         (("f", (1, 0)), ("e", (0, 1)), "('f', (1, 0))"),
         (("e", (1, 0)), ("x", 0), "('x', 0)"),
+        (("e", 5), ("h", 0), "('e', 5)"),
+        (("h", 0), ("e", (1.5, 0)), "('e', (1.5, 0))"),
+        (("h", "0"), ("h", 0), "('h', '0')"),
+        (5, ("e", (1, 0)), "5"),
     ],
 )
 def test_bracket_keys_refuses_a_key_outside_the_basis(x, y, name):
@@ -261,3 +265,32 @@ def test_bracket_keys_refuses_a_key_outside_the_basis(x, y, name):
         alg.bracket_keys(x, y)
     with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
         alg.bracket(AlgebraElement(alg, {x: 1}), AlgebraElement(alg, {y: 1}))
+
+
+@pytest.mark.parametrize("i, name", [(7, "h8"), (2, "h3"), (-1, "h0")])
+def test_h_refuses_an_index_outside_the_simple_roots(i, name):
+    from solvsph import NotBasisKey
+
+    alg = _algebra([("A", 2)])
+    with pytest.raises(NotBasisKey, match=rf"^{name} is not a basis key of A2$"):
+        alg.h(i)
+    assert [alg.h(j).terms for j in range(2)] == [{("h", 0): 1}, {("h", 1): 1}]
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [
+        (("x", 1), "('x', 1)"),
+        (("e", (2, 0)), "e(2a1)"),
+        (("e", (0, 0)), "e(0)"),
+        (("h", 2), "h3"),
+        (("e", 5), "('e', 5)"),
+    ],
+)
+def test_basis_element_refuses_a_key_outside_the_basis(key, name):
+    from solvsph import NotBasisKey
+
+    alg = _algebra([("A", 2)])
+    with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
+        alg.basis_element(key)
+    assert [alg.basis_element(k).terms for k in alg.basis_keys()] == [{k: 1} for k in alg.basis_keys()]

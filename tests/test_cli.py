@@ -409,6 +409,62 @@ def test_a_failed_self_check_of_the_criterion_is_an_internal_error(target, exc, 
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
+@pytest.mark.parametrize(
+    "owner, target",
+    [
+        (cli, "build_subgroup"),
+        (cli, "bounded_members"),
+        (oracle, "enumerate_semigroup"),
+        (oracle, "semi_invariant_witness"),
+        (oracle, "open_orbit_check"),
+    ],
+)
+def test_any_exception_but_refused_input_is_an_internal_error(owner, target, monkeypatch, capsys):
+    # the type alone decides: a KeyError is neither a SolvsphError nor a ValueError
+    def broken(*args, **kwargs):
+        raise KeyError("stage")
+
+    monkeypatch.setattr(owner, target, broken)
+    code, _, err = _run_main(["verify", "--preset", "sl2-torus", "--height", "1"], capsys)
+    assert (code, err) == (3, "internal error: KeyError: 'stage'\n")
+
+
+def test_an_internal_error_prints_one_line_and_no_traceback():
+    script = (
+        "import sys\n"
+        "from solvsph import cli, oracle\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise KeyError('orbit')\n"
+        "oracle.open_orbit_check = broken\n"
+        "sys.exit(cli.main(['verify', '--preset', 'sl2-torus', '--height', '1']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (3, "internal error: KeyError: 'orbit'\n")
+    assert proc.stdout.startswith("[PASS] multiplicity free")
+
+
+def test_an_operator_that_is_not_nilpotent_is_an_internal_error(monkeypatch, capsys):
+    # the orbit test exponentiates only lower nilpotent elements; the identity is not one
+    monkeypatch.setattr(oracle, "_combination", lambda n, terms: [{j: 1} for j in range(n)])
+    code, _, err = _run_main(["verify", "--preset", "sl2-torus", "--height", "1"], capsys)
+    assert (code, err) == (3, "internal error: AssertionError: operator is not nilpotent\n")
+
+
+def test_every_error_class_is_refused_input_or_a_self_check_and_cli_names_no_self_check():
+    from solvsph import errors
+    from solvsph.errors import SolvsphError
+
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BaseException)]
+    assert all(issubclass(c, SolvsphError) != issubclass(c, AssertionError) for c in classes)
+    internal = {c.__name__ for c in classes if issubclass(c, AssertionError)}
+    assert internal == {"AxiomViolation", "MultipleCandidates", "NoValidCandidate"}
+    names = set(re.findall(r"\w+", Path(cli.__file__).read_text(encoding="utf-8")))
+    assert not names & (internal | {"AssertionError", "ArithmeticError"})
+
+
 def _zero_witness(mod, sub, table, j):
     return [0] * mod.dim
 

@@ -415,3 +415,21 @@ def test_dominant_weights_up_to_matches_sorted_compositions():
             key=lambda c: (sum(c), c),
         )
         assert [w.coords for w in dominant_weights_up_to(rs, height)] == expected
+
+
+def test_exp_nilpotent_refuses_an_operator_that_is_not_nilpotent():
+    from solvsph.oracle import exp_nilpotent
+
+    assert exp_nilpotent([{}, {0: 2}], [{1: 1}]) == [{0: 2, 1: 1}]
+    with pytest.raises(AssertionError, match="operator is not nilpotent"):
+        exp_nilpotent([{1: 1}, {0: 1}], [{0: 1}])
+
+
+def test_the_default_dimension_cap_is_the_one_constant():
+    import inspect
+
+    from solvsph import JobOptions, oracle
+
+    assert JobOptions().dim_cap == oracle.DIM_CAP == 20000
+    for f in (build_irrep, enumerate_semigroup):
+        assert inspect.signature(f).parameters["dim_cap"].default is oracle.DIM_CAP
