@@ -161,9 +161,9 @@ class ChevalleyAlgebra:
     # -- basis ------------------------------------------------------------
 
     def e(self, root):
-        """The basis vector of a root (a Root, or raw coordinates)."""
-        coords = self.root_system.root(root.coords if isinstance(root, Root) else root).coords
-        return AlgebraElement(self, {("e", coords): 1})
+        """The basis vector of a root (a Root, or raw coordinates); NotBasisKey
+        for a vector that is not a root."""
+        return self.basis_element(("e", root.coords if isinstance(root, Root) else integers(root)))
 
     def h(self, i):
         """The simple coroot basis vector h_i (0-based); NotBasisKey unless 0 <= i < n."""

@@ -174,7 +174,8 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     records = oracle.enumerate_semigroup(sub, realization, height, cap)
     emit(all(r.dim <= 1 for r in records), f"multiplicity free: {len(records)} records, all dim <= 1")
 
-    found = {r.pair(rs) for r in records}
+    duals = {lam: rs.dual_weight(lam).coords for lam in {r.lam for r in records}}
+    found = {(duals[r.lam], r.chi) for r in records}
     member = bounded_members(gens, height)
     consistent = all(gens.decompose(p) is not None for p in member)
     emit(member == found and consistent,

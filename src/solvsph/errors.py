@@ -21,8 +21,9 @@ class AlgebraMismatch(SolvsphError):
     """Elements or modules belong to different algebras."""
 
 
-class NotBasisKey(SolvsphError):
-    """A key that names no basis vector of the algebra."""
+class NotBasisKey(SolvsphError, ValueError):
+    """A key that names no basis vector of the algebra, a non-root among them;
+    also a ValueError, as a vector that is not a root is one."""
 
 
 class NonIntegralWeight(SolvsphError):

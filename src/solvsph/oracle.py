@@ -4,11 +4,17 @@ Everything the combinatorial pipeline claims is re-derived here from
 scratch, for every type: irreducible modules are built weight space by
 weight space from the Cartan matrix alone (``_irreducible``), on their
 Kostant Z-form, so every basis element of the algebra acts by an integer
-matrix.  ``build_irrep`` is the one path that builds them, and a
+matrix.  Root strings rule out lowering steps before any arithmetic: the
+weights mu + i a_k of a module form one unbroken string -q <= i <= p with
+q - p = <mu, a_k coroot>, so when the p higher steps already built and
+mu[k] give q = 0, f_k kills the weight space of mu and is set to zero there
+without a reduction; that is exact, since mu - a_k is then no weight.
+``build_irrep`` is the one path that builds modules, and a
 ``MatrixRealization`` keeps each module it has built.  Semi-invariant
 dimensions are exact kernels: the integer images of the basis vectors of one
-S-weight under the unipotent basis are read from the module's own columns
-and counted by ``linalg.echelon``.  Every matrix, of a module or of the
+S-weight (grouped by S-weight once per module and torus restriction) under
+the unipotent basis are summed from the module's own columns and counted by
+``linalg.echelon``.  Every matrix, of a module or of the
 adjoint representation, is a list of sparse columns (dicts row -> value),
 applied by ``linalg.apply``.  The simple root vectors act directly on a
 module and the coroots by the weight diagonal; the other root vectors act
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -129,7 +136,19 @@ class HighestWeightModule:
         self.by_weight = {}  # weight coords -> basis indices, in order
         for j, w in enumerate(weights):
             self.by_weight.setdefault(w.coords, []).append(j)
+        self._by_s_weight = {}  # torus restriction rows -> by_s_weight's grouping
         self._verify_basics()
+
+    def by_s_weight(self, tau):
+        """S-weight -> basis indices, in order, under the torus restriction
+        tau: grouped in one pass over the distinct weights on the first
+        request for tau's rows, which alone decide the grouping, and kept."""
+        groups = self._by_s_weight.get(tau.rows)
+        if groups is None:
+            groups = self._by_s_weight[tau.rows] = {}
+            for wt, js in self.by_weight.items():
+                groups.setdefault(tau.restrict(wt), []).extend(js)
+        return groups
 
     def _verify_basics(self):
         """Check the relations that present the algebra on the simple root
@@ -158,8 +177,9 @@ class HighestWeightModule:
                 raise AssertionError("highest vector is not annihilated by raising operators")
             shift = [row[i] for row in rs.cartan]  # alpha_i in weight coordinates
             for sign, m in ((1, e[i]), (-1, f[i])):
-                up = [tuple(a + sign * b for a, b in zip(w, shift)) for w in wts]
-                if any(wts[r] != up[j] for j, col in enumerate(m) for r in col):
+                step = [sign * b for b in shift]
+                up = {w: tuple(map(operator.add, w, step)) for w in self.by_weight}
+                if any(wts[r] != up[wts[j]] for j, col in enumerate(m) for r in col):
                     root = alpha if sign == 1 else -alpha
                     raise AssertionError(f"e({fmt_root(root)}) does not shift weights by its root")
         nonzero = {k: [(j, col) for j, col in enumerate(self.actions[k]) if col]
@@ -200,10 +220,22 @@ def _irreducible(algebra, lam):
     vector b of weight mu + m a_k, reduced to a Z-basis by ``linalg.echelon``.
     V_Z is stable under every e_a and f_a of the Chevalley basis, so every
     division is exact; each is checked, so a wrong lattice fails the build.
+
+    Root strings say, before any arithmetic, which f_k kill a weight space:
+    the weights mu + i a_k of V form one unbroken string, -q <= i <= p, with
+    q - p = <mu, a_k coroot> = mu[k] (Humphreys, section 21.3).  The p steps
+    up are higher weights, built already, so when p + mu[k] <= 0 then q = 0:
+    mu - a_k is no weight, f_k is zero on V_mu, its columns there are set to
+    zero and the divided powers pending at mu are dropped, with no signature
+    or reduction.  The rule is exact, not a shortcut that could hide a
+    vector: V_{mu - a_k} = 0, so those products would all have reduced to
+    zero.  Every other direction reaches a weight of V, so ``linalg.echelon``
+    runs once per weight space below the top.
     """
     rs = algebra.root_system
-    shifts = [rs.root_to_weight(a).coords for a in rs.simple_roots]
+    shifts = [tuple(row[k] for row in rs.cartan) for k in range(rs.n)]  # a_k in weight coordinates
     weights, sigs = [lam.coords], [{}]  # per basis vector: weight coords, signature
+    built = {lam.coords}  # the weights of the depths done so far
     lowering = [{} for _ in range(rs.n)]  # k -> basis index -> column of f_k
     powers = [{} for _ in range(rs.n)]  # k -> weight -> (m, coordinates) of each f_k^(m) b there
     level = [(lam.coords, range(1))]  # the weights of one depth, with their basis indices
@@ -211,8 +243,15 @@ def _irreducible(algebra, lam):
         spans = {}  # weight one step down -> [(k, m, b or None, signature of f_k^(m) b)]
         for wt, js in level:
             for k in range(rs.n):
+                p, up = 0, tuple(map(operator.add, wt, shifts[k]))
+                while up in built:
+                    p, up = p + 1, tuple(map(operator.add, up, shifts[k]))
+                if p + wt[k] <= 0:  # wt - a_k is not a weight: f_k kills V_wt
+                    lowering[k].update((j, {}) for j in js)
+                    powers[k].pop(wt, None)
+                    continue
                 first = {j: add_into(apply(lowering[k], sigs[j]), {j: wt[k]}) for j in js}
-                span = spans.setdefault(tuple(a - b for a, b in zip(wt, shifts[k])), [])
+                span = spans.setdefault(tuple(map(operator.sub, wt, shifts[k])), [])
                 span += [(k, 1, j, sig) for j, sig in first.items()]
                 for m, vec in powers[k].pop(wt, []):
                     span.append((k, m + 1, None, linalg.divide(apply(first, vec), m + 1)))
@@ -224,6 +263,7 @@ def _irreducible(algebra, lam):
             sigs += rows.values()
             if rows:
                 level.append((low, range(start, len(weights))))
+                built.add(low)
             for k, m, b, sig in span:
                 vec = {start + i: c for i, c in linalg.coordinates(rows, sig).items()}
                 if b is not None:
@@ -234,10 +274,10 @@ def _irreducible(algebra, lam):
     dim = len(weights)
     actions = {}
     for k, alpha in enumerate(rs.simple_roots):
-        up = [tuple(a + b for a, b in zip(w, shifts[k])) for w in weights]
+        up = {w: tuple(map(operator.add, w, shifts[k])) for w in built}
         actions[("h", k)] = [{j: w[k]} if w[k] else {} for j, w in enumerate(weights)]
         actions[("e", alpha.coords)] = [
-            {r: x for r, x in sigs[j].items() if weights[r] == up[j]} for j in range(dim)
+            {r: x for r, x in sigs[j].items() if weights[r] == up[w]} for j, w in enumerate(weights)
         ]
         actions[("e", (-alpha).coords)] = [lowering[k][j] for j in range(dim)]
     weights = [Weight(w) for w in weights]
@@ -321,21 +361,25 @@ def representation_property_check(algebra, actions):
 def build_irrep(realization, lam, dim_cap=DIM_CAP):
     """The irreducible module of highest weight lam, built from the Cartan
     data by ``_irreducible`` on the realization's first request for lam and
-    checked against the dimension formula; later requests return it."""
+    checked against the dimension formula; later requests return it, and
+    the cap is checked on its dimension."""
     rs = realization.algebra.root_system
     if not isinstance(lam, Weight):
         lam = Weight(tuple(lam))
     if not lam.is_dominant:
         raise NotDominant(f"{lam} is not a dominant integral weight")
+    mod = realization.modules.get(lam)
+    if mod is not None:  # checked against the formula when it was built
+        if mod.dim > dim_cap:
+            raise DimensionCap(mod.dim, dim_cap)
+        return mod
     predicted = weyl_dim(rs, lam)
     if predicted > dim_cap:
         raise DimensionCap(predicted, dim_cap)
-    mod = realization.modules.get(lam)
-    if mod is None:
-        mod = _irreducible(realization.algebra, lam)
-        if mod.dim != predicted:
-            raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
-        realization.modules[lam] = mod
+    mod = _irreducible(realization.algebra, lam)
+    if mod.dim != predicted:
+        raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
+    realization.modules[lam] = mod
     return mod
 
 
@@ -353,18 +397,24 @@ class MultiplicityRecord:
 
 
 def _nil_images(mod, sub: SubgroupData, vectors):
-    """For each sparse vector v, the images under the unipotent basis (whose
-    elements are primitive integer vectors), read from the module's columns
-    and stacked into one vector keyed by (i, row)."""
+    """For each sparse vector v, the images x_i v under the unipotent basis
+    (whose elements x_i = sum of c X_key are primitive integer vectors),
+    summed straight from the columns of the X_key and stacked into one
+    vector keyed by i * dim + row."""
     if mod.algebra is not sub.algebra:
         raise AlgebraMismatch("module and subgroup live over different algebras")
+    terms = [(i * mod.dim, mod.actions[key], c)
+             for i, x in enumerate(sub.nil_basis) for key, c in x.terms.items()]
     out = []
     for vec in vectors:
         stacked = {}
-        for i, terms in enumerate(x.terms for x in sub.nil_basis):  # x_i v = sum of c X_key v
-            image = apply({key: apply(mod.actions[key], vec) for key in terms}, terms)
-            stacked.update(((i, r), y) for r, y in image.items())
-        out.append(stacked)
+        get = stacked.get
+        for j, x in vec.items():
+            for base, cols, c in terms:
+                for r, y in cols[j].items():
+                    key = base + r
+                    stacked[key] = get(key, 0) + c * x * y
+        out.append({key: y for key, y in stacked.items() if y})
     return out
 
 
@@ -374,10 +424,12 @@ def semi_invariant_dim(mod, sub: SubgroupData, chi) -> MultiplicityRecord:
     A vector qualifies when it is an S-weight vector of weight chi and is
     killed by every basis element of the unipotent part: the dimension is
     the number of basis vectors of S-weight chi less the rank of their
-    stacked integer images, counted by ``linalg.echelon``.
+    stacked integer images, counted by ``linalg.echelon``.  The basis
+    vectors of S-weight chi are read from ``mod.by_s_weight(sub.tau)``, one
+    grouping of the module's basis per torus restriction, kept on the module.
     """
     chi = tuple(chi)
-    cols = [j for wt, js in mod.by_weight.items() if sub.tau.restrict(wt) == chi for j in js]
+    cols = mod.by_s_weight(sub.tau).get(chi, [])
     images = _nil_images(mod, sub, ({j: 1} for j in cols))
     return MultiplicityRecord(mod.lam, chi, len(cols) - len(linalg.echelon(images)))
 
@@ -450,8 +502,7 @@ def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=DI
     records = []
     for lam in dominant_weights_up_to(sub.root_system, height_bound):
         mod = build_irrep(realization, lam, dim_cap)
-        chis = sorted({sub.tau.restrict(wt) for wt in mod.by_weight})
-        for chi in chis:
+        for chi in sorted(mod.by_s_weight(sub.tau)):
             rec = semi_invariant_dim(mod, sub, chi)
             if rec.dim >= 1:
                 records.append(rec)

@@ -260,7 +260,7 @@ def test_bracket_keys_refuses_a_key_outside_the_basis(x, y, name):
     from solvsph import NotBasisKey, SolvsphError
 
     alg = _algebra([("A", 2)])
-    assert issubclass(NotBasisKey, SolvsphError)
+    assert issubclass(NotBasisKey, SolvsphError) and issubclass(NotBasisKey, ValueError)
     with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
         alg.bracket_keys(x, y)
     with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
@@ -293,4 +293,7 @@ def test_basis_element_refuses_a_key_outside_the_basis(key, name):
     alg = _algebra([("A", 2)])
     with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
         alg.basis_element(key)
+    if key[0] == "e" and isinstance(key[1], tuple):  # e((2, 0)) and e((0, 0)) refuse it alike
+        with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
+            alg.e(key[1])
     assert [alg.basis_element(k).terms for k in alg.basis_keys()] == [{k: 1} for k in alg.basis_keys()]

@@ -396,6 +396,54 @@ def test_semi_invariant_dim_matches_dense_rank_on_fuzzed_types():
     assert kernels > 250, kernels
 
 
+def _counting_echelons(monkeypatch):
+    """A list that grows by one on every call of ``linalg.echelon``."""
+    calls, original = [], linalg.echelon
+
+    def counting(vectors):
+        calls.append(1)
+        return original(vectors)
+
+    monkeypatch.setattr(linalg, "echelon", counting)
+    return calls
+
+
+def test_module_build_reduces_each_weight_space_below_the_top_once(monkeypatch):
+    from solvsph.oracle import _irreducible
+
+    calls = _counting_echelons(monkeypatch)
+    a2 = build_algebra(build_root_system([("A", 2)]))
+    assert _irreducible(a2, Weight((0, 0))).dim == 1 and not calls
+    assert _irreducible(a2, Weight((1, 0))).dim == 3 and len(calls) == 2
+    rng = random.Random(21)
+    built = 0
+    while built < 25:
+        rs = build_root_system(rng.choice(POOL_RANK3))
+        lam = Weight(tuple(rng.randint(0, 3) for _ in range(rs.n)))
+        if weyl_dim(rs, lam) > 300:
+            continue
+        calls.clear()
+        mod = _irreducible(build_algebra(rs), lam)
+        assert len(calls) == len(mod.by_weight) - 1, (rs.describe(), lam)
+        built += 1
+
+
+def test_semi_invariant_dim_groups_by_module_and_torus():
+    from solvsph import validate
+
+    alg = build_algebra(build_root_system([("A", 2)]))
+    real = build_realization(alg)
+    borel = validate(alg, [[1, 0], [0, 1]], [])
+    diagonal = validate(alg, [[1, 1]], [[((1, 0), 1), ((0, 1), -1)]])
+    big, small = build_irrep(real, Weight((1, 1))), build_irrep(real, Weight((2, 0)))
+    order = [(big, borel), (big, diagonal), (big, borel), (small, diagonal), (big, diagonal),
+             (small, borel), (small, diagonal), (big, borel)]
+    for mod, sub in order:
+        mats = [mod.act_element(x) for x in sub.nil_basis]
+        for chi in sorted({sub.tau.restrict(w) for w in mod.weights}):
+            assert semi_invariant_dim(mod, sub, chi).dim == _dense_semi_invariant_dim(mod, sub, mats, chi)
+
+
 def test_build_irrep_builds_each_weight_once_and_keeps_the_cap():
     real = _realization([("A", 2)])
     mod = build_irrep(real, Weight((1, 1)))
