@@ -12,7 +12,9 @@ choice gives the same downstream results; this one is fixed for
 reproducibility.  The constants are computed in integers, and a division
 with a remainder raises.  ``bracket_keys`` reads them from ``_n``, and looks
 up the rest in tables of the roots alone: the root each pair of roots sums
-to, the coroot of each pair of opposites, every root's simple-coroot pairings.
+to, the coroot of each pair of opposites, every root's nonzero simple-coroot
+pairings.  Zero brackets are not stored: a pair of basis keys found in no
+table brackets to zero.
 """
 
 from __future__ import annotations
@@ -146,17 +148,17 @@ class ChevalleyAlgebra:
                     table[x, neg[y]], table[neg[y], x] = c, -c
                     sums[key[x], key[neg[y]]] = sums[key[neg[y]], key[x]] = key[diff]
         self._n, self._sum = {k: v for k, v in table.items() if v}, sums
-        # the other brackets depend on the roots alone; zero is shared, as bracket_keys copies
-        self._keys, zero = frozenset([*key.values(), *h]), {}
-        self._fixed = {(x, y): zero for x in h for y in h}  # brackets with a coroot, or of opposites
+        # the nonzero brackets with a coroot, or of opposites, depend on the roots
+        # alone; a pair of basis keys with no entry anywhere brackets to zero
+        self._keys, self._fixed = frozenset([*key.values(), *h]), {}
         for a, coeffs in zip(positive, rs.positive_coroots):
             ea, fa = key[a], key[neg[a]]
             self._fixed[ea, fa] = {h[i]: c for i, c in enumerate(coeffs) if c}
             self._fixed[fa, ea] = {h[i]: -c for i, c in enumerate(coeffs) if c}
             for hi, row in zip(h, rs.cartan):  # [h_i, e_a] = <a, a_i coroot> e_a
-                p = sum(x * y for x, y in zip(row, a))
-                self._fixed[hi, ea], self._fixed[ea, hi] = ({ea: p}, {ea: -p}) if p else (zero, zero)
-                self._fixed[hi, fa], self._fixed[fa, hi] = ({fa: -p}, {fa: p}) if p else (zero, zero)
+                if p := sum(x * y for x, y in zip(row, a)):
+                    self._fixed[hi, ea], self._fixed[ea, hi] = {ea: p}, {ea: -p}
+                    self._fixed[hi, fa], self._fixed[fa, hi] = {fa: -p}, {fa: p}
 
     # -- basis ------------------------------------------------------------
 
@@ -217,7 +219,7 @@ class ChevalleyAlgebra:
         if (terms := self._fixed.get((key_x, key_y))) is not None:
             return dict(terms)
         if key_x in self._keys and key_y in self._keys:
-            return {}  # two root vectors whose sum is neither 0 nor a root
+            return {}  # no entry: the bracket is zero
         raise self._refusal(key_y if key_x in self._keys else key_x)
 
     def bracket(self, x: AlgebraElement, y: AlgebraElement):
@@ -242,6 +244,4 @@ def bracket(x, y):
     """Lie bracket of two elements of the same algebra."""
     if not isinstance(x, AlgebraElement) or not isinstance(y, AlgebraElement):
         raise TypeError("bracket expects algebra elements")
-    if x.algebra is not y.algebra:
-        raise AlgebraMismatch("bracket of elements from different algebras")
     return x.algebra.bracket(x, y)

@@ -41,7 +41,7 @@ def _parse_group_override(text):
 
 def load_config(args) -> JobConfig:
     if args.preset:
-        override = _parse_group_override(args.group) if getattr(args, "group", None) else None
+        override = _parse_group_override(args.group) if args.group else None
         return presets.get_preset(args.preset, override)
     if not args.config:
         raise ConfigParseError("either a config file or --preset is required")
@@ -63,9 +63,18 @@ def _resolve(flag_value, env_name, config_value):
     return config_value
 
 
+def _spherical_table(sub, out):
+    """The active-root table of a spherical subgroup; for any other, None
+    once the negative verdict is printed."""
+    verdict = check_spherical(sub)
+    if verdict.spherical:
+        return active_roots(sub)
+    print(f"NOT spherical: {verdict.violations}", file=out)
+    return None
+
+
 def cmd_check(config: JobConfig, out=None):
     """Validation, weight table, sphericity verdict, consistency report."""
-    out = out if out is not None else sys.stdout
     sub = build_subgroup(config)
     print(f"group: {sub.root_system.describe()}   (n = {sub.root_system.n}, "
           f"d = {sub.tau.d}, dim N = {sub.dim_n} of {sub.dim_u})", file=out)
@@ -73,11 +82,8 @@ def cmd_check(config: JobConfig, out=None):
     for phi, roots, c in sub.weight_table():
         names = " ".join(fmt_root(r) for r in roots)
         print(f"  chi={list(phi)}  codim={c}  roots: {names}", file=out)
-    verdict = check_spherical(sub)
-    if not verdict.spherical:
-        print(f"NOT spherical: {verdict.violations}", file=out)
+    if (table := _spherical_table(sub, out)) is None:
         return 1
-    table = active_roots(sub)
     print(f"spherical: yes   (m = {table.m})", file=out)
     for i, fam in enumerate(table.families):
         names = " ".join(fmt_root(r) for r in fam.roots)
@@ -89,7 +95,7 @@ def cmd_check(config: JobConfig, out=None):
     return 0
 
 
-def _generators_json(config, sub, gens):
+def _generators_json(config, gens):
     return {
         "schema": 1,
         "config": config.to_json_dict(),
@@ -114,16 +120,12 @@ def _generators_json(config, sub, gens):
 
 def cmd_semigroup(config: JobConfig, as_json=False, out=None):
     """The free generators, as a table or as JSON."""
-    out = out if out is not None else sys.stdout
     sub = build_subgroup(config)
-    verdict = check_spherical(sub)
-    if not verdict.spherical:
-        print(f"NOT spherical: {verdict.violations}", file=out)
+    if (table := _spherical_table(sub, out)) is None:
         return 1
-    table = active_roots(sub)
     gens = generators(sub, table)
     if as_json or config.options.format == "json":
-        print(json.dumps(_generators_json(config, sub, gens), indent=2, sort_keys=True), file=out)
+        print(json.dumps(_generators_json(config, gens), indent=2, sort_keys=True), file=out)
         return 0
     print(f"{gens.n + gens.m} free generators (n = {gens.n}, m = {gens.m}):", file=out)
     for w, chi in gens.torus_gens:
@@ -135,7 +137,6 @@ def cmd_semigroup(config: JobConfig, as_json=False, out=None):
 
 def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None, out=None):
     """Brute-force verification; one pass/fail line per criterion."""
-    out = out if out is not None else sys.stdout
     height = _resolve(height, "SOLVSPH_HEIGHT", config.options.height_bound)
     cap = _resolve(cap, "SOLVSPH_CAP", config.options.dim_cap)
     trials = _resolve(trials, "SOLVSPH_TRIALS", config.options.trials)
@@ -146,11 +147,8 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
             raise ValueError(f"{what} must be at least {least}, got {value}")
 
     sub = build_subgroup(config)
-    verdict = check_spherical(sub)
-    if not verdict.spherical:
-        print(f"NOT spherical: {verdict.violations}", file=out)
+    if (table := _spherical_table(sub, out)) is None:
         return 1
-    table = active_roots(sub)
     gens = generators(sub, table)
     rs = sub.root_system
     anchors = gens.anchor_wts
@@ -198,7 +196,6 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
 
 
 def cmd_presets(action, name=None, out=None):
-    out = out if out is not None else sys.stdout
     if action == "list":
         if name is not None:
             raise ConfigParseError(f"presets list takes no preset name, got {name!r}")

@@ -36,9 +36,9 @@ class NotSubalgebra(SolvsphError):
     Carries a witness pair of basis elements whose bracket escapes.
     """
 
-    def __init__(self, witness_x, witness_y, message=None):
+    def __init__(self, witness_x, witness_y):
         self.witness = (witness_x, witness_y)
-        super().__init__(message or f"bracket of {witness_x} and {witness_y} leaves the subalgebra")
+        super().__init__(f"bracket of {witness_x} and {witness_y} leaves the subalgebra")
 
 
 class MixedWeightConstraint(SolvsphError):
@@ -60,9 +60,9 @@ class ZeroCoefficient(SolvsphError):
 class NotSpherical(SolvsphError):
     """The subgroup fails the sphericity criterion."""
 
-    def __init__(self, violations, message=None):
+    def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__(message or f"not spherical: {self.violations}")
+        super().__init__(f"not spherical: {self.violations}")
 
 
 class NoValidCandidate(AssertionError):

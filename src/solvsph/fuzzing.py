@@ -35,6 +35,7 @@ POOL_RANK3 = [
 ]
 
 POOL_ORACLE_RANK2 = [(("A", 1),), (("A", 2),), (("C", 2),)]
+MAX_TRIES = 40  # draws a sampler rejects before it falls back to one that always succeeds
 
 
 def random_unimodular(rng, k):
@@ -110,10 +111,10 @@ def _nonspherical_bare(rng, components):
     return JobConfig(tuple(components), (), (((rs.simple_roots[i].coords, _coeff(rng)),),))
 
 
-def random_spherical_config(rng, pool=None, max_tries=40) -> JobConfig:
+def random_spherical_config(rng, pool=None) -> JobConfig:
     """A fuzzed configuration that validates and is spherical."""
     pool = pool or POOL_RANK3
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         components = rng.choice(pool)
         style = rng.random()
         if style < 0.45:
@@ -132,11 +133,11 @@ def random_spherical_config(rng, pool=None, max_tries=40) -> JobConfig:
     return _tu_subset(rng, rng.choice(pool))
 
 
-def random_mixed_config(rng, pool=None, max_tries=40) -> JobConfig:
+def random_mixed_config(rng, pool=None) -> JobConfig:
     """A fuzzed configuration that validates; sphericity varies."""
     pool = pool or POOL_RANK3
     if rng.random() < 0.4:
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             components = rng.choice(pool)
             config = _nonspherical_bare(rng, components) if rng.random() < 0.7 else _free_form(
                 rng, components
@@ -146,4 +147,4 @@ def random_mixed_config(rng, pool=None, max_tries=40) -> JobConfig:
             except (SolvsphError, ValueError):
                 continue
             return config
-    return random_spherical_config(rng, pool, max_tries)
+    return random_spherical_config(rng, pool)

@@ -88,6 +88,7 @@ def _bracket_defect(actions, nonzero, x, y, terms):
 def weyl_dim(rs, lam):
     """Dimension of the irreducible module of highest weight lam: the product
     over the positive coroots h of <lam + rho, h> / <rho, h>, in integers."""
+    rs.check_weight(lam)
     if not lam.is_dominant:
         raise NotDominant(f"{lam} is not dominant")
     num = den = 1
@@ -230,7 +231,12 @@ def _irreducible(algebra, lam):
     or reduction.  The rule is exact, not a shortcut that could hide a
     vector: V_{mu - a_k} = 0, so those products would all have reduced to
     zero.  Every other direction reaches a weight of V, so ``linalg.echelon``
-    runs once per weight space below the top.
+    runs once per weight space below the top, and never on an empty span:
+    a direction kept has q = p + mu[k] >= 1, so the irreducible component
+    under the sl2 of a_k through the string's top weight mu + p a_k runs
+    down to mu - q a_k, past mu and mu - a_k.  Hence f_k is nonzero on V_mu,
+    and as signatures are injective below the top, some f_k b of the span
+    has a nonzero signature.
     """
     rs = algebra.root_system
     shifts = [tuple(row[k] for row in rs.cartan) for k in range(rs.n)]  # a_k in weight coordinates
@@ -261,9 +267,8 @@ def _irreducible(algebra, lam):
             start = len(weights)
             weights += [low] * len(rows)
             sigs += rows.values()
-            if rows:
-                level.append((low, range(start, len(weights))))
-                built.add(low)
+            level.append((low, range(start, len(weights))))
+            built.add(low)
             for k, m, b, sig in span:
                 vec = {start + i: c for i, c in linalg.coordinates(rows, sig).items()}
                 if b is not None:
@@ -362,12 +367,12 @@ def build_irrep(realization, lam, dim_cap=DIM_CAP):
     """The irreducible module of highest weight lam, built from the Cartan
     data by ``_irreducible`` on the realization's first request for lam and
     checked against the dimension formula; later requests return it, and
-    the cap is checked on its dimension."""
+    the cap is checked on its dimension.  Only built modules are kept, so a
+    weight that is not dominant, or has the wrong number of coordinates,
+    misses the cache and is refused by ``weyl_dim`` before any build."""
     rs = realization.algebra.root_system
     if not isinstance(lam, Weight):
         lam = Weight(tuple(lam))
-    if not lam.is_dominant:
-        raise NotDominant(f"{lam} is not a dominant integral weight")
     mod = realization.modules.get(lam)
     if mod is not None:  # checked against the formula when it was built
         if mod.dim > dim_cap:
@@ -429,6 +434,8 @@ def semi_invariant_dim(mod, sub: SubgroupData, chi) -> MultiplicityRecord:
     grouping of the module's basis per torus restriction, kept on the module.
     """
     chi = tuple(chi)
+    if len(chi) != sub.tau.d:
+        raise ValueError(f"a vector of {len(chi)} coordinates is not a character of S (d = {sub.tau.d})")
     cols = mod.by_s_weight(sub.tau).get(chi, [])
     images = _nil_images(mod, sub, ({j: 1} for j in cols))
     return MultiplicityRecord(mod.lam, chi, len(cols) - len(linalg.echelon(images)))

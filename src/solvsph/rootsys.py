@@ -274,6 +274,11 @@ class RootSystem:
             raise ValueError(f"{name} is not a root of {self.describe()}")
         return Root(c)
 
+    def check_weight(self, lam):
+        """ValueError unless the Weight lam has n coordinates."""
+        if len(lam.coords) != self.n:
+            raise ValueError(f"a vector of {len(lam.coords)} coordinates is not a weight of {self.describe()}")
+
     # -- bilinear form ----------------------------------------------------
 
     def root_form(self, alpha, beta):
@@ -319,6 +324,7 @@ class RootSystem:
 
     def dual_weight(self, lam):
         """The highest weight of the dual module: -w0(lam), for dominant lam."""
+        self.check_weight(lam)
         if not lam.is_dominant:
             raise NotDominant(f"{lam} is not dominant")
         mu = list(lam.coords)

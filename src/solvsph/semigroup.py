@@ -30,7 +30,6 @@ class SemigroupGenerators:
     """The n + m free generators, with decomposition support."""
 
     def __init__(self, rs, d, torus_gens, active_gens, anchor_wts):
-        self.root_system = rs
         self.n = rs.n
         self.d = d
         self.m = len(active_gens)

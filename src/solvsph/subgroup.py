@@ -51,12 +51,15 @@ class TorusRestriction:
         """Image of a torus character (integral weight) in Z^d.
 
         Each image is computed once and kept: the rows never change, and
-        non-integral input raises NonIntegralWeight before anything is stored.
+        non-integral input raises NonIntegralWeight, input of other than n
+        coordinates ValueError, before anything is stored.
         """
         coords = weight.coords if isinstance(weight, Weight) else tuple(weight)
         image = self._images.get(coords)
         if image is None:
             ints = Weight(coords).coords
+            if len(ints) != self.n:
+                raise ValueError(f"a vector of {len(ints)} coordinates is not a weight of rank {self.n}")
             image = tuple(sum(r * c for r, c in zip(row, ints)) for row in self.rows)
             self._images[coords] = image
         return image
@@ -113,11 +116,10 @@ class WeightClass:
 class SubgroupData:
     """Validated solvable subgroup: torus part, unipotent part, weight table."""
 
-    def __init__(self, algebra, tau, nilradical, classes):
+    def __init__(self, algebra, tau, classes):
         self.algebra = algebra
         self.root_system = algebra.root_system
         self.tau = tau
-        self.nilradical = nilradical
         self.classes = classes
         self.class_by_phi = {c.phi: c for c in classes}
         self._phi_of_root = {r.coords: c.phi for c in classes for r in c.roots}
@@ -204,7 +206,7 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
         cls.codim = len(linalg.echelon(cls.functionals))
 
     ordered = [classes[phi] for phi in sorted(classes)]
-    sub = SubgroupData(algebra, tau, nilradical, ordered)
+    sub = SubgroupData(algebra, tau, ordered)
 
     if sub.dim_u - sub.dim_n != sum(c.codim for c in ordered):
         raise AssertionError("codimension bookkeeping is inconsistent")

@@ -234,6 +234,7 @@ def test_bracket_keys_match_an_independent_reference():
         alg = _algebra(list(spec))
         for x, y in itertools.product(alg.basis_keys(), repeat=2):
             assert alg.bracket_keys(x, y) == _reference_bracket(alg, x, y), (spec, x, y)
+        assert all(alg._fixed.values()), spec  # zero brackets are not stored
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,38 @@ def test_build_irrep_rejects_bad_weights():
         build_irrep(real, Weight((-1, 0)))
     with pytest.raises(DimensionCap):
         build_irrep(real, Weight((1, 1)), dim_cap=7)
+
+
+def _a2_tu_prime():
+    sub = build_subgroup(get_preset("tu-prime"))
+    return sub, build_realization(sub.algebra)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sub, real: sub.tau.restrict((1,)), "a vector of 1 coordinates is not a weight of rank 2"),
+        (lambda sub, real: sub.tau.restrict((1, 0, 7)), "a vector of 3 coordinates is not a weight of rank 2"),
+        (lambda sub, real: weyl_dim(sub.root_system, Weight((1,))),
+         "a vector of 1 coordinates is not a weight of A2"),
+        (lambda sub, real: weyl_dim(sub.root_system, Weight((1, 0, 5))),
+         "a vector of 3 coordinates is not a weight of A2"),
+        (lambda sub, real: build_irrep(real, (1,)), "a vector of 1 coordinates is not a weight of A2"),
+        (lambda sub, real: build_irrep(real, (1, 0, 0)), "a vector of 3 coordinates is not a weight of A2"),
+        (lambda sub, real: sub.root_system.dual_weight(Weight((1, 0, 5))),
+         "a vector of 3 coordinates is not a weight of A2"),
+        (lambda sub, real: semi_invariant_dim(build_irrep(real, (1, 0)), sub, (0,)),
+         "a vector of 1 coordinates is not a character of S (d = 2)"),
+        (lambda sub, real: semi_invariant_dim(build_irrep(real, (1, 0)), sub, (0, 0, 0)),
+         "a vector of 3 coordinates is not a character of S (d = 2)"),
+    ],
+    ids=["restrict-short", "restrict-long", "weyl_dim-short", "weyl_dim-long", "build_irrep-short",
+         "build_irrep-long", "dual_weight-long", "semi_invariant_dim-short", "semi_invariant_dim-long"],
+)
+def test_vectors_of_the_wrong_length_are_refused(call, message):
+    sub, real = _a2_tu_prime()
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        call(sub, real)
 
 
 def test_representation_property_of_constructed_modules():

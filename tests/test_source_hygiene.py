@@ -1,0 +1,61 @@
+"""Source hygiene of the package, read with the stdlib ``ast`` module.
+
+Every name a module imports is read in that module, and every private
+(``_``-prefixed) module-level function or class is referenced somewhere in
+the package outside its own definition.  ``__init__.py`` re-exports the
+public API, so its imports are not checked.  Public names are out of scope:
+callers outside the package may use them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "solvsph"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _names(nodes):
+    """Every name the nodes read: bare names, attribute names and names imported from a module."""
+    out = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _imports(tree):
+    """(bound name, line) of every import in the tree, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
+def test_every_import_is_used(name):
+    tree = TREES[name]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [f"{bound} (line {line})" for bound, line in _imports(tree) if bound not in read] == []
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_every_private_definition_is_referenced(name):
+    tree = TREES[name]
+    private = [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    elsewhere = set().union(*(_names([t]) for other, t in TREES.items() if other != name))
+    unused = [
+        node.name for node in private
+        if node.name not in elsewhere | _names([top for top in tree.body if top is not node])
+    ]
+    assert unused == []
