@@ -162,6 +162,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         if predicted > cap:
             raise DimensionCap(predicted, cap)
     realization = oracle.build_realization(sub.algebra)
+    anchor_mods = [oracle.build_irrep(realization, lam, cap) for lam in anchors]  # held until verify returns
     failures = 0
 
     def emit(ok, label):
@@ -169,7 +170,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         failures += not ok
         print(f"[{'PASS' if ok else 'FAIL'}] {label}", file=out)
 
-    records = oracle.enumerate_semigroup(sub, realization, height, cap)
+    records = [r for r in oracle.semi_invariant_records(sub, realization, height, cap) if r.dim]
     emit(all(r.dim <= 1 for r in records), f"multiplicity free: {len(records)} records, all dim <= 1")
 
     duals = {lam: rs.dual_weight(lam).coords for lam in {r.lam for r in records}}
@@ -179,8 +180,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
     emit(member == found and consistent,
          f"semigroup matches enumeration up to height {height}: {len(found)} pairs")
 
-    for j, lam in enumerate(anchors):
-        mod = oracle.build_irrep(realization, lam, cap)
+    for j, mod in enumerate(anchor_mods):
         w = oracle.semi_invariant_witness(mod, sub, table, j)
         ok = any(x != 0 for x in w) and oracle.annihilated_by_nil(mod, sub, w)
         try:

@@ -10,7 +10,8 @@ q - p = <mu, a_k coroot>, so when the p higher steps already built and
 mu[k] give q = 0, f_k kills the weight space of mu and is set to zero there
 without a reduction; that is exact, since mu - a_k is then no weight.
 ``build_irrep`` is the one path that builds modules, and a
-``MatrixRealization`` keeps each module it has built.  Semi-invariant
+``MatrixRealization`` holds them, but ``semi_invariant_records`` drops each
+module it built once it has read that module's records.  Semi-invariant
 dimensions are exact kernels: the integer images of the basis vectors of one
 S-weight (grouped by S-weight once per module and torus restriction) under
 the unipotent basis are summed from the module's own columns and counted by
@@ -191,9 +192,6 @@ class HighestWeightModule:
                 names = f"{fmt_root(simple[i])}, {fmt_root(simple[j])}"
                 raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
 
-    def highest_vector(self):
-        return [int(i == 0) for i in range(self.dim)]
-
     def act_element(self, element):
         """Matrix of an algebra element (linear combination of basis keys)."""
         if element.algebra is not self.algebra:
@@ -293,7 +291,7 @@ def _irreducible(algebra, lam):
 
 
 class MatrixRealization:
-    """The irreducible modules of one algebra, each built once by ``build_irrep``.
+    """The irreducible modules one algebra holds, each built by ``build_irrep``.
 
     Construction checks the Chevalley bracket table once per simple factor, on
     its fundamental of least Weyl dimension.  That is enough: the simple root
@@ -310,12 +308,6 @@ class MatrixRealization:
         self.modules = {}  # Weight -> HighestWeightModule
         for lam in checked_fundamentals(rs):
             representation_property_check(algebra, build_irrep(self, lam, math.inf).actions)
-
-    @property
-    def fundamentals(self):
-        """The fundamental modules, each built on its first request."""
-        rs = self.algebra.root_system
-        return [build_irrep(self, rs.fundamental_weight(i), math.inf) for i in range(rs.n)]
 
     def __repr__(self):
         return f"MatrixRealization({self.algebra.root_system.describe()})"
@@ -365,11 +357,12 @@ def representation_property_check(algebra, actions):
 
 def build_irrep(realization, lam, dim_cap=DIM_CAP):
     """The irreducible module of highest weight lam, built from the Cartan
-    data by ``_irreducible`` on the realization's first request for lam and
-    checked against the dimension formula; later requests return it, and
-    the cap is checked on its dimension.  Only built modules are kept, so a
-    weight that is not dominant, or has the wrong number of coordinates,
-    misses the cache and is refused by ``weyl_dim`` before any build."""
+    data by ``_irreducible`` when the realization does not hold it, checked
+    against the dimension formula and held; while it is held, requests
+    return it, and the cap is checked on its dimension.  Only built modules
+    are held, so a weight that is not dominant, or has the wrong number of
+    coordinates, misses the cache and is refused by ``weyl_dim`` before any
+    build."""
     rs = realization.algebra.root_system
     if not isinstance(lam, Weight):
         lam = Weight(tuple(lam))
@@ -497,23 +490,30 @@ def dominant_weights_up_to(rs, height_bound):
     return [w for level in range(height_bound + 1) for w in dominant_weights_at_level(rs, level)]
 
 
-def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=DIM_CAP):
-    """All (module weight, character) pairs with nonzero semi-invariants.
+def semi_invariant_records(sub: SubgroupData, realization, height_bound, dim_cap=DIM_CAP):
+    """The MultiplicityRecord of every character of S in every module up to
+    the bound, dimension 0 included, level by level and in character order,
+    whatever the subgroup's verdict.  A module is held only while its
+    records are read: once they are, it leaves ``realization.modules``
+    unless the realization held it when the stream reached its weight."""
+    for lam in dominant_weights_up_to(sub.root_system, height_bound):
+        held = lam in realization.modules
+        mod = build_irrep(realization, lam, dim_cap)
+        try:
+            for chi in sorted(mod.by_s_weight(sub.tau)):
+                yield semi_invariant_dim(mod, sub, chi)
+        finally:
+            if not held:
+                del realization.modules[lam]
 
-    Scans every dominant weight up to the bound and every character of S
-    actually occurring in the module; deterministic output order.
-    """
+
+def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=DIM_CAP):
+    """The records of ``semi_invariant_records`` with nonzero semi-invariants;
+    NotSpherical for a subgroup that is not spherical."""
     verdict = check_spherical(sub)
     if not verdict.spherical:
         raise NotSpherical(verdict.violations)
-    records = []
-    for lam in dominant_weights_up_to(sub.root_system, height_bound):
-        mod = build_irrep(realization, lam, dim_cap)
-        for chi in sorted(mod.by_s_weight(sub.tau)):
-            rec = semi_invariant_dim(mod, sub, chi)
-            if rec.dim >= 1:
-                records.append(rec)
-    return records
+    return [r for r in semi_invariant_records(sub, realization, height_bound, dim_cap) if r.dim]
 
 
 # -- open orbit check --------------------------------------------------------

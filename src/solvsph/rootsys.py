@@ -21,6 +21,7 @@ generation and the constants measure root strings by one ``_string_down``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidType, NonIntegralWeight, NotDominant, ZeroRoot
@@ -60,6 +61,13 @@ def integers(values, error=ValueError):
     return ints
 
 
+def _entrywise(op, u, v):
+    """op on the coordinates of two vectors of one length; ValueError otherwise."""
+    if len(u) != len(v):
+        raise ValueError(f"vectors of {len(u)} and {len(v)} coordinates do not combine")
+    return tuple(map(op, u, v))
+
+
 def _string_down(roots, beta, alpha):
     """Largest p with beta - p*alpha in ``roots``, a set of coordinate tuples."""
     p = 1
@@ -86,10 +94,10 @@ class Root:
         return Root(tuple(-k for k in self.coords))
 
     def __add__(self, other):
-        return Root(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Root(_entrywise(operator.add, self.coords, other.coords))
 
     def __sub__(self, other):
-        return Root(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Root(_entrywise(operator.sub, self.coords, other.coords))
 
     def __repr__(self):
         return f"Root{self.coords}"
@@ -109,10 +117,10 @@ class Weight:
         return all(c >= 0 for c in self.coords)
 
     def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(_entrywise(operator.add, self.coords, other.coords))
 
     def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(_entrywise(operator.sub, self.coords, other.coords))
 
     def __neg__(self):
         return Weight(tuple(-c for c in self.coords))
@@ -279,10 +287,19 @@ class RootSystem:
         if len(lam.coords) != self.n:
             raise ValueError(f"a vector of {len(lam.coords)} coordinates is not a weight of {self.describe()}")
 
+    def check_root_vector(self, alpha):
+        """ValueError unless the root-lattice vector alpha has n coordinates."""
+        if len(alpha.coords) != self.n:
+            raise ValueError(
+                f"a vector of {len(alpha.coords)} coordinates is not in the root lattice of {self.describe()}"
+            )
+
     # -- bilinear form ----------------------------------------------------
 
     def root_form(self, alpha, beta):
         """The invariant inner product of two vectors in the root lattice."""
+        self.check_root_vector(alpha)
+        self.check_root_vector(beta)
         b = beta.coords
         return sum(
             x * sum(f * y for f, y in zip(row, b) if f) for x, row in zip(alpha.coords, self._form) if x
@@ -290,6 +307,8 @@ class RootSystem:
 
     def weight_root_form(self, lam, mu):
         """The invariant inner product of a weight with a root."""
+        self.check_weight(lam)
+        self.check_root_vector(mu)
         return sum(c * k * d for c, k, d in zip(lam.coords, mu.coords, self._d) if c != 0 and k != 0)
 
     def pairing(self, lam, mu):
@@ -318,6 +337,7 @@ class RootSystem:
 
     def root_to_weight(self, alpha):
         """Fundamental-weight coordinates of a vector in the root lattice."""
+        self.check_root_vector(alpha)
         return Weight(
             tuple(sum(self.cartan[i][j] * alpha.coords[j] for j in range(self.n)) for i in range(self.n))
         )

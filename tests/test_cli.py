@@ -323,6 +323,47 @@ def test_verify_builds_each_module_once(monkeypatch, capsys):
     assert len(built) == len(set(built)) == 10
 
 
+def test_verify_holds_only_the_checked_fundamentals_and_the_anchors(monkeypatch, capsys):
+    from solvsph.config import build_subgroup
+    from solvsph.semigroup import generators
+    from solvsph.sphericity import active_roots
+
+    realizations = []
+
+    def keep(algebra, build=oracle.build_realization):
+        realizations.append(build(algebra))
+        return realizations[-1]
+
+    monkeypatch.setattr(oracle, "build_realization", keep)
+    code, _, _ = _run_main(["verify", "--preset", "sl4-sp4borel", "--height", "3"], capsys)
+    assert code == 0
+    sub = build_subgroup(get_preset("sl4-sp4borel"))
+    held = set(oracle.checked_fundamentals(sub.root_system)) | set(generators(sub, active_roots(sub)).anchor_wts)
+    assert [set(real.modules) for real in realizations] == [held]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak from /proc/self/status")
+def test_verify_peak_memory_stays_bounded_at_height_5():
+    # The child reads its own peak, VmHWM, which starts afresh at exec.  Its
+    # RUSAGE_SELF ru_maxrss would not do: Linux carries the peak of the process
+    # image an exec replaces into it, so it would count the test runner itself.
+    script = (
+        "import contextlib, io, re\n"
+        "from solvsph import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--preset', 'sl4-sp4borel', '--height', '5'])\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    print(code, re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 28 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
 def test_verify_rejects_an_over_cap_height_without_listing_weights(capsys):
     t0 = time.time()
     code, _, err = _run_main(["verify", "--preset", "borel", "--group", "A2", "--height", "1000000"], capsys)
@@ -414,7 +455,7 @@ def test_a_failed_self_check_of_the_criterion_is_an_internal_error(target, exc, 
     [
         (cli, "build_subgroup"),
         (cli, "bounded_members"),
-        (oracle, "enumerate_semigroup"),
+        (oracle, "semi_invariant_records"),
         (oracle, "semi_invariant_witness"),
         (oracle, "open_orbit_check"),
     ],

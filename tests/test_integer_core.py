@@ -44,13 +44,13 @@ def _integer_coefficient_config():
 def _profiled_verify(argv, monkeypatch, capsys):
     """Calls into fractions.py by (caller module, caller class or function),
     and the modules the run built."""
-    realizations = []
+    modules = []  # every module build_irrep returns, held by the realization or not
 
-    def keep(algebra, build=oracle.build_realization):
-        realizations.append(build(algebra))
-        return realizations[-1]
+    def keep(realization, lam, dim_cap=oracle.DIM_CAP, build=oracle.build_irrep):
+        modules.append(build(realization, lam, dim_cap))
+        return modules[-1]
 
-    monkeypatch.setattr(oracle, "build_realization", keep)
+    monkeypatch.setattr(oracle, "build_irrep", keep)
     calls = collections.Counter()
 
     def profile(frame, event, arg):
@@ -67,7 +67,7 @@ def _profiled_verify(argv, monkeypatch, capsys):
         sys.setprofile(None)
     out = capsys.readouterr().out
     assert code == 0 and "[FAIL]" not in out
-    return calls, [mod for real in realizations for mod in real.modules.values()]
+    return calls, modules
 
 
 def test_verify_makes_no_fractions_in_the_integer_core(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from solvsph import cli, linalg
 from solvsph.fuzzing import POOL_RANK3
+from solvsph.oracle import semi_invariant_records
 
 from solvsph import (
     DimensionCap,
@@ -44,11 +46,11 @@ def _realization(spec):
 def test_supported_types():
     for spec in [[("A", 1)], [("A", 2)], [("A", 3)], [("A", 4)], [("C", 2)]]:
         real = _realization(spec)
-        assert real.fundamentals[0].dim in (2, 3, 4, 5)
+        assert build_irrep(real, real.algebra.root_system.fundamental_weight(0), math.inf).dim in (2, 3, 4, 5)
     for spec in [[("B", 2)], [("G", 2)], [("A", 5)], [("A", 1), ("A", 1)]]:
         real = _realization(spec)
         rs = real.algebra.root_system
-        dims = [mod.dim for mod in real.fundamentals]
+        dims = [build_irrep(real, rs.fundamental_weight(i), math.inf).dim for i in range(rs.n)]
         assert dims == [weyl_dim(rs, rs.fundamental_weight(i)) for i in range(rs.n)]
 
 
@@ -111,7 +113,8 @@ def test_fundamental_modules_have_formula_dimensions():
     for spec in [[("A", 3)], [("A", 4)], [("C", 2)]]:
         real = _realization(spec)
         rs = real.algebra.root_system
-        for i, mod in enumerate(real.fundamentals):
+        for i in range(rs.n):
+            mod = build_irrep(real, rs.fundamental_weight(i), math.inf)
             assert mod.dim == weyl_dim(rs, rs.fundamental_weight(i))
             assert mod.weights[0] == rs.fundamental_weight(i)
 
@@ -325,6 +328,24 @@ def test_enumerate_requires_spherical():
         enumerate_semigroup(sub, real, 2)
 
 
+def test_records_stream_ignores_the_verdict_and_keeps_zero_dimensions():
+    sub = build_subgroup(get_preset("sl2-trivial"))
+    real = build_realization(sub.algebra)
+    records = semi_invariant_records(sub, real, 2)
+    assert [(r.lam.coords, r.chi, r.dim) for r in records] == [((0,), (), 1), ((1,), (), 2), ((2,), (), 3)]
+    with pytest.raises(NotSpherical):
+        enumerate_semigroup(sub, real, 2)
+
+
+def test_records_stream_drops_only_the_modules_it_built():
+    sub = build_subgroup(get_preset("borel", (("A", 2),)))
+    real = build_realization(sub.algebra)
+    mod = build_irrep(real, Weight((1, 1)))
+    before = dict(real.modules)
+    assert len(list(semi_invariant_records(sub, real, 2))) > len(before)
+    assert real.modules == before and real.modules[Weight((1, 1))] is mod
+
+
 def test_enumeration_matches_free_semigroup_on_sp4_preset():
     sub = build_subgroup(get_preset("sl4-sp4borel"))
     real = build_realization(sub.algebra)
@@ -425,7 +446,7 @@ def test_semi_invariant_dim_matches_dense_rank_on_fuzzed_types():
             vec = [rng.choice([0, 0, 1, -2]) for _ in range(mod.dim)]
             v = {j: x for j, x in enumerate(vec) if x}
             assert annihilated_by_nil(mod, sub, vec) == all(not linalg.apply(a, v) for a in mats)
-            assert annihilated_by_nil(mod, sub, mod.highest_vector())
+            assert annihilated_by_nil(mod, sub, [int(j == 0) for j in range(mod.dim)])
     assert kernels > 250, kernels
 
 
@@ -481,7 +502,8 @@ def test_build_irrep_builds_each_weight_once_and_keeps_the_cap():
     real = _realization([("A", 2)])
     mod = build_irrep(real, Weight((1, 1)))
     assert build_irrep(real, (1, 1)) is mod and real.modules[Weight((1, 1))] is mod
-    assert build_irrep(real, Weight((1, 0))) is real.fundamentals[0]
+    fundamental = build_irrep(real, real.algebra.root_system.fundamental_weight(0), math.inf)
+    assert build_irrep(real, Weight((1, 0))) is fundamental
     with pytest.raises(DimensionCap):
         build_irrep(real, Weight((1, 1)), dim_cap=7)
 

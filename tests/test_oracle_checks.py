@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from solvsph.oracle import HighestWeightModule
 
 def test_representation_property_check_rejects_one_corrupted_entry():
     real = build_realization(build_algebra(build_root_system([("C", 2)])))
-    mod = real.fundamentals[1]
+    mod = build_irrep(real, real.algebra.root_system.fundamental_weight(1), math.inf)
     actions = dict(mod.actions)
     key = ("e", (0, 1))
     actions[key] = [dict(col) for col in actions[key]]
@@ -61,7 +62,8 @@ def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkey
     real = build_realization(build_algebra(build_root_system([("A", 1), ("C", 2)])))
     # the smallest fundamental of each factor: V(a1) of A1, the 4-dimensional V(1, 0) of C2
     assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and len(checked) == 2
-    assert [mod.dim for mod in real.fundamentals] == [2, 4, 5] and len(checked) == 2
+    fundamentals = [build_irrep(real, real.algebra.root_system.fundamental_weight(i), math.inf) for i in range(3)]
+    assert [mod.dim for mod in fundamentals] == [2, 4, 5] and len(checked) == 2
 
 
 @pytest.mark.parametrize("spec, entries", [([("A", 1), ("B", 2)], 24), ([("G", 2)], 60)])

@@ -218,3 +218,35 @@ def test_non_integral_input_is_named_as_a_config_writes_it():
         message = str(exc.value)
         assert written in message
         assert "(" not in message and ")" not in message, message
+
+
+A2 = build_root_system([("A", 2)])
+A2_A1, A2_A2 = A2.simple_roots
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Weight((1, 0)) + Weight((1,)),
+        lambda: Weight((1, 0)) - Weight((1, 0, 0)),
+        lambda: Root((1, 0)) + Root((1,)),
+        lambda: Root((1, 0)) - Root((1, 0, 4)),
+        lambda: A2.pairing(Weight((1,)), A2_A2),
+        lambda: A2.pairing(Weight((1, 0, 9)), A2_A1),
+        lambda: A2.pairing(A2_A1, Root((1, 0, 4))),
+        lambda: A2.pairing(Root((1,)), A2_A1),
+        lambda: A2.root_form(Root((1, 0, 4)), A2_A1),
+        lambda: A2.root_form(A2_A1, Root((1,))),
+        lambda: A2.weight_root_form(Weight((1,)), A2_A1),
+        lambda: A2.root_to_weight(Root((1, 0, 4))),
+        lambda: A2.root_to_weight(Root((1,))),
+        lambda: A2.coroot_coefficients(Root((1, 0, 4))),
+    ],
+    ids=["weight+", "weight-", "root+", "root-", "pairing-short-weight", "pairing-long-weight",
+         "pairing-long-root", "pairing-short-root", "root_form-left", "root_form-right",
+         "weight_root_form", "root_to_weight-long", "root_to_weight-short", "coroot_coefficients"],
+)
+def test_vectors_of_the_wrong_length_are_refused(call):
+    # zip used to drop the extra or missing coordinates, or a lookup raised IndexError
+    with pytest.raises(ValueError, match="coordinates"):
+        call()

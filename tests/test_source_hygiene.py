@@ -3,17 +3,29 @@
 Every name a module imports is read in that module, and every private
 (``_``-prefixed) module-level function or class is referenced somewhere in
 the package outside its own definition.  ``__init__.py`` re-exports the
-public API, so its imports are not checked.  Public names are out of scope:
-callers outside the package may use them.
+public API, so its imports are not checked.  Every public module-level
+function or class is referenced somewhere in ``src/``, ``tests/``,
+``demos/`` or ``bench/`` outside its own definition; a re-export from
+``__init__.py`` is not a use, and a ``"module:name"`` string, the way the
+bench tracer names its targets, is.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "solvsph"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "solvsph"
 TREES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+CALLERS = [  # the code outside the package that may use its public names
+    ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("tests", "demos", "bench")
+    for path in sorted((ROOT / folder).rglob("*.py"))
+    if not any(part.startswith(".") for part in path.relative_to(ROOT).parts)
+]
+TARGET = re.compile(r"\w+:([\w.]+)")  # "module:name" or "module:Class.method"
 
 
 def _names(nodes):
@@ -26,6 +38,16 @@ def _names(nodes):
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
+    return out
+
+
+def _targets(trees):
+    """Every name a ``"module:name"`` or ``"module:Class.method"`` string constant names."""
+    out = set()
+    for node in (sub for top in trees for sub in ast.walk(top)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if target := TARGET.fullmatch(node.value):
+                out.update(target.group(1).split("."))
     return out
 
 
@@ -56,6 +78,22 @@ def test_every_private_definition_is_referenced(name):
     elsewhere = set().union(*(_names([t]) for other, t in TREES.items() if other != name))
     unused = [
         node.name for node in private
+        if node.name not in elsewhere | _names([top for top in tree.body if top is not node])
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
+def test_every_public_definition_is_used(name):
+    tree = TREES[name]
+    public = [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    package = [t for other, t in TREES.items() if other not in (name, "__init__.py")]
+    elsewhere = _names(package + CALLERS) | _targets(CALLERS)
+    unused = [
+        node.name for node in public
         if node.name not in elsewhere | _names([top for top in tree.body if top is not node])
     ]
     assert unused == []
