@@ -170,7 +170,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         failures += not ok
         print(f"[{'PASS' if ok else 'FAIL'}] {label}", file=out)
 
-    records = [r for r in oracle.semi_invariant_records(sub, realization, height, cap) if r.dim]
+    records = oracle.enumerate_semigroup(sub, realization, height, cap)
     emit(all(r.dim <= 1 for r in records), f"multiplicity free: {len(records)} records, all dim <= 1")
 
     duals = {lam: rs.dual_weight(lam).coords for lam in {r.lam for r in records}}

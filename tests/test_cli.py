@@ -455,6 +455,7 @@ def test_a_failed_self_check_of_the_criterion_is_an_internal_error(target, exc, 
     [
         (cli, "build_subgroup"),
         (cli, "bounded_members"),
+        (oracle, "enumerate_semigroup"),
         (oracle, "semi_invariant_records"),
         (oracle, "semi_invariant_witness"),
         (oracle, "open_orbit_check"),
