@@ -14,10 +14,16 @@ with a remainder raises.  ``bracket_keys`` reads them from ``_n``, and looks
 up the rest in tables of the roots alone: the root each pair of roots sums
 to, the coroot of each pair of opposites, every root's nonzero simple-coroot
 pairings.  Zero brackets are not stored: a pair of basis keys found in no
-table brackets to zero.
+table brackets to zero.  All of these tables depend on the root system
+alone, so they are derived once per RootSystem object (``_tables_of``) and
+held while it lives; its algebras share them read-only, except ``_n``, of
+which each algebra owns a copy, so its realization checks its own table.
 """
 
 from __future__ import annotations
+
+import weakref
+from typing import NamedTuple
 
 from .errors import AlgebraMismatch, NotBasisKey
 from .linalg import add_into
@@ -81,84 +87,111 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
+class _Tables(NamedTuple):
+    """Everything about the bracket that depends on the root system alone."""
+
+    extraspecial: dict  # non-simple positive root -> its extraspecial pair
+    n: dict  # (a, b) -> nonzero N with [e_a, e_b] = N e_{a+b}
+    sum: dict  # pair of e keys -> the e key of the root they sum to
+    fixed: dict  # pair of basis keys -> the nonzero bracket of a coroot or of opposites
+    keys: frozenset
+    basis_keys: tuple  # root vectors by height, then simple coroots
+
+
+def _derive_tables(rs):
+    """The Chevalley constants and bracket lookups of a root system."""
+    roots, positive = rs._roots, rs._index
+    norm = {r.coords: rs.root_form(r, r) for r in rs.positive_roots}
+    norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
+    extraspecial, n_pos = {}, {}
+
+    def exact(num, den):
+        if num % den:
+            raise ArithmeticError("structure constant is not an integer")
+        return num // den
+
+    def mixed(x, y):
+        """Constant for [e_x, e_{-y}] with x, y distinct positive roots."""
+        diff = tuple(a - b for a, b in zip(x, y))
+        if diff not in roots:
+            return 0
+        if diff in positive:
+            return exact(norm[diff] * n_pos[(diff, y)], norm[x])
+        # x - y is a negative root: same constant as [e_y, e_{-x}]
+        rev = tuple(-d for d in diff)
+        return exact(norm[rev] * n_pos[(rev, x)], norm[y])
+
+    for eps, pairs in rs.decompositions.items():
+        if not pairs:
+            continue
+        gamma, delta = extraspecial[eps] = pairs[0]
+        n_gd = _string_down(roots, delta, gamma) + 1
+        n_pos[(gamma, delta)] = n_gd
+        n_pos[(delta, gamma)] = -n_gd
+        for a, b in pairs[1:]:
+            # four-root relation applied to (gamma, delta, -a, -b), over one denominator
+            da = tuple(d - x for d, x in zip(delta, a))
+            ga = tuple(g - x for g, x in zip(gamma, a))
+            t2 = mixed(delta, a) * mixed(gamma, b) if da in norm else 0
+            t3 = -mixed(gamma, a) * mixed(delta, b) if ga in norm else 0
+            n2, n3 = norm.get(da, 1), norm.get(ga, 1)
+            n_ab = exact(norm[eps] * (t2 * n3 + t3 * n2), n2 * n3 * n_gd)
+            n_pos[(a, b)] = n_ab
+            n_pos[(b, a)] = -n_ab
+
+    # Fill the full signed table from the positive-positive part.  Every
+    # other pair is one positive and one negative root, x and -y with x - y
+    # a root, so it too is met in the decompositions, once; note each sum.
+    neg = {c: tuple(-x for x in c) for c in roots}
+    key, h = {c: ("e", c) for c in roots}, [("h", i) for i in range(rs.n)]
+    table, sums = {}, {}
+    for eps, pairs in rs.decompositions.items():
+        for a, b in pairs:
+            for x, y in ((a, b), (b, a)):
+                table[x, y], table[neg[x], neg[y]] = n_pos[x, y], -n_pos[x, y]
+                sums[key[x], key[y]], sums[key[neg[x]], key[neg[y]]] = key[eps], key[neg[eps]]
+            for x, y, diff in ((eps, a, b), (eps, b, a), (a, eps, neg[b]), (b, eps, neg[a])):
+                c = mixed(x, y)
+                table[x, neg[y]], table[neg[y], x] = c, -c
+                sums[key[x], key[neg[y]]] = sums[key[neg[y]], key[x]] = key[diff]
+    # the nonzero brackets with a coroot, or of opposites, depend on the roots
+    # alone; a pair of basis keys with no entry anywhere brackets to zero
+    fixed = {}
+    for a, coeffs in zip(positive, rs.positive_coroots):
+        ea, fa = key[a], key[neg[a]]
+        fixed[ea, fa] = {h[i]: c for i, c in enumerate(coeffs) if c}
+        fixed[fa, ea] = {h[i]: -c for i, c in enumerate(coeffs) if c}
+        for hi, row in zip(h, rs.cartan):  # [h_i, e_a] = <a, a_i coroot> e_a
+            if p := sum(x * y for x, y in zip(row, a)):
+                fixed[hi, ea], fixed[ea, hi] = {ea: p}, {ea: -p}
+                fixed[hi, fa], fixed[fa, hi] = {fa: -p}, {fa: p}
+    ordered = [("e", c) for c in sorted(roots, key=lambda c: (sum(c), c))] + h
+    return _Tables(
+        extraspecial, {k: v for k, v in table.items() if v}, sums, fixed, frozenset(ordered), tuple(ordered)
+    )
+
+
+_TABLES = weakref.WeakKeyDictionary()  # RootSystem -> its _Tables, dropped with it
+
+
+def _tables_of(rs):
+    """The one _Tables of a root system, derived on first request."""
+    tables = _TABLES.get(rs)
+    if tables is None:
+        tables = _TABLES[rs] = _derive_tables(rs)
+    return tables
+
+
 class ChevalleyAlgebra:
-    """Chevalley basis of the semisimple Lie algebra of a root system."""
+    """Chevalley basis of the semisimple Lie algebra of a root system: the
+    shared tables of the root system, and its own copy of the constants ``_n``."""
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self.extraspecial = {}
-        self._build_constants()
-
-    # -- construction -----------------------------------------------------
-
-    def _build_constants(self):
-        rs = self.root_system
-        roots, positive = rs._roots, rs._index
-        norm = {r.coords: rs.root_form(r, r) for r in rs.positive_roots}
-        norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
-        n_pos = {}
-
-        def exact(num, den):
-            if num % den:
-                raise ArithmeticError("structure constant is not an integer")
-            return num // den
-
-        def mixed(x, y):
-            """Constant for [e_x, e_{-y}] with x, y distinct positive roots."""
-            diff = tuple(a - b for a, b in zip(x, y))
-            if diff not in roots:
-                return 0
-            if diff in positive:
-                return exact(norm[diff] * n_pos[(diff, y)], norm[x])
-            # x - y is a negative root: same constant as [e_y, e_{-x}]
-            rev = tuple(-d for d in diff)
-            return exact(norm[rev] * n_pos[(rev, x)], norm[y])
-
-        for eps, pairs in rs.decompositions.items():
-            if not pairs:
-                continue
-            gamma, delta = self.extraspecial[eps] = pairs[0]
-            n_gd = _string_down(roots, delta, gamma) + 1
-            n_pos[(gamma, delta)] = n_gd
-            n_pos[(delta, gamma)] = -n_gd
-            for a, b in pairs[1:]:
-                # four-root relation applied to (gamma, delta, -a, -b), over one denominator
-                da = tuple(d - x for d, x in zip(delta, a))
-                ga = tuple(g - x for g, x in zip(gamma, a))
-                t2 = mixed(delta, a) * mixed(gamma, b) if da in norm else 0
-                t3 = -mixed(gamma, a) * mixed(delta, b) if ga in norm else 0
-                n2, n3 = norm.get(da, 1), norm.get(ga, 1)
-                n_ab = exact(norm[eps] * (t2 * n3 + t3 * n2), n2 * n3 * n_gd)
-                n_pos[(a, b)] = n_ab
-                n_pos[(b, a)] = -n_ab
-
-        # Fill the full signed table from the positive-positive part.  Every
-        # other pair is one positive and one negative root, x and -y with x - y
-        # a root, so it too is met in the decompositions, once; note each sum.
-        neg = {c: tuple(-x for x in c) for c in roots}
-        key, h = {c: ("e", c) for c in roots}, [("h", i) for i in range(rs.n)]
-        table, sums = {}, {}
-        for eps, pairs in rs.decompositions.items():
-            for a, b in pairs:
-                for x, y in ((a, b), (b, a)):
-                    table[x, y], table[neg[x], neg[y]] = n_pos[x, y], -n_pos[x, y]
-                    sums[key[x], key[y]], sums[key[neg[x]], key[neg[y]]] = key[eps], key[neg[eps]]
-                for x, y, diff in ((eps, a, b), (eps, b, a), (a, eps, neg[b]), (b, eps, neg[a])):
-                    c = mixed(x, y)
-                    table[x, neg[y]], table[neg[y], x] = c, -c
-                    sums[key[x], key[neg[y]]] = sums[key[neg[y]], key[x]] = key[diff]
-        self._n, self._sum = {k: v for k, v in table.items() if v}, sums
-        # the nonzero brackets with a coroot, or of opposites, depend on the roots
-        # alone; a pair of basis keys with no entry anywhere brackets to zero
-        self._keys, self._fixed = frozenset([*key.values(), *h]), {}
-        for a, coeffs in zip(positive, rs.positive_coroots):
-            ea, fa = key[a], key[neg[a]]
-            self._fixed[ea, fa] = {h[i]: c for i, c in enumerate(coeffs) if c}
-            self._fixed[fa, ea] = {h[i]: -c for i, c in enumerate(coeffs) if c}
-            for hi, row in zip(h, rs.cartan):  # [h_i, e_a] = <a, a_i coroot> e_a
-                if p := sum(x * y for x, y in zip(row, a)):
-                    self._fixed[hi, ea], self._fixed[ea, hi] = {ea: p}, {ea: -p}
-                    self._fixed[hi, fa], self._fixed[fa, hi] = {fa: -p}, {fa: p}
+        tables = _tables_of(root_system)
+        self.extraspecial, self._sum, self._fixed = tables.extraspecial, tables.sum, tables.fixed
+        self._keys, self._basis_keys = tables.keys, tables.basis_keys
+        self._n = dict(tables.n)
 
     # -- basis ------------------------------------------------------------
 
@@ -180,9 +213,7 @@ class ChevalleyAlgebra:
 
     def basis_keys(self):
         """All basis keys: root vectors for every root, then simple coroots."""
-        keys = [("e", c) for c in sorted(self.root_system._roots, key=lambda c: (sum(c), c))]
-        keys += [("h", i) for i in range(self.root_system.n)]
-        return keys
+        return list(self._basis_keys)
 
     def basis_element(self, key):
         """The basis vector of a basis key; NotBasisKey for any other key."""

@@ -36,12 +36,14 @@ from .sphericity import active_roots, check_spherical, verify_active_axioms
 
 def _parse_group_override(text):
     """``--group``: components joined by x, e.g. A2 or A1xC2."""
+    if not text.strip():
+        raise ConfigParseError(f"--group wants components such as A2 or A1xC2, got {text!r}")
     return tuple(_component(p.strip()[:1], p.strip()[1:]) for p in text.replace("X", "x").split("x"))
 
 
 def load_config(args) -> JobConfig:
     if args.preset:
-        override = _parse_group_override(args.group) if args.group else None
+        override = _parse_group_override(args.group) if args.group is not None else None
         return presets.get_preset(args.preset, override)
     if not args.config:
         raise ConfigParseError("either a config file or --preset is required")

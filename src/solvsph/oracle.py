@@ -87,14 +87,24 @@ def _bracket_defect(actions, nonzero, x, y, terms):
 
 
 def weyl_dim(rs, lam):
-    """Dimension of the irreducible module of highest weight lam: the product
-    over the positive coroots h of <lam + rho, h> / <rho, h>, in integers."""
+    """Dimension of the irreducible module of highest weight lam, by
+    ``_weyl_product`` once per root system and weight and then read from the
+    root system's memo; a weight of the wrong length, or not dominant, is
+    refused on every call and never stored."""
     rs.check_weight(lam)
     if not lam.is_dominant:
         raise NotDominant(f"{lam} is not dominant")
+    if (val := rs._weyl_dims.get(lam.coords)) is None:
+        val = rs._weyl_dims[lam.coords] = _weyl_product(rs, lam.coords)
+    return val
+
+
+def _weyl_product(rs, coords):
+    """The product over the positive coroots h of <lam + rho, h> / <rho, h>,
+    in integers, for the dominant weight lam with these coordinates."""
     num = den = 1
     for coroot in rs.positive_coroots:
-        num *= sum((c + 1) * k for c, k in zip(lam.coords, coroot))
+        num *= sum((c + 1) * k for c, k in zip(coords, coroot))
         den *= sum(coroot)
     val, rem = divmod(num, den)
     if rem:

@@ -17,6 +17,9 @@ position in root order and ``decompositions[eps]``: the pairs (a, b) of
 positive roots with a + b = eps and a before b, in the order of a.  The
 Chevalley constants and the active-root anchors read that table.  Root
 generation and the constants measure root strings by one ``_string_down``.
+``build_root_system`` builds one RootSystem per type and process, and every
+caller shares it: nothing writes to a RootSystem once it is built but the
+memo of Weyl dimensions that ``oracle.weyl_dim`` keeps on it.
 """
 
 from __future__ import annotations
@@ -192,23 +195,30 @@ def _symmetrizer(cartan, n):
     return d
 
 
+def _normalized(components):
+    """The components as a tuple of (upper-case letter, int rank) pairs;
+    InvalidType unless each is admissible and the total rank is at most MAX_RANK."""
+    components = tuple((str(t).upper(), *integers([r], InvalidType)) for t, r in components)
+    if not components:
+        raise InvalidType("at least one simple component is required")
+    for letter, rank in components:
+        if letter not in _ADMISSIBLE:
+            raise InvalidType(f"unknown simple type {letter!r}")
+        lo, hi = _ADMISSIBLE[letter]
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidType(f"{letter}_{rank} is not an admissible type")
+    n = sum(r for _, r in components)
+    if n > MAX_RANK:
+        raise InvalidType(f"total rank {n} is above the limit of {MAX_RANK}")
+    return components
+
+
 class RootSystem:
     """The root and weight combinatorics of a simply connected semisimple group."""
 
     def __init__(self, components):
-        components = tuple((str(t).upper(), *integers([r], InvalidType)) for t, r in components)
-        if not components:
-            raise InvalidType("at least one simple component is required")
-        for letter, rank in components:
-            if letter not in _ADMISSIBLE:
-                raise InvalidType(f"unknown simple type {letter!r}")
-            lo, hi = _ADMISSIBLE[letter]
-            if rank < lo or (hi is not None and rank > hi):
-                raise InvalidType(f"{letter}_{rank} is not an admissible type")
-        self.components = components
-        self.n = sum(r for _, r in components)
-        if self.n > MAX_RANK:
-            raise InvalidType(f"total rank {self.n} is above the limit of {MAX_RANK}")
+        self.components = _normalized(components)
+        self.n = sum(r for _, r in self.components)
         self.cartan = self._build_cartan()
         self._d = tuple(_symmetrizer(self.cartan, self.n))
         # d_i * cartan[i][j], symmetric
@@ -220,6 +230,7 @@ class RootSystem:
         self.decompositions = self._decompose()
         # the coroot of each positive root over the simple coroots, in the same order
         self.positive_coroots = tuple(self.coroot_coefficients(r) for r in self.positive_roots)
+        self._weyl_dims = {}  # dominant weight coords -> dim V(lam), filled by oracle.weyl_dim
 
     def _build_cartan(self):
         blocks = [_component_cartan(t, r) for t, r in self.components]
@@ -377,13 +388,23 @@ class RootSystem:
         return f"RootSystem({self.describe()})"
 
 
+_SYSTEMS = {}  # normalized components -> the one RootSystem of that type
+
+
 def build_root_system(spec):
-    """Build the root system of a product of simple components.
+    """The root system of a product of simple components, built once per process.
 
     ``spec`` is a sequence of (type letter, rank) pairs, e.g.
-    ``[("A", 3)]`` or ``[("A", 1), ("C", 2)]``.
+    ``[("A", 3)]`` or ``[("A", 1), ("C", 2)]``.  Specs that normalize alike
+    (``("a", 2)`` and ``("A", 2.0)`` as ``("A", 2)``) share one RootSystem,
+    which nothing but ``oracle.weyl_dim``'s memo writes once it is built.  An
+    invalid spec is refused on every call and never stored.
     """
-    return RootSystem(spec)
+    components = _normalized(spec)
+    rs = _SYSTEMS.get(components)
+    if rs is None:
+        rs = _SYSTEMS[components] = RootSystem(components)
+    return rs
 
 
 def _fmt(coords, symbol):

@@ -260,6 +260,15 @@ def test_group_override(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("preset", ["borel", "sl2-torus"])
+@pytest.mark.parametrize("group", ["", " "])
+def test_an_empty_group_override_is_refused(preset, group, capsys):
+    # an empty --group is not the default group, and not accepted on a fixed preset
+    code, out, err = _run_main(["check", "--preset", preset, "--group", group], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --group wants components such as A2 or A1xC2, got {group!r}\n"
+
+
 def test_check_from_config_file(tmp_path, capsys):
     path = tmp_path / "job.cfg"
     path.write_text(get_preset("sl4-sp4borel").to_text())

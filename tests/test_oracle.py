@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from solvsph import cli, linalg
+from solvsph import cli, linalg, oracle
 from solvsph.fuzzing import POOL_RANK3
 from solvsph.oracle import semi_invariant_records
 
@@ -82,6 +82,42 @@ def test_weyl_dimension_values():
     assert weyl_dim(rsc, Weight((1, 1))) == 16
     rs2 = build_root_system([("A", 2)])
     assert weyl_dim(rs2, Weight((1, 1))) == 8
+
+
+def _counted_weyl_products(monkeypatch, rs):
+    """Empty the Weyl-dimension memo of rs; the list of weights the formula then runs on."""
+    monkeypatch.setattr(rs, "_weyl_dims", {})
+    computed = []
+    product = oracle._weyl_product
+
+    def counting(rs, coords):
+        computed.append(coords)
+        return product(rs, coords)
+
+    monkeypatch.setattr(oracle, "_weyl_product", counting)
+    return computed
+
+
+def test_weyl_dim_is_kept_per_root_system_and_refusals_are_not(monkeypatch):
+    rs = build_root_system([("A", 3)])
+    computed = _counted_weyl_products(monkeypatch, rs)
+    assert [weyl_dim(rs, Weight((1, 0, 1))) for _ in range(3)] == [15] * 3
+    assert computed == [(1, 0, 1)] and rs._weyl_dims == {(1, 0, 1): 15}
+    for lam, error in [(Weight((1, -1, 0)), NotDominant), (Weight((1, 0)), ValueError)]:
+        for _ in range(2):
+            with pytest.raises(error):
+                weyl_dim(rs, lam)
+    assert computed == [(1, 0, 1)] and rs._weyl_dims == {(1, 0, 1): 15}
+
+
+def test_verify_computes_each_weyl_dimension_once(monkeypatch, capsys):
+    # the cap pre-check, checked_fundamentals and build_irrep read one value per weight
+    rs = build_root_system([("A", 2)])
+    computed = _counted_weyl_products(monkeypatch, rs)
+    assert cli.main(["verify", "--preset", "borel", "--group", "A2", "--height", "2"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert len(computed) == len(set(computed)) == len(rs._weyl_dims)
+    assert {(1, 0), (0, 1), (1, 1), (2, 0), (0, 2)} <= set(computed)
 
 
 def _rational_weyl_dim(rs, lam):

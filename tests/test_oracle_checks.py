@@ -13,6 +13,7 @@ from solvsph import (
     oracle,
     representation_property_check,
 )
+from solvsph import chevalley
 from solvsph.chevalley import ChevalleyAlgebra
 from solvsph.cli import main
 from solvsph.oracle import HighestWeightModule
@@ -64,12 +65,20 @@ def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkey
     assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and len(checked) == 2
     fundamentals = [build_irrep(real, real.algebra.root_system.fundamental_weight(i), math.inf) for i in range(3)]
     assert [mod.dim for mod in fundamentals] == [2, 4, 5] and len(checked) == 2
+    # no verdict is kept for the type: each fresh algebra's realization builds and checks its own
+    built.clear()
+    checked.clear()
+    first, second = (build_algebra(build_root_system([("A", 1), ("C", 2)])) for _ in range(2))
+    build_realization(first)
+    build_realization(second)
+    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] * 2 and len(checked) == 4
 
 
 @pytest.mark.parametrize("spec, entries", [([("A", 1), ("B", 2)], 24), ([("G", 2)], 60)])
 def test_build_realization_catches_every_corrupted_structure_constant(spec, entries):
     alg = build_algebra(build_root_system(spec))
     assert len(alg._n) == entries
+    table = dict(alg._n)
     caught = 0
     for key, n in sorted(alg._n.items()):
         for corrupt in (-n, 2 * n):
@@ -78,10 +87,16 @@ def test_build_realization_catches_every_corrupted_structure_constant(spec, entr
                 with pytest.raises(AssertionError):
                     build_realization(alg)
                 caught += 1
+                # an algebra of the same type built meanwhile has its own, intact table
+                other = build_algebra(build_root_system(spec))
+                assert other._n == table
+                build_realization(other)
             finally:
                 alg._n[key] = n
     assert caught == 2 * entries
     build_realization(alg)
+    # the tables the algebras of the type share are those a fresh derivation gives
+    assert chevalley._TABLES[alg.root_system] == chevalley._derive_tables(alg.root_system)
 
 
 def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from solvsph import (
     ZeroRoot,
     build_root_system,
 )
+from solvsph import rootsys
 
 
 def test_positive_root_counts():
@@ -180,6 +181,31 @@ def test_inadmissible_types_rejected():
     for spec in [[("B", 1)], [("C", 1)], [("D", 2)], [("E", 5)], [("E", 9)], [("F", 3)], [("G", 3)], [("H", 2)], [("A", 0)], []]:
         with pytest.raises(InvalidType):
             build_root_system(spec)
+
+
+def test_equal_specs_share_one_root_system():
+    rs = build_root_system([("a", 2)])
+    assert build_root_system([("A", 2)]) is rs
+    assert build_root_system((("A", 2.0),)) is rs
+    assert build_root_system([("A", 1), ("A", 2)]) is not build_root_system([("A", 2), ("A", 1)])
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([("A", 0)], "A_0 is not an admissible type"),
+        ([("e", 9)], "E_9 is not an admissible type"),
+        ([("A", 9), ("A", 8)], "total rank 17 is above the limit of 16"),
+        ([("A", 2.5)], "'2.5' has non-integral entries"),
+    ],
+)
+def test_an_invalid_spec_is_refused_on_every_call_and_never_stored(spec, message):
+    stored = dict(rootsys._SYSTEMS)
+    for _ in range(3):
+        with pytest.raises(InvalidType) as exc:
+            build_root_system(spec)
+        assert str(exc.value) == message
+    assert rootsys._SYSTEMS == stored
 
 
 def test_non_integral_rank_rejected():
