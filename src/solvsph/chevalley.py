@@ -16,13 +16,15 @@ to, the coroot of each pair of opposites, every root's nonzero simple-coroot
 pairings.  Zero brackets are not stored: a pair of basis keys found in no
 table brackets to zero.  All of these tables depend on the root system
 alone, so they are derived once per RootSystem object (``_tables_of``) and
-held while it lives; its algebras share them read-only, except ``_n``, of
-which each algebra owns a copy, so its realization checks its own table.
+held while it lives, as read-only views; its algebras share them, except
+``_n``, of which each algebra owns a writable copy, so its realization
+checks its own table.
 """
 
 from __future__ import annotations
 
 import weakref
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import AlgebraMismatch, NotBasisKey
@@ -90,16 +92,18 @@ class AlgebraElement:
 class _Tables(NamedTuple):
     """Everything about the bracket that depends on the root system alone."""
 
-    extraspecial: dict  # non-simple positive root -> its extraspecial pair
-    n: dict  # (a, b) -> nonzero N with [e_a, e_b] = N e_{a+b}
-    sum: dict  # pair of e keys -> the e key of the root they sum to
-    fixed: dict  # pair of basis keys -> the nonzero bracket of a coroot or of opposites
+    extraspecial: MappingProxyType  # non-simple positive root -> its extraspecial pair
+    n: MappingProxyType  # (a, b) -> nonzero N with [e_a, e_b] = N e_{a+b}
+    sum: MappingProxyType  # pair of e keys -> the e key of the root they sum to
+    fixed: MappingProxyType  # pair of basis keys -> the (key, c) terms of a nonzero coroot or opposites bracket
     keys: frozenset
     basis_keys: tuple  # root vectors by height, then simple coroots
 
 
 def _derive_tables(rs):
-    """The Chevalley constants and bracket lookups of a root system."""
+    """The Chevalley constants and bracket lookups of a root system, as
+    read-only views, so a write through one algebra fails at the writer
+    instead of reaching every algebra of the type."""
     roots, positive = rs._roots, rs._index
     norm = {r.coords: rs.root_form(r, r) for r in rs.positive_roots}
     norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
@@ -166,8 +170,11 @@ def _derive_tables(rs):
                 fixed[hi, ea], fixed[ea, hi] = {ea: p}, {ea: -p}
                 fixed[hi, fa], fixed[fa, hi] = {fa: -p}, {fa: p}
     ordered = [("e", c) for c in sorted(roots, key=lambda c: (sum(c), c))] + h
+    fixed = {k: tuple(terms.items()) for k, terms in fixed.items()}
     return _Tables(
-        extraspecial, {k: v for k, v in table.items() if v}, sums, fixed, frozenset(ordered), tuple(ordered)
+        *map(MappingProxyType, (extraspecial, {k: v for k, v in table.items() if v}, sums, fixed)),
+        frozenset(ordered),
+        tuple(ordered),
     )
 
 

@@ -298,3 +298,25 @@ def test_basis_element_refuses_a_key_outside_the_basis(key, name):
         with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
             alg.e(key[1])
     assert [alg.basis_element(k).terms for k in alg.basis_keys()] == [{k: 1} for k in alg.basis_keys()]
+
+
+def test_the_tables_an_algebra_shares_refuse_a_write():
+    from solvsph import build_realization, chevalley
+
+    alg = _algebra([("A", 2)])
+    e1, f1, e2 = ("e", (1, 0)), ("e", (-1, 0)), ("e", (0, 1))
+    with pytest.raises(TypeError):
+        alg._fixed[e1, f1][("h", 0)] = 2
+    with pytest.raises(TypeError):
+        alg._fixed[e1, f1] = {("h", 0): 2}
+    with pytest.raises(TypeError):
+        alg._sum[e1, e2] = e1
+    with pytest.raises(TypeError):
+        alg.extraspecial[(1, 1)] = ((0, 1), (1, 0))
+    with pytest.raises(TypeError):
+        chevalley._TABLES[alg.root_system].n[(1, 0), (0, 1)] = 2
+    # each algebra's own constants stay writable, and stay its own
+    alg._n[(1, 0), (0, 1)] = 2
+    other = _algebra([("A", 2)])
+    assert other.structure_constant((1, 0), (0, 1)) == 1
+    build_realization(other)

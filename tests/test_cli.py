@@ -373,6 +373,31 @@ def test_verify_peak_memory_stays_bounded_at_height_5():
     assert peak_kb < 28 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak from /proc/self/status")
+def test_verify_on_every_a3_preset_in_one_process_keeps_the_memo_small():
+    # one child verifies the four A3 presets at height 4, so the module memo
+    # serves the later runs; it holds only modules no larger than dim A3 = 15
+    script = (
+        "import contextlib, io, json, re\n"
+        "from solvsph import cli, oracle\n"
+        "runs = [['--preset', 'sl4-sp4borel']]\n"
+        "runs += [['--preset', p, '--group', 'A3'] for p in ('borel', 'maximal-unipotent', 'tu-prime')]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['verify', *run, '--height', '4']) for run in runs]\n"
+        "dims = [mod.dim for memo in oracle._MODULES.values() for mod in memo.values()]\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    peak = re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1)\n"
+        "print(json.dumps([codes, sorted(dims), int(peak)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    codes, dims, peak_kb = json.loads(proc.stdout)
+    assert codes == [0, 0, 0, 0] and dims == [1, 4, 4, 6, 10, 10, 15]
+    assert peak_kb < 28 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB"
+
+
 def test_verify_rejects_an_over_cap_height_without_listing_weights(capsys):
     t0 = time.time()
     code, _, err = _run_main(["verify", "--preset", "borel", "--group", "A2", "--height", "1000000"], capsys)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from solvsph import preset_names
+from solvsph import oracle, preset_names
 from solvsph.cli import main
 from solvsph.fuzzing import random_mixed_config, random_spherical_config
 
@@ -72,6 +72,18 @@ def test_cli_output_matches_the_recording(case, tmp_path, monkeypatch):
         monkeypatch.delenv(name, raising=False)
     expected = {k: case[k] for k in ("stdout", "stderr", "exit")}
     assert _run(case, tmp_path) == expected
+
+
+def test_the_verify_preset_cases_match_the_recording_from_an_empty_memo(tmp_path, monkeypatch):
+    # the replay above runs in one process, so most of its modules come from
+    # the module memo; here every preset case builds its modules afresh
+    for name in ENV:
+        monkeypatch.delenv(name, raising=False)
+    cases = [case for case in RECORDED if case["argv"][:2] == ["verify", "--preset"]]
+    assert len(cases) == 3 * len(preset_names())
+    for case in cases:
+        oracle._MODULES.clear()
+        assert _run(case, tmp_path) == {k: case[k] for k in ("stdout", "stderr", "exit")}, case["argv"]
 
 
 def test_the_recorded_cases_are_the_ones_drawn_today():

@@ -499,12 +499,12 @@ def _counting_echelons(monkeypatch):
 
 
 def test_module_build_reduces_each_weight_space_below_the_top_once(monkeypatch):
-    from solvsph.oracle import _irreducible
+    from solvsph.oracle import _build_irreducible
 
     calls = _counting_echelons(monkeypatch)
     a2 = build_algebra(build_root_system([("A", 2)]))
-    assert _irreducible(a2, Weight((0, 0))).dim == 1 and not calls
-    assert _irreducible(a2, Weight((1, 0))).dim == 3 and len(calls) == 2
+    assert _build_irreducible(a2, Weight((0, 0))).dim == 1 and not calls
+    assert _build_irreducible(a2, Weight((1, 0))).dim == 3 and len(calls) == 2
     rng = random.Random(21)
     built = 0
     while built < 25:
@@ -513,9 +513,94 @@ def test_module_build_reduces_each_weight_space_below_the_top_once(monkeypatch):
         if weyl_dim(rs, lam) > 300:
             continue
         calls.clear()
-        mod = _irreducible(build_algebra(rs), lam)
+        mod = _build_irreducible(build_algebra(rs), lam)
         assert len(calls) == len(mod.by_weight) - 1, (rs.describe(), lam)
         built += 1
+
+
+def _counting_builds(monkeypatch):
+    """A list of the weights ``oracle._build_irreducible`` is called on: the
+    builds the module memo does not answer."""
+    built, original = [], oracle._build_irreducible
+
+    def counting(algebra, lam):
+        built.append(lam)
+        return original(algebra, lam)
+
+    monkeypatch.setattr(oracle, "_build_irreducible", counting)
+    return built
+
+
+def _dim_g(rs):
+    return 2 * len(rs.positive_roots) + rs.n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [[("A", 1)], [("A", 2)], [("B", 2)], [("G", 2)], [("A", 3)], [("B", 3)], [("C", 3)],
+     [("A", 1), ("B", 2)], [("D", 4)], [("F", 4)]],
+    ids=lambda spec: "x".join(f"{t}{n}" for t, n in spec),
+)
+def test_a_memo_hit_equals_a_cold_build(spec, monkeypatch):
+    cold_build = oracle._build_irreducible
+    built = _counting_builds(monkeypatch)
+    rs = build_root_system(spec)
+    lams = [lam for lam in dominant_weights_up_to(rs, 3) if weyl_dim(rs, lam) <= _dim_g(rs)]
+    assert len(lams) >= 3
+    for lam in lams:
+        oracle._irreducible(build_algebra(rs), lam)  # the memo holds V(lam) from here on
+        built.clear()
+        alg = build_algebra(rs)
+        warm, cold = oracle._irreducible(alg, lam), cold_build(build_algebra(rs), lam)
+        assert not built and warm.algebra is alg
+        assert warm.weights == cold.weights and warm.by_weight == cold.by_weight, (spec, lam)
+        assert warm.actions == cold.actions, (spec, lam)
+
+
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_an_algebra_with_a_corrupted_extraspecial_constant_misses_the_memo(factor, monkeypatch):
+    rs, lam = build_root_system([("A", 2)]), Weight((1, 0))
+    build_realization(build_algebra(rs))  # the memo holds V(1, 0), A2's checked fundamental
+    stored = dict(oracle._MODULES[rs])
+    built = _counting_builds(monkeypatch)
+    bad = build_algebra(rs)
+    # negated, the constant gives a module the bracket check refuses; doubled, a failed build
+    bad._n[bad.extraspecial[(1, 1)]] *= factor
+    with pytest.raises(AssertionError):
+        build_realization(bad)
+    assert built == [lam]
+    if factor == 2:  # a build that raises is never stored
+        assert oracle._MODULES[rs] == stored
+    good = build_algebra(rs)
+    mod = build_irrep(build_realization(good), lam)
+    assert built == [lam] and mod.algebra is good
+    assert mod.actions == oracle._build_irreducible(build_algebra(rs), lam).actions
+
+
+def test_the_memo_holds_no_module_larger_than_the_algebra(monkeypatch, capsys):
+    monkeypatch.setattr(oracle, "_MODULES", type(oracle._MODULES)())
+    built = _counting_builds(monkeypatch)
+    assert cli.main(["verify", "--preset", "sl4-sp4borel", "--height", "3"]) == 0
+    capsys.readouterr()
+    (rs,) = oracle._MODULES
+    dims = [weyl_dim(rs, lam) for lam in built]
+    assert rs.describe() == "A3" and _dim_g(rs) == 15 and max(dims) == 64
+    assert sorted(mod.dim for mod in oracle._MODULES[rs].values()) == sorted(d for d in dims if d <= 15)
+
+
+def test_a_memo_hit_still_belongs_to_its_own_algebra():
+    from solvsph import AlgebraMismatch, validate
+
+    rs = build_root_system([("A", 2)])
+    first, second = build_algebra(rs), build_algebra(rs)
+    borel = validate(first, [[1, 0], [0, 1]], [])
+    mine = build_irrep(build_realization(first), Weight((1, 1)))
+    theirs = build_irrep(build_realization(second), Weight((1, 1)))  # the memo's matrices
+    assert theirs.actions is mine.actions and mine.algebra is first and theirs.algebra is second
+    chi = borel.tau.restrict(mine.weights[0])
+    assert semi_invariant_dim(mine, borel, chi).dim == 1
+    with pytest.raises(AlgebraMismatch):
+        semi_invariant_dim(theirs, borel, chi)
 
 
 def test_semi_invariant_dim_groups_by_module_and_torus():
