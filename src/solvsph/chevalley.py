@@ -14,18 +14,15 @@ with a remainder raises.  ``bracket_keys`` reads them from ``_n``, and looks
 up the rest in tables of the roots alone: the root each pair of roots sums
 to, the coroot of each pair of opposites, every root's nonzero simple-coroot
 pairings.  Zero brackets are not stored: a pair of basis keys found in no
-table brackets to zero.  All of these tables depend on the root system
-alone, so they are derived once per RootSystem object (``_tables_of``) and
-held while it lives, as read-only views; its algebras share them, except
-``_n``, of which each algebra owns a writable copy, so its realization
-checks its own table.
+table brackets to zero.  An algebra derives its tables when it is built and
+holds them as read-only views.  They depend on the root system alone, so
+``build_algebra`` builds one algebra per root system and every caller shares
+it; ``ChevalleyAlgebra(rs)`` builds a private one.
 """
 
 from __future__ import annotations
 
-import weakref
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import AlgebraMismatch, NotBasisKey
 from .linalg import add_into
@@ -89,21 +86,12 @@ class AlgebraElement:
         return " + ".join(bits)
 
 
-class _Tables(NamedTuple):
-    """Everything about the bracket that depends on the root system alone."""
-
-    extraspecial: MappingProxyType  # non-simple positive root -> its extraspecial pair
-    n: MappingProxyType  # (a, b) -> nonzero N with [e_a, e_b] = N e_{a+b}
-    sum: MappingProxyType  # pair of e keys -> the e key of the root they sum to
-    fixed: MappingProxyType  # pair of basis keys -> the (key, c) terms of a nonzero coroot or opposites bracket
-    keys: frozenset
-    basis_keys: tuple  # root vectors by height, then simple coroots
-
-
 def _derive_tables(rs):
-    """The Chevalley constants and bracket lookups of a root system, as
-    read-only views, so a write through one algebra fails at the writer
-    instead of reaching every algebra of the type."""
+    """The Chevalley constants and bracket lookups of a root system: the
+    extraspecial pair of each non-simple positive root, the nonzero constants
+    N with [e_a, e_b] = N e_{a+b}, the e key each pair of e keys sums to, the
+    (key, c) terms of each nonzero coroot or opposites bracket, and the basis
+    keys, root vectors by height, then simple coroots."""
     roots, positive = rs._roots, rs._index
     norm = {r.coords: rs.root_form(r, r) for r in rs.positive_roots}
     norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
@@ -171,34 +159,20 @@ def _derive_tables(rs):
                 fixed[hi, fa], fixed[fa, hi] = {fa: -p}, {fa: p}
     ordered = [("e", c) for c in sorted(roots, key=lambda c: (sum(c), c))] + h
     fixed = {k: tuple(terms.items()) for k, terms in fixed.items()}
-    return _Tables(
-        *map(MappingProxyType, (extraspecial, {k: v for k, v in table.items() if v}, sums, fixed)),
-        frozenset(ordered),
-        tuple(ordered),
-    )
-
-
-_TABLES = weakref.WeakKeyDictionary()  # RootSystem -> its _Tables, dropped with it
-
-
-def _tables_of(rs):
-    """The one _Tables of a root system, derived on first request."""
-    tables = _TABLES.get(rs)
-    if tables is None:
-        tables = _TABLES[rs] = _derive_tables(rs)
-    return tables
+    n = {k: v for k, v in table.items() if v}
+    return (*map(MappingProxyType, (extraspecial, n, sums, fixed)), tuple(ordered))
 
 
 class ChevalleyAlgebra:
-    """Chevalley basis of the semisimple Lie algebra of a root system: the
-    shared tables of the root system, and its own copy of the constants ``_n``."""
+    """Chevalley basis of the semisimple Lie algebra of a root system, its
+    tables read-only, so a write fails at the writer instead of reaching
+    every caller of ``build_algebra``."""
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        tables = _tables_of(root_system)
-        self.extraspecial, self._sum, self._fixed = tables.extraspecial, tables.sum, tables.fixed
-        self._keys, self._basis_keys = tables.keys, tables.basis_keys
-        self._n = dict(tables.n)
+        self.extraspecial, self._n, self._sum, self._fixed, self._basis_keys = _derive_tables(root_system)
+        self._keys = frozenset(self._basis_keys)
+        self._modules = {}  # highest weight coords -> module of dim <= dim g, filled by oracle._irreducible
 
     # -- basis ------------------------------------------------------------
 
@@ -241,9 +215,12 @@ class ChevalleyAlgebra:
         return NotBasisKey(f"{name} is not a basis key of {self.root_system.describe()}")
 
     def structure_constant(self, a, b):
-        """N with [e_a, e_b] = N e_{a+b}; zero when a+b is not a root."""
-        a = a.coords if isinstance(a, Root) else tuple(a)
-        b = b.coords if isinstance(b, Root) else tuple(b)
+        """N with [e_a, e_b] = N e_{a+b}; zero when a+b is not a root, and
+        NotBasisKey when a or b is not a root."""
+        a, b = (r.coords if isinstance(r, Root) else integers(r) for r in (a, b))
+        for v in (a, b):
+            if ("e", v) not in self._keys:
+                raise self._refusal(("e", v))
         return self._n.get((a, b), 0)
 
     # -- bracket ----------------------------------------------------------
@@ -273,9 +250,16 @@ class ChevalleyAlgebra:
         return f"ChevalleyAlgebra({self.root_system.describe()})"
 
 
+_ALGEBRAS = {}  # RootSystem -> the one ChevalleyAlgebra of build_algebra
+
+
 def build_algebra(root_system):
-    """Chevalley algebra of a root system."""
-    return ChevalleyAlgebra(root_system)
+    """The Chevalley algebra of a root system, built once per process and
+    shared by every caller, the way ``build_root_system`` shares the root system."""
+    alg = _ALGEBRAS.get(root_system)
+    if alg is None:
+        alg = _ALGEBRAS[root_system] = ChevalleyAlgebra(root_system)
+    return alg
 
 
 def bracket(x, y):

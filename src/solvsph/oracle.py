@@ -11,24 +11,21 @@ mu[k] give q = 0, f_k kills the weight space of mu and is set to zero there
 without a reduction; that is exact, since mu - a_k is then no weight.
 ``build_irrep`` is the one path that builds modules, and a
 ``MatrixRealization`` holds them, but ``semi_invariant_records`` drops each
-module it built once it has read that module's records.  A build reads only
-the root system, the highest weight and the constants of the extraspecial
-pairs, so a module of dimension at most dim g is built and checked once per
-process for that key (``_irreducible``'s memo, ``_MODULES``): every other
-algebra of the type with the same constants gets a new module object that
-shares its matrices.  Larger modules are built afresh on every request.
-Semi-invariant dimensions are exact kernels: the integer images of the
-basis vectors of one S-weight (grouped by S-weight once per module and torus
-restriction) under the unipotent basis are summed from the module's own
-columns and counted by ``linalg.echelon``.  Every matrix, of a module or of
-the adjoint representation, is a list of sparse columns (dicts row ->
-value), applied by ``linalg.apply``.  The simple root vectors act directly on a
-module and the coroots by the weight diagonal; the other root vectors act
-through brackets, taken column by column in ``_with_derived_actions``.
+module it built once it has read that module's records.  The algebra keeps
+each module no larger than dim g it was asked for (``_irreducible``), so
+with the one algebra of ``build_algebra`` such a module is built and checked
+once per process.  Semi-invariant dimensions are exact kernels: the integer
+images of the basis vectors of one S-weight (grouped for the last torus
+restriction asked for) under the unipotent basis are summed from the
+module's own columns and counted by ``linalg.echelon``.  Every matrix is a
+list of sparse columns (dicts row -> value), applied by ``linalg.apply``.
+The simple root vectors act directly on a module and the coroots by the
+weight diagonal; the other root vectors act through brackets, taken column
+by column in ``_with_derived_actions``.
 Every module is checked against the defining relations of the algebra and
-the Weyl dimension formula when it is built.  The bracket table is checked
-once per simple factor and per algebra object, on a module the factor acts
-on faithfully, which covers the factor's part of it.  Both checks compare a
+the Weyl dimension formula when it is built.  Every realization checks
+the bracket table once per simple factor, on a module the factor acts on
+faithfully, which covers the factor's part of it.  Both checks compare a
 matrix bracket with the combination it should equal entry by entry, in one
 pass (``_bracket_defect``).
 
@@ -41,12 +38,10 @@ certificate; a failure carries a stated error bound.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 import operator
 import random
-import weakref
 from dataclasses import dataclass
 
 from . import linalg
@@ -144,9 +139,9 @@ class HighestWeightModule:
 
     Basis vector 0 is the highest vector; every basis vector carries a
     torus weight.  Construction checks the defining relations of the
-    algebra on the simple root matrices (``_verify_basics``).  The weights
-    and matrices may be shared with module objects of other algebras of the
-    type (``_irreducible``'s memo), so they are read and never written.
+    algebra on the simple root matrices (``_verify_basics``).  A module may
+    be shared by every caller of its algebra (``_irreducible``), so its
+    weights and matrices are read and never written.
     """
 
     def __init__(self, algebra, lam, weights, actions):
@@ -158,18 +153,19 @@ class HighestWeightModule:
         self.by_weight = {}  # weight coords -> basis indices, in order
         for j, w in enumerate(weights):
             self.by_weight.setdefault(w.coords, []).append(j)
-        self._by_s_weight = {}  # torus restriction rows -> by_s_weight's grouping
+        self._s_weights = (None, {})  # (torus restriction rows, by_s_weight's grouping), the last asked for
         self._verify_basics()
 
     def by_s_weight(self, tau):
         """S-weight -> basis indices, in order, under the torus restriction
-        tau: grouped in one pass over the distinct weights on the first
-        request for tau's rows, which alone decide the grouping, and kept."""
-        groups = self._by_s_weight.get(tau.rows)
-        if groups is None:
-            groups = self._by_s_weight[tau.rows] = {}
+        tau: grouped in one pass over the distinct weights, and kept until a
+        request for other rows, which alone decide the grouping."""
+        rows, groups = self._s_weights
+        if rows != tau.rows:
+            groups = {}
             for wt, js in self.by_weight.items():
                 groups.setdefault(tau.restrict(wt), []).extend(js)
+            self._s_weights = (tau.rows, groups)
         return groups
 
     def _verify_basics(self):
@@ -212,13 +208,6 @@ class HighestWeightModule:
                 names = f"{fmt_root(simple[i])}, {fmt_root(simple[j])}"
                 raise AssertionError(f"[e_i, f_j] = delta_ij h_i fails on {names}")
 
-    def _bound(self, algebra):
-        """A module object of the algebra that shares this one's checked
-        weights and matrices, with S-weight groupings of its own."""
-        mod = copy.copy(self)
-        mod.algebra, mod._by_s_weight = algebra, {}
-        return mod
-
     def act_element(self, element):
         """Matrix of an algebra element (linear combination of basis keys)."""
         if element.algebra is not self.algebra:
@@ -229,36 +218,17 @@ class HighestWeightModule:
         return f"HighestWeightModule(lam={self.lam.coords}, dim={self.dim})"
 
 
-_MODULES = weakref.WeakKeyDictionary()  # RootSystem -> {(lam, constants): module of no algebra}
-
-
 def _irreducible(algebra, lam):
     """The irreducible module V(lam) of the algebra, built by
-    ``_build_irreducible`` once per root system, weight and constants.
-
-    A build reads the root system, lam and the constant N of each
-    extraspecial pair, through the same ``algebra.structure_constant`` call
-    ``_with_derived_actions`` makes, and nothing else of the algebra.  So
-    ``_MODULES`` keeps, per root system, the checked weights, action
-    matrices and ``by_weight`` of each module of dimension at most dim g,
-    keyed by lam and every (extraspecial root, pair, N); a request with the
-    same key gets a new module object of this algebra sharing that data,
-    with no build and no rerun of the checks it passed.  An algebra whose
-    constants differ misses, a build that raises is never stored, and larger
-    modules are built afresh on every request, so the memo holds a handful
-    of modules per type, none larger than the adjoint one.  S-weight
-    groupings stay with each module object, as they grow with the number of
-    torus restrictions.  ``build_irrep``'s dimension check still runs on
-    every request, and every realization still checks its own bracket table.
-    """
-    rs, pairs = algebra.root_system, algebra.extraspecial.items()
-    key = (lam.coords, tuple((eps, pair, algebra.structure_constant(*pair)) for eps, pair in pairs))
-    memo = _MODULES.setdefault(rs, {})
-    if (stored := memo.get(key)) is not None:
-        return stored._bound(algebra)
-    mod = _build_irreducible(algebra, lam)
-    if mod.dim <= len(algebra.basis_keys()):  # dim g
-        memo[key] = mod._bound(None)
+    ``_build_irreducible`` on the first request and then, if it is no larger
+    than dim g, read from the algebra's memo: a handful of modules per
+    algebra, none larger than the adjoint one.  A build that raises is never
+    stored.  ``build_irrep``'s dimension check still runs on every request,
+    and every realization still checks the bracket table."""
+    if (mod := algebra._modules.get(lam.coords)) is None:
+        mod = _build_irreducible(algebra, lam)
+        if mod.dim <= len(algebra.basis_keys()):  # dim g
+            algebra._modules[lam.coords] = mod
     return mod
 
 

@@ -335,9 +335,6 @@ class RootSystem:
             raise ArithmeticError(f"non-integral pairing of {lam} with {mu}")
         return q
 
-    def support(self, alpha):
-        return alpha.support()
-
     # -- weights ----------------------------------------------------------
 
     def fundamental_weight(self, i):

@@ -139,8 +139,14 @@ def test_coroot_action_is_integer_diagonal():
 
 
 def test_algebra_mismatch():
-    a = _algebra([("A", 2)])
-    b = _algebra([("A", 2)])
+    from solvsph.chevalley import ChevalleyAlgebra
+
+    rs = build_root_system([("A", 2)])
+    a, b = build_algebra(rs), ChevalleyAlgebra(rs)
+    # one algebra per root system; a direct build is a private algebra with equal tables
+    assert build_algebra(rs) is a and b is not a
+    tables = ("extraspecial", "_n", "_sum", "_fixed", "_basis_keys", "_keys")
+    assert all(getattr(a, t) == getattr(b, t) for t in tables)
     with pytest.raises(AlgebraMismatch):
         bracket(a.h(0), b.h(0))
 
@@ -279,6 +285,26 @@ def test_h_refuses_an_index_outside_the_simple_roots(i, name):
 
 
 @pytest.mark.parametrize(
+    "a, b, name",
+    [
+        ((2, 0), (0, 1), "e(2a1)"),
+        ((1, 0, 7), (0, 1), "e(a1+7a3)"),
+        ((0, 1), (2, 0), "e(2a1)"),
+        ((0, 0), (1, 0), "e(0)"),
+    ],
+)
+def test_structure_constant_refuses_a_vector_that_is_not_a_root(a, b, name):
+    from solvsph import NotBasisKey
+
+    alg = _algebra([("A", 2)])
+    # refused the way e() refuses the same vector, not answered with 0
+    not_a_root = next(v for v in (a, b) if ("e", v) not in alg.basis_keys())
+    for call in (lambda: alg.structure_constant(a, b), lambda: alg.e(not_a_root)):
+        with pytest.raises(NotBasisKey, match=rf"^{re.escape(name)} is not a basis key of A2$"):
+            call()
+
+
+@pytest.mark.parametrize(
     "key, name",
     [
         (("x", 1), "('x', 1)"),
@@ -301,7 +327,8 @@ def test_basis_element_refuses_a_key_outside_the_basis(key, name):
 
 
 def test_the_tables_an_algebra_shares_refuse_a_write():
-    from solvsph import build_realization, chevalley
+    from solvsph import build_realization
+    from solvsph.chevalley import ChevalleyAlgebra
 
     alg = _algebra([("A", 2)])
     e1, f1, e2 = ("e", (1, 0)), ("e", (-1, 0)), ("e", (0, 1))
@@ -314,9 +341,11 @@ def test_the_tables_an_algebra_shares_refuse_a_write():
     with pytest.raises(TypeError):
         alg.extraspecial[(1, 1)] = ((0, 1), (1, 0))
     with pytest.raises(TypeError):
-        chevalley._TABLES[alg.root_system].n[(1, 0), (0, 1)] = 2
-    # each algebra's own constants stay writable, and stay its own
-    alg._n[(1, 0), (0, 1)] = 2
-    other = _algebra([("A", 2)])
-    assert other.structure_constant((1, 0), (0, 1)) == 1
-    build_realization(other)
+        alg._n[(1, 0), (0, 1)] = 2
+    # a private algebra may rebind its constants; the shared algebra keeps its own
+    private = ChevalleyAlgebra(alg.root_system)
+    private._n = {**private._n, ((1, 0), (0, 1)): 2}
+    with pytest.raises(AssertionError):
+        build_realization(private)
+    assert alg.structure_constant((1, 0), (0, 1)) == 1
+    build_realization(alg)

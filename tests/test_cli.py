@@ -375,16 +375,17 @@ def test_verify_peak_memory_stays_bounded_at_height_5():
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak from /proc/self/status")
 def test_verify_on_every_a3_preset_in_one_process_keeps_the_memo_small():
-    # one child verifies the four A3 presets at height 4, so the module memo
-    # serves the later runs; it holds only modules no larger than dim A3 = 15
+    # one child verifies the four A3 presets at height 4, so the memo of the
+    # one A3 algebra serves the later runs; it holds only modules no larger
+    # than dim A3 = 15
     script = (
         "import contextlib, io, json, re\n"
-        "from solvsph import cli, oracle\n"
+        "from solvsph import chevalley, cli\n"
         "runs = [['--preset', 'sl4-sp4borel']]\n"
         "runs += [['--preset', p, '--group', 'A3'] for p in ('borel', 'maximal-unipotent', 'tu-prime')]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['verify', *run, '--height', '4']) for run in runs]\n"
-        "dims = [mod.dim for memo in oracle._MODULES.values() for mod in memo.values()]\n"
+        "dims = [mod.dim for alg in chevalley._ALGEBRAS.values() for mod in alg._modules.values()]\n"
         "with open('/proc/self/status') as fh:\n"
         "    peak = re.search(r'VmHWM:\\s*(\\d+) kB', fh.read()).group(1)\n"
         "print(json.dumps([codes, sorted(dims), int(peak)]))\n"

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from solvsph import oracle, preset_names
+from solvsph import chevalley, preset_names
 from solvsph.cli import main
 from solvsph.fuzzing import random_mixed_config, random_spherical_config
 
@@ -76,13 +76,14 @@ def test_cli_output_matches_the_recording(case, tmp_path, monkeypatch):
 
 def test_the_verify_preset_cases_match_the_recording_from_an_empty_memo(tmp_path, monkeypatch):
     # the replay above runs in one process, so most of its modules come from
-    # the module memo; here every preset case builds its modules afresh
+    # the memo of each type's one algebra; here every preset case builds a
+    # new algebra and its modules afresh
     for name in ENV:
         monkeypatch.delenv(name, raising=False)
     cases = [case for case in RECORDED if case["argv"][:2] == ["verify", "--preset"]]
     assert len(cases) == 3 * len(preset_names())
     for case in cases:
-        oracle._MODULES.clear()
+        monkeypatch.setattr(chevalley, "_ALGEBRAS", {})
         assert _run(case, tmp_path) == {k: case[k] for k in ("stdout", "stderr", "exit")}, case["argv"]
 
 

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -6,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from solvsph import cli, linalg, oracle
+from solvsph import chevalley, cli, linalg, oracle
+from solvsph.chevalley import ChevalleyAlgebra
 from solvsph.fuzzing import POOL_RANK3
 from solvsph.oracle import semi_invariant_records
 
@@ -31,6 +33,7 @@ from solvsph import (
     check_spherical,
     open_orbit_check,
     parse_config_text,
+    preset_names,
     representation_property_check,
     semi_invariant_dim,
     semi_invariant_witness,
@@ -560,43 +563,69 @@ def test_a_memo_hit_equals_a_cold_build(spec, monkeypatch):
 @pytest.mark.parametrize("factor", [-1, 2])
 def test_an_algebra_with_a_corrupted_extraspecial_constant_misses_the_memo(factor, monkeypatch):
     rs, lam = build_root_system([("A", 2)]), Weight((1, 0))
-    build_realization(build_algebra(rs))  # the memo holds V(1, 0), A2's checked fundamental
-    stored = dict(oracle._MODULES[rs])
+    good = build_algebra(rs)
+    build_realization(good)  # the memo holds V(1, 0), A2's checked fundamental
+    stored = dict(good._modules)
     built = _counting_builds(monkeypatch)
-    bad = build_algebra(rs)
+    bad = ChevalleyAlgebra(rs)
     # negated, the constant gives a module the bracket check refuses; doubled, a failed build
-    bad._n[bad.extraspecial[(1, 1)]] *= factor
+    pair = bad.extraspecial[(1, 1)]
+    bad._n = {**bad._n, pair: factor * bad._n[pair]}
     with pytest.raises(AssertionError):
         build_realization(bad)
     assert built == [lam]
     if factor == 2:  # a build that raises is never stored
-        assert oracle._MODULES[rs] == stored
-    good = build_algebra(rs)
+        assert not bad._modules
+    assert good._modules == stored
     mod = build_irrep(build_realization(good), lam)
     assert built == [lam] and mod.algebra is good
-    assert mod.actions == oracle._build_irreducible(build_algebra(rs), lam).actions
+    assert mod.actions == oracle._build_irreducible(ChevalleyAlgebra(rs), lam).actions
 
 
 def test_the_memo_holds_no_module_larger_than_the_algebra(monkeypatch, capsys):
-    monkeypatch.setattr(oracle, "_MODULES", type(oracle._MODULES)())
+    monkeypatch.setattr(chevalley, "_ALGEBRAS", {})
     built = _counting_builds(monkeypatch)
     assert cli.main(["verify", "--preset", "sl4-sp4borel", "--height", "3"]) == 0
     capsys.readouterr()
-    (rs,) = oracle._MODULES
+    (alg,) = chevalley._ALGEBRAS.values()
+    rs = alg.root_system
     dims = [weyl_dim(rs, lam) for lam in built]
     assert rs.describe() == "A3" and _dim_g(rs) == 15 and max(dims) == 64
-    assert sorted(mod.dim for mod in oracle._MODULES[rs].values()) == sorted(d for d in dims if d <= 15)
+    assert sorted(mod.dim for mod in alg._modules.values()) == sorted(d for d in dims if d <= 15)
+
+
+def test_shared_modules_stay_intact_after_every_preset_is_verified(monkeypatch, capsys):
+    # one process verifies every preset; each module its algebra keeps is then
+    # still what a cold build gives, and holds one S-weight grouping at most
+    monkeypatch.setattr(chevalley, "_ALGEBRAS", {})
+    codes = {name: cli.main(["verify", "--preset", name, "--height", "2"]) for name in preset_names()}
+    capsys.readouterr()
+    assert codes == {**dict.fromkeys(preset_names(), 0), "sl2-trivial": 1}  # the one non-spherical preset
+    kept = [(alg, mod) for alg in chevalley._ALGEBRAS.values() for mod in alg._modules.values()]
+    assert len(kept) >= 10
+    for alg, mod in kept:
+        cold = oracle._build_irreducible(ChevalleyAlgebra(alg.root_system), mod.lam)
+        assert mod.weights == cold.weights and mod.by_weight == cold.by_weight, mod
+        assert mod.actions == cold.actions, mod
+        rows, groups = mod._s_weights
+        regrouped = {}
+        for j, w in enumerate(mod.weights):
+            if rows is not None:
+                regrouped.setdefault(tuple(sum(map(operator.mul, row, w.coords)) for row in rows), []).append(j)
+        assert groups == regrouped, mod
 
 
 def test_a_memo_hit_still_belongs_to_its_own_algebra():
     from solvsph import AlgebraMismatch, validate
 
     rs = build_root_system([("A", 2)])
-    first, second = build_algebra(rs), build_algebra(rs)
-    borel = validate(first, [[1, 0], [0, 1]], [])
-    mine = build_irrep(build_realization(first), Weight((1, 1)))
-    theirs = build_irrep(build_realization(second), Weight((1, 1)))  # the memo's matrices
-    assert theirs.actions is mine.actions and mine.algebra is first and theirs.algebra is second
+    shared, private = build_algebra(rs), ChevalleyAlgebra(rs)
+    borel = validate(shared, [[1, 0], [0, 1]], [])
+    mine = build_irrep(build_realization(shared), Weight((1, 1)))
+    again = build_irrep(build_realization(build_algebra(rs)), Weight((1, 1)))  # the memo's module
+    theirs = build_irrep(build_realization(private), Weight((1, 1)))  # built for the private algebra
+    assert again is mine and mine.algebra is shared and theirs.algebra is private
+    assert theirs.actions == mine.actions and theirs.actions is not mine.actions
     chi = borel.tau.restrict(mine.weights[0])
     assert semi_invariant_dim(mine, borel, chi).dim == 1
     with pytest.raises(AlgebraMismatch):

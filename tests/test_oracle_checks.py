@@ -65,38 +65,30 @@ def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkey
     assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and len(checked) == 2
     fundamentals = [build_irrep(real, real.algebra.root_system.fundamental_weight(i), math.inf) for i in range(3)]
     assert [mod.dim for mod in fundamentals] == [2, 4, 5] and len(checked) == 2
-    # no verdict is kept for the type: each fresh algebra's realization builds and checks its own
+    # no verdict is kept: each realization of the one algebra asks for its modules and checks again
     built.clear()
     checked.clear()
-    first, second = (build_algebra(build_root_system([("A", 1), ("C", 2)])) for _ in range(2))
-    build_realization(first)
-    build_realization(second)
+    build_realization(build_algebra(build_root_system([("A", 1), ("C", 2)])))
+    build_realization(real.algebra)
     assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] * 2 and len(checked) == 4
 
 
 @pytest.mark.parametrize("spec, entries", [([("A", 1), ("B", 2)], 24), ([("G", 2)], 60)])
 def test_build_realization_catches_every_corrupted_structure_constant(spec, entries):
-    alg = build_algebra(build_root_system(spec))
-    assert len(alg._n) == entries
-    table = dict(alg._n)
+    rs = build_root_system(spec)
+    table = dict(build_algebra(rs)._n)
+    assert len(table) == entries
     caught = 0
-    for key, n in sorted(alg._n.items()):
+    for key, n in sorted(table.items()):
         for corrupt in (-n, 2 * n):
-            alg._n[key] = corrupt
-            try:
-                with pytest.raises(AssertionError):
-                    build_realization(alg)
-                caught += 1
-                # an algebra of the same type built meanwhile has its own, intact table
-                other = build_algebra(build_root_system(spec))
-                assert other._n == table
-                build_realization(other)
-            finally:
-                alg._n[key] = n
+            alg = ChevalleyAlgebra(rs)  # a private algebra, so the shared one stays intact
+            alg._n = {**table, key: corrupt}
+            with pytest.raises(AssertionError):
+                build_realization(alg)
+            caught += 1
     assert caught == 2 * entries
-    build_realization(alg)
-    # the tables the algebras of the type share are those a fresh derivation gives
-    assert chevalley._TABLES[alg.root_system] == chevalley._derive_tables(alg.root_system)
+    assert build_algebra(rs)._n == table
+    build_realization(build_algebra(rs))
 
 
 def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):
@@ -108,6 +100,7 @@ def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):
         return 2 * n if (tuple(a), tuple(b)) == ((1, 0), (0, 1)) else n
 
     monkeypatch.setattr(ChevalleyAlgebra, "structure_constant", doubled)
+    monkeypatch.setattr(chevalley, "_ALGEBRAS", {})  # a new A2 algebra, its memo empty
     alg = build_algebra(build_root_system([("A", 2)]))
     assert alg.extraspecial[(1, 1)] == ((1, 0), (0, 1))
     with pytest.raises(AssertionError, match="inexact division"):

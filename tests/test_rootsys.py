@@ -132,10 +132,9 @@ def test_root_refuses_non_integral_coordinates():
 
 def test_support():
     rs = build_root_system([("A", 3)])
-    assert rs.support(rs.simple_roots[0]) == {0}
-    assert rs.support(Root((1, 1, 0))) == {0, 1}
-    rs2 = build_root_system([("A", 2)])
-    assert rs2.support(Root((1, 1))) == {0, 1}
+    assert rs.simple_roots[0].support() == {0}
+    assert Root((1, 1, 0)).support() == {0, 1}
+    assert Root((1, 1)).support() == {0, 1}
 
 
 def test_dual_weight_values():
