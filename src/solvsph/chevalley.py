@@ -173,6 +173,7 @@ class ChevalleyAlgebra:
         self.extraspecial, self._n, self._sum, self._fixed, self._basis_keys = _derive_tables(root_system)
         self._keys = frozenset(self._basis_keys)
         self._modules = {}  # highest weight coords -> module of dim <= dim g, filled by oracle._irreducible
+        self._verdict = self._ad_neg = None  # (objects read, value), kept by oracle._derived
 
     # -- basis ------------------------------------------------------------
 

@@ -23,17 +23,21 @@ The simple root vectors act directly on a module and the coroots by the
 weight diagonal; the other root vectors act through brackets, taken column
 by column in ``_with_derived_actions``.
 Every module is checked against the defining relations of the algebra and
-the Weyl dimension formula when it is built.  Every realization checks
-the bracket table once per simple factor, on a module the factor acts on
-faithfully, which covers the factor's part of it.  Both checks compare a
-matrix bracket with the combination it should equal entry by entry, in one
-pass (``_bracket_defect``).
+the Weyl dimension formula when it is built.  The first realization of an
+algebra object checks the bracket table once per simple factor, on a module
+the factor acts on faithfully, which covers the factor's part of it.  Both
+checks compare a matrix bracket with the combination it should equal entry
+by entry, in one pass (``_bracket_defect``).  What depends only on an
+algebra's tables, that verdict and the orbit test's ad e(-a) columns, is
+kept on the algebra by ``_derived`` and derived again once a table it read
+has been rebound.
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
 conjugate of the subgroup's Lie algebra, together with the Borel
 subalgebra, spans the whole Lie algebra.  A witness is an exact
-certificate; a failure carries a stated error bound.
+certificate; a failure, after at least one trial, carries a stated error
+bound.
 """
 
 from __future__ import annotations
@@ -224,7 +228,8 @@ def _irreducible(algebra, lam):
     than dim g, read from the algebra's memo: a handful of modules per
     algebra, none larger than the adjoint one.  A build that raises is never
     stored.  ``build_irrep``'s dimension check still runs on every request,
-    and every realization still checks the bracket table."""
+    and a realization checks the bracket table unless this algebra's kept
+    verdict read these very modules and tables (``MatrixRealization``)."""
     if (mod := algebra._modules.get(lam.coords)) is None:
         mod = _build_irreducible(algebra, lam)
         if mod.dim <= len(algebra.basis_keys()):  # dim g
@@ -323,24 +328,41 @@ def _build_irreducible(algebra, lam):
 class MatrixRealization:
     """The irreducible modules one algebra holds, each built by ``build_irrep``.
 
-    Construction checks the Chevalley bracket table once per simple factor, on
-    its fundamental of least Weyl dimension.  That is enough: the simple root
-    matrices satisfy the presenting relations, a nonzero module of a simple
-    algebra is faithful and the other factors act by zero, so the sweep over
-    all ordered pairs of basis keys checks the factor's component of every
-    bracket, cross-factor ones included; the union over the factors checks the
-    whole table of this algebra object, and no other object shares the verdict.
+    Construction asks for the fundamental of least Weyl dimension of each
+    simple factor and checks the Chevalley bracket table on it.  That is
+    enough: the simple root matrices satisfy the presenting relations, a
+    nonzero module of a simple algebra is faithful and the other factors act
+    by zero, so the sweep over all ordered pairs of basis keys checks the
+    factor's component of every bracket, cross-factor ones included; the union
+    over the factors checks the whole table of this algebra object, and no
+    other object shares the verdict.  The algebra keeps it (``_derived``): a
+    later realization that gets the same module objects from the algebra's
+    memo, while the tables are the ones checked, checks nothing; a check that
+    raises keeps nothing.
     """
 
     def __init__(self, algebra):
-        rs = algebra.root_system
         self.algebra = algebra
         self.modules = {}  # Weight -> HighestWeightModule
-        for lam in checked_fundamentals(rs):
-            representation_property_check(algebra, build_irrep(self, lam, math.inf).actions)
+        mods = [build_irrep(self, lam, math.inf) for lam in checked_fundamentals(algebra.root_system)]
+        _derived(algebra, "_verdict",
+                 lambda: [representation_property_check(algebra, mod.actions) for mod in mods], *mods)
 
     def __repr__(self):
         return f"MatrixRealization({self.algebra.root_system.describe()})"
+
+
+def _derived(algebra, slot, derive, *inputs):
+    """derive(), kept in the algebra's slot with the objects it read: the
+    algebra's tables and the inputs.  While every one of them is still the
+    object it read (``is``), the kept value is returned; once one has been
+    rebound, the value is derived again.  A derive that raises keeps nothing."""
+    reads = (algebra._n, algebra._sum, algebra._fixed, algebra.extraspecial, *inputs)
+    kept = getattr(algebra, slot)
+    if kept is None or any(map(operator.is_not, kept[0], reads)):
+        kept = (reads, derive())
+        setattr(algebra, slot, kept)
+    return kept[1]
 
 
 def checked_fundamentals(rs):
@@ -593,8 +615,13 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     False is wrong is at most (D/p)^k with D = 2 ht(theta) |positive roots|
     (Schwartz 1980, Zippel 1979), provided a maximal minor that is nonzero
     over Q does not vanish identically mod p.  When dim h < |positive roots|
-    the answer False is exact.  ``realization`` is accepted and unused.
+    the answer False is exact.  ``trials`` must be an int of at least 1, as
+    no trial supports a negative.  The ad e(-a) columns are kept on the
+    algebra (``_derived``) and read, never written.  ``realization`` is
+    accepted and unused.
     """
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"open-orbit trials must be an int of at least 1, got {trials!r}")
     algebra = sub.algebra
     rs = sub.root_system
     keys = algebra.basis_keys()
@@ -609,10 +636,10 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
         {index[k]: r for k, x in terms.items() if (r := x % PRIME)} for terms in basis
     ]
 
-    ad_neg = [
+    ad_neg = _derived(algebra, "_ad_neg", lambda: [
         [{index[k]: c for k, c in algebra.bracket_keys(keys[f], y).items()} for y in keys]
         for f in negatives
-    ]
+    ])
     rng = random.Random(seed)
     for _ in range(trials):
         coeffs = [rng.randrange(PRIME) for _ in ad_neg]

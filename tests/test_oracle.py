@@ -3,6 +3,7 @@ import operator
 import random
 import re
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -432,6 +433,44 @@ def test_open_orbit_agrees_with_criterion_on_every_type():
     for k in range(40):
         sub = build_subgroup(random_mixed_config(rng, POOL_RANK3))
         assert open_orbit_check(sub, trials=200, seed=k) == check_spherical(sub).spherical
+
+
+def test_kept_orbit_columns_give_the_answers_of_fresh_ones(monkeypatch):
+    from solvsph.fuzzing import random_mixed_config
+
+    rng = random.Random(5)
+    configs = [get_preset(name) for name in preset_names()] + [random_mixed_config(rng) for _ in range(100)]
+    subs = [build_subgroup(config) for config in configs]
+    kept = [open_orbit_check(sub, seed=k) for k, sub in enumerate(subs)]
+    columns = {sub.algebra: sub.algebra._ad_neg for sub in subs}
+    assert all(open_orbit_check(sub, seed=k) is kept[k] for k, sub in enumerate(subs))
+    assert all(sub.algebra._ad_neg is columns[sub.algebra] for sub in subs)  # built once per algebra
+    monkeypatch.setattr(oracle, "_derived", lambda algebra, slot, derive, *inputs: derive())
+    assert [open_orbit_check(sub, seed=k) for k, sub in enumerate(subs)] == kept
+    assert kept == [check_spherical(sub).spherical for sub in subs]
+
+
+def test_rebinding_the_constants_rebuilds_the_orbit_columns(monkeypatch):
+    sub = build_subgroup(get_preset("tu-prime", (("A", 2),)))
+    alg = sub.algebra
+    assert open_orbit_check(sub) is True
+    cols = alg._ad_neg[1]
+    monkeypatch.setattr(alg, "_n", MappingProxyType(dict(alg._n)))  # equal, but another object
+    assert open_orbit_check(sub) is True
+    assert alg._ad_neg[1] is not cols and alg._ad_neg[1] == cols
+    key, n = min(alg._n.items())
+    monkeypatch.setattr(alg, "_n", MappingProxyType({**alg._n, key: -n}))
+    open_orbit_check(sub)
+    assert alg._ad_neg[1] != cols
+
+
+@pytest.mark.parametrize("trials", [0, -4, 2.0, True, "200", None])
+def test_open_orbit_check_refuses_trials_that_are_not_a_positive_int(trials):
+    # tu-prime on A2 is spherical: no trial may end in a negative
+    sub = build_subgroup(get_preset("tu-prime", (("A", 2),)))
+    with pytest.raises(ValueError, match="open-orbit trials must be an int of at least 1"):
+        open_orbit_check(sub, trials=trials)
+    assert open_orbit_check(sub, trials=1) is True
 
 
 def test_open_orbit_never_inverts_input_mod_p(tmp_path):

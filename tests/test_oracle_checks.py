@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -60,17 +61,22 @@ def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkey
 
     monkeypatch.setattr(oracle, "_irreducible", counting_build)
     monkeypatch.setattr(oracle, "representation_property_check", counting_check)
-    real = build_realization(build_algebra(build_root_system([("A", 1), ("C", 2)])))
+    monkeypatch.setattr(chevalley, "_ALGEBRAS", {})  # a new shared algebra, nothing checked on it yet
+    rs = build_root_system([("A", 1), ("C", 2)])
+    real = build_realization(build_algebra(rs))
     # the smallest fundamental of each factor: V(a1) of A1, the 4-dimensional V(1, 0) of C2
     assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and len(checked) == 2
     fundamentals = [build_irrep(real, real.algebra.root_system.fundamental_weight(i), math.inf) for i in range(3)]
     assert [mod.dim for mod in fundamentals] == [2, 4, 5] and len(checked) == 2
-    # no verdict is kept: each realization of the one algebra asks for its modules and checks again
+    # the verdict is kept on the algebra: a later realization of it asks for the
+    # same modules and, as they and the tables are the ones checked, checks nothing
     built.clear()
     checked.clear()
-    build_realization(build_algebra(build_root_system([("A", 1), ("C", 2)])))
-    build_realization(real.algebra)
-    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] * 2 and len(checked) == 4
+    build_realization(build_algebra(rs))
+    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and not checked
+    # a private algebra shares no verdict: it checks itself
+    build_realization(ChevalleyAlgebra(rs))
+    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] * 2 and len(checked) == 2
 
 
 @pytest.mark.parametrize("spec, entries", [([("A", 1), ("B", 2)], 24), ([("G", 2)], 60)])
@@ -89,6 +95,51 @@ def test_build_realization_catches_every_corrupted_structure_constant(spec, entr
     assert caught == 2 * entries
     assert build_algebra(rs)._n == table
     build_realization(build_algebra(rs))
+
+
+def _counting_checks(monkeypatch):
+    checked = []
+    check = oracle.representation_property_check
+
+    def counting_check(algebra, actions):
+        checked.append(algebra)
+        return check(algebra, actions)
+
+    monkeypatch.setattr(oracle, "representation_property_check", counting_check)
+    return checked
+
+
+@pytest.mark.parametrize("table", ["_n", "_sum", "_fixed", "extraspecial"])
+def test_rebinding_a_table_makes_the_next_realization_check_again(table, monkeypatch):
+    checked = _counting_checks(monkeypatch)
+    alg = ChevalleyAlgebra(build_root_system([("A", 1), ("C", 2)]))
+    build_realization(alg)
+    build_realization(alg)
+    assert len(checked) == 2  # one per simple factor, on the first realization only
+    monkeypatch.setattr(alg, table, MappingProxyType(dict(getattr(alg, table))))  # equal, but another object
+    build_realization(alg)
+    build_realization(alg)
+    assert len(checked) == 4
+
+
+def test_a_rebound_table_with_one_constant_negated_is_caught(monkeypatch):
+    alg = ChevalleyAlgebra(build_root_system([("G", 2)]))
+    build_realization(alg)
+    key, n = min(alg._n.items())
+    monkeypatch.setattr(alg, "_n", MappingProxyType({**alg._n, key: -n}))
+    with pytest.raises(AssertionError, match="representation property fails on "):
+        build_realization(alg)
+
+
+def test_a_failed_check_leaves_no_verdict(monkeypatch):
+    checked = _counting_checks(monkeypatch)
+    alg = ChevalleyAlgebra(build_root_system([("C", 2)]))
+    key, n = min(alg._n.items())
+    alg._n = {**alg._n, key: -n}
+    for attempt in (1, 2):
+        with pytest.raises(AssertionError, match="representation property fails on "):
+            build_realization(alg)
+        assert len(checked) == attempt and alg._verdict is None
 
 
 def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):
