@@ -238,14 +238,19 @@ class ChevalleyAlgebra:
             return {}  # no entry: the bracket is zero
         raise self._refusal(key_y if key_x in self._keys else key_x)
 
+    def bracket_terms(self, terms_x, terms_y):
+        """[x, y] of two combinations of basis keys (dicts key -> int), as a
+        dict key -> nonzero int; NotBasisKey as ``bracket_keys``."""
+        out = {}
+        for key_x, cx in terms_x.items():
+            for key_y, cy in terms_y.items():
+                add_into(out, self.bracket_keys(key_x, key_y), cx * cy)
+        return out
+
     def bracket(self, x: AlgebraElement, y: AlgebraElement):
         if x.algebra is not self or y.algebra is not self:
             raise AlgebraMismatch("bracket of elements from a different algebra")
-        out = {}
-        for key_x, cx in x.terms.items():
-            for key_y, cy in y.terms.items():
-                add_into(out, self.bracket_keys(key_x, key_y), cx * cy)
-        return AlgebraElement(self, out)
+        return AlgebraElement(self, self.bracket_terms(x.terms, y.terms))
 
     def __repr__(self):
         return f"ChevalleyAlgebra({self.root_system.describe()})"

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 
@@ -127,6 +126,8 @@ def cmd_semigroup(config: JobConfig, as_json=False, out=None):
         return 1
     gens = generators(sub, table)
     if as_json or config.options.format == "json":
+        import json  # only JSON output needs it
+
         print(json.dumps(_generators_json(config, gens), indent=2, sort_keys=True), file=out)
         return 0
     print(f"{gens.n + gens.m} free generators (n = {gens.n}, m = {gens.m}):", file=out)

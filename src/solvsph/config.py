@@ -20,9 +20,8 @@ A JSON document or config member whose ``schema`` (1 when missing) is not 1 is r
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 
 from .chevalley import build_algebra
@@ -76,24 +75,19 @@ def _parse_option(key, value, lineno=None):
     return value
 
 
-@dataclass(frozen=True)
-class JobOptions:
-    height_bound: int = 4
-    dim_cap: int = DIM_CAP
-    trials: int = 200
-    seed: int = 0
-    format: str = "text"
+class JobOptions(namedtuple("JobOptions", "height_bound dim_cap trials seed format",
+                            defaults=(4, DIM_CAP, 200, 0, "text"))):
+    __slots__ = ()
 
 
-_OPTION_KEYS = tuple(f.name for f in fields(JobOptions))
+_OPTION_KEYS = JobOptions._fields
 
 
-@dataclass(frozen=True)
-class JobConfig:
-    components: tuple  # ((letter, rank), ...)
-    torus_rows: tuple  # d rows of n ints
-    groups: tuple  # ((coords, Fraction), ...) per constraint group
-    options: JobOptions = field(default_factory=JobOptions)
+class JobConfig(namedtuple("JobConfig", "components torus_rows groups options", defaults=(JobOptions(),))):
+    """components: ((letter, rank), ...); torus_rows: d rows of n ints;
+    groups: ((coords, Fraction), ...) per constraint group."""
+
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -103,7 +97,7 @@ class JobConfig:
             "nilradical": [
                 [[list(coords), str(coeff)] for coords, coeff in group] for group in self.groups
             ],
-            "options": asdict(self.options),
+            "options": self.options._asdict(),
         }
 
     @classmethod
@@ -124,7 +118,7 @@ class JobConfig:
             "group": [f"{t} {r}" for t, r in self.components],
             "torus": [" ".join(map(str, row)) for row in self.torus_rows],
             "nilradical": [", ".join(f"({' '.join(map(str, c))}) {x}" for c, x in g) for g in self.groups],
-            "options": [f"{k} = {v}" for k, v in asdict(self.options).items()],
+            "options": [f"{k} = {v}" for k, v in self.options._asdict().items()],
         }
         return "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items()) + "\n"
 
@@ -208,6 +202,8 @@ def _parse_file(text) -> JobConfig:
     as ``semigroup --json`` prints it, or else the text format."""
     if not text.lstrip().startswith("{"):
         return parse_config_text(text)
+    import json  # only a JSON config needs it
+
     try:  # numbers are kept as their text
         document = json.loads(text, parse_float=str, parse_int=str)
         _check_schema(document, "JSON document")

@@ -46,7 +46,7 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .errors import AlgebraMismatch, DimensionCap, NotDominant, NotSpherical
@@ -433,13 +433,11 @@ def build_irrep(realization, lam, dim_cap=DIM_CAP):
     return mod
 
 
-@dataclass(frozen=True)
-class MultiplicityRecord:
-    """dim of the subspace of semi-invariants of one character in one module."""
+class MultiplicityRecord(namedtuple("MultiplicityRecord", "lam chi dim")):
+    """dim of the subspace of semi-invariants of character chi in the module
+    of highest weight lam (a Weight)."""
 
-    lam: Weight  # highest weight of the module examined
-    chi: tuple
-    dim: int
+    __slots__ = ()
 
     def pair(self, rs):
         """The semigroup element this record witnesses (dual weight, character)."""

@@ -25,7 +25,6 @@ memo of Weyl dimensions that ``oracle.weyl_dim`` keeps on it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import InvalidType, NonIntegralWeight, NotDominant, ZeroRoot
 
@@ -79,11 +78,37 @@ def _string_down(roots, beta, alpha):
     return p - 1
 
 
-@dataclass(frozen=True)
-class Root:
+class _Coords:
+    """An immutable coordinate vector, equal only to one of its own class with
+    equal coordinates; assignment raises AttributeError."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coords == other.coords
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __reduce__(self):
+        return type(self), (self.coords,)
+
+
+class Root(_Coords):
     """A root, as integer coefficients over the simple roots."""
 
-    coords: tuple
+    __slots__ = ()
 
     @property
     def height(self):
@@ -106,14 +131,13 @@ class Root:
         return f"Root{self.coords}"
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Coords):
     """An integral weight, as int coordinates over the fundamental weights."""
 
-    coords: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", integers(self.coords, NonIntegralWeight))
+    def __init__(self, coords):
+        object.__setattr__(self, "coords", integers(coords, NonIntegralWeight))
 
     @property
     def is_dominant(self):

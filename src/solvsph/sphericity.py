@@ -12,7 +12,6 @@ every active root carries a distinguished simple root in its support (its
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import linalg
 from .errors import (
@@ -25,30 +24,55 @@ from .rootsys import Root, fmt_root
 from .subgroup import SubgroupData
 
 
-@dataclass
-class SphericityVerdict:
-    spherical: bool
-    violations: list  # (kind, offending weights)
+class _Record:
+    """A mutable record: equal to a record of its own class with equal
+    ``_fields``, shown as Name(field=value, ...)."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class SphericityVerdict(_Record):
+    _fields = ("spherical", "violations")
+
+    def __init__(self, spherical, violations):
+        self.spherical = spherical  # bool
+        self.violations = violations  # [(kind, offending weights), ...]
 
     def __bool__(self):
         return self.spherical
 
 
-@dataclass
-class ActiveFamily:
+class ActiveFamily(_Record):
     """Active roots of one codimension-one S-weight, with their functional."""
 
-    phi: tuple
-    roots: list  # active roots, in root order
-    coefficients: dict  # root coords -> int, the primitive cut-out functional
+    _fields = ("phi", "roots", "coefficients")
+
+    def __init__(self, phi, roots, coefficients):
+        self.phi = phi  # tuple
+        self.roots = roots  # active roots, in root order
+        self.coefficients = coefficients  # root coords -> int, the primitive cut-out functional
 
 
-@dataclass
-class ActiveRootTable:
-    m: int
-    families: list  # list[ActiveFamily], in lexicographic weight order
-    anchor: dict  # root coords -> simple-root index
-    subordinate_pairs: list = field(default_factory=list)  # (beta, alpha) pairs
+class ActiveRootTable(_Record):
+    _fields = ("m", "families", "anchor", "subordinate_pairs")
+
+    def __init__(self, m, families, anchor, subordinate_pairs=None):
+        self.m = m  # int
+        self.families = families  # list[ActiveFamily], in lexicographic weight order
+        self.anchor = anchor  # root coords -> simple-root index
+        # (beta, alpha) pairs
+        self.subordinate_pairs = [] if subordinate_pairs is None else subordinate_pairs
 
     @property
     def active_roots(self):
@@ -133,11 +157,11 @@ def subordinate(rs, beta: Root, alpha: Root) -> bool:
     return rs.is_positive_root(diff)
 
 
-@dataclass
 class AxiomReport:
     """Counts of exhaustively verified active-root consistency checks."""
 
-    checks: dict
+    def __init__(self, checks):
+        self.checks = checks  # check name -> count
 
     def total(self):
         return sum(self.checks.values())

@@ -13,7 +13,6 @@ terms are positive root vectors and their classes' functionals vanish on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -103,14 +102,15 @@ class NilradicalSpec:
         return f"NilradicalSpec({len(self.groups)} groups)"
 
 
-@dataclass
 class WeightClass:
     """All positive roots sharing one S-weight, with the cut-out functionals."""
 
-    phi: tuple
-    roots: list
-    functionals: list = field(default_factory=list)  # primitive integer dicts keyed by root coords
-    codim: int = 0
+    def __init__(self, phi, roots, functionals=None, codim=0):
+        self.phi = phi  # tuple
+        self.roots = roots  # list
+        # primitive integer dicts keyed by root coords
+        self.functionals = [] if functionals is None else functionals
+        self.codim = codim
 
 
 class SubgroupData:
@@ -140,7 +140,11 @@ class SubgroupData:
 
     def contains_in_nil(self, element):
         """Whether an algebra element lies in the unipotent part."""
-        terms, phis = element.terms, set()
+        return self._terms_in_nil(element.terms)
+
+    def _terms_in_nil(self, terms):
+        """Whether the combination ``terms`` (basis key -> nonzero int) lies in the unipotent part."""
+        phis = set()
         for kind, coords in terms:
             if kind != "e" or coords not in self._phi_of_root:
                 return False  # a coroot or a negative root vector
@@ -211,11 +215,11 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
     if sub.dim_u - sub.dim_n != sum(c.codim for c in ordered):
         raise AssertionError("codimension bookkeeping is inconsistent")
 
-    # closure of the unipotent part under the bracket, checked pairwise
+    # closure of the unipotent part under the bracket, checked pairwise on the bracket's terms
     basis = sub.nil_basis
     for i, x in enumerate(basis):
         for y in basis[i + 1 :]:
-            if not sub.contains_in_nil(algebra.bracket(x, y)):
+            if not sub._terms_in_nil(algebra.bracket_terms(x.terms, y.terms)):
                 raise NotSubalgebra(x, y)
     return sub
 

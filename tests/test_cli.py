@@ -1,7 +1,8 @@
-import dataclasses
+import copy
 import io
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -47,6 +48,15 @@ def test_json_round_trips():
         config = get_preset(name)
         blob = json.dumps(config.to_json_dict())
         assert JobConfig.from_json_dict(json.loads(blob)) == config
+
+
+def test_configs_survive_deepcopy_and_pickle():
+    for name in preset_names():
+        config = get_preset(name)
+        for twin in (copy.deepcopy(config), pickle.loads(pickle.dumps(config))):
+            assert type(twin) is JobConfig and type(twin.options) is JobOptions
+            assert twin == config and twin.to_text() == config.to_text()
+    assert repr(JobOptions()) == "JobOptions(height_bound=4, dim_cap=20000, trials=200, seed=0, format='text')"
 
 
 def test_parse_errors_carry_line_numbers():
@@ -157,7 +167,7 @@ def test_verify_rejects_out_of_range_options_from_every_source(
     assert code == 2 and "[PASS]" not in out and "at least" in err
     monkeypatch.delenv(env)
     config = get_preset("borel", (("A", 1),))
-    config = dataclasses.replace(config, options=dataclasses.replace(config.options, **{option: value}))
+    config = config._replace(options=config.options._replace(**{option: value}))
     path = tmp_path / "job.cfg"
     path.write_text(config.to_text())
     code, out, err = _run_main(["verify", str(path)], capsys)
@@ -410,7 +420,7 @@ def test_json_options_default_from_job_options_and_ignore_unknown_keys():
     data = get_preset("borel").to_json_dict()
     data["options"] = {"trials": "7", "colour": "blue"}
     options = JobConfig.from_json_dict(data).options
-    assert options == dataclasses.replace(JobOptions(), trials=7)
+    assert options == JobOptions()._replace(trials=7)
     text = JobConfig.from_json_dict(data).to_text()
     assert parse_config_text(text).options == options
 

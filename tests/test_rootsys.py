@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -118,6 +120,31 @@ def test_weights_are_integral():
         Weight((1, 2.5))
     w = Weight((Fraction(4, 2), 1))
     assert w == Weight((2, 1)) and all(type(c) is int for c in w.coords)
+
+
+def test_roots_and_weights_are_values_of_their_own_class():
+    root, weight = Root((1, 0)), Weight((1, 0))
+    assert root != weight and weight != root
+    assert root != (1, 0) and weight != (1, 0) and (1, 0) != root
+    assert Root((1, 0)) == root and hash(Root((1, 0))) == hash(root)
+    assert Weight((1, 0)) == weight and hash(Weight((1, 0))) == hash(weight)
+    assert len({root, weight, Root((1, 0)), Weight((1, 0))}) == 2
+    for value in (root, weight):
+        with pytest.raises(AttributeError):
+            value.coords = (0, 1)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        with pytest.raises(AttributeError):
+            del value.coords
+        assert value.coords == (1, 0)
+    assert (repr(root), repr(weight), repr(-Root((0, 1)))) == ("Root(1, 0)", "Weight(1, 0)", "Root(0, -1)")
+
+
+def test_roots_and_weights_survive_deepcopy_and_pickle():
+    for value in (Root((1, -1, 0)), Weight((2, 0, -1))):
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
 
 
 def test_root_refuses_non_integral_coordinates():

@@ -7,11 +7,15 @@ public API, so its imports are not checked.  Every public module-level
 function or class is referenced somewhere in ``src/``, ``tests/``,
 ``demos/`` or ``bench/`` outside its own definition; a re-export from
 ``__init__.py`` is not a use, and a ``"module:name"`` string, the way the
-bench tracer names its targets, is.
+bench tracer names its targets, is.  A text-config ``verify`` loads neither
+``dataclasses`` (nor the ``inspect`` it pulls in) nor ``json``.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,3 +101,19 @@ def test_every_public_definition_is_used(name):
         if node.name not in elsewhere | _names([top for top in tree.body if top is not node])
     ]
     assert unused == []
+
+
+def test_a_text_config_verify_loads_no_dataclasses_inspect_or_json():
+    """Structural, not timed: a fresh interpreter without ``site`` (so that only
+    the package's own imports count) imports the CLI, runs a verify and lists
+    which of these modules it loaded."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from solvsph import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--preset', 'borel', '--height', '1'])\n"
+        "print(code, [m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")

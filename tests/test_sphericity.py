@@ -42,6 +42,14 @@ def test_trivial_subgroup_is_not_spherical():
     assert verdict.violations[0][0] == "DependentWeights"
 
 
+def test_verdict_is_true_exactly_when_spherical():
+    for name, spherical in (("borel", True), ("sl2-trivial", False)):
+        verdict = check_spherical(_sub(name))
+        assert verdict.spherical is spherical and bool(verdict) is spherical
+        assert verdict == check_spherical(_sub(name)) and verdict != (spherical, verdict.violations)
+        assert repr(verdict) == f"SphericityVerdict(spherical={spherical}, violations={verdict.violations!r})"
+
+
 def test_codim_two_is_not_spherical():
     from solvsph import NilradicalSpec, TorusRestriction, build_algebra, build_root_system, validate
 
