@@ -9,7 +9,6 @@ from solvsph import (
     annihilated_by_nil,
     bounded_members,
     build_irrep,
-    build_realization,
     build_subgroup,
     enumerate_semigroup,
     fmt_weight,
@@ -24,12 +23,14 @@ from solvsph import (
 
 sub = build_subgroup(get_preset("sl4-sp4borel"))
 rs = sub.root_system
-realization = build_realization(sub.algebra)
+alg = sub.algebra
 
 # Irreducible modules are built weight space by weight space from the Cartan
-# matrix; dimensions are checked against the dimension formula.
+# matrix, once the algebra's bracket table has been checked; dimensions are
+# checked against the dimension formula. The algebra hands the same module to
+# every request while it is held.
 lam = Weight((1, 0, 1))
-mod = build_irrep(realization, lam)
+mod = build_irrep(alg, lam)
 print(f"V({fmt_weight(lam)}) has dimension {mod.dim} (formula: {weyl_dim(rs, lam)})")
 
 # Semi-invariant dimensions are exact kernel computations.
@@ -39,7 +40,7 @@ print(f"dim of the ({list(rec.chi)})-semi-invariants in V({fmt_weight(lam)}): {r
 # Each active family carries an explicit lowered-highest-vector witness.
 table = active_roots(sub)
 for j, lam_j in enumerate(anchor_weights(table, rs)):
-    mod_j = build_irrep(realization, lam_j)
+    mod_j = build_irrep(alg, lam_j)
     w = semi_invariant_witness(mod_j, sub, table, j)
     print(
         f"family {j + 1}: witness in V({fmt_weight(lam_j)}), "
@@ -49,7 +50,7 @@ for j, lam_j in enumerate(anchor_weights(table, rs)):
 
 # The decisive check: scan every module up to a height bound and compare
 # the set of semi-invariant pairs against the free semigroup.
-records = enumerate_semigroup(sub, realization, 2)
+records = enumerate_semigroup(sub, 2)
 gens = generators(sub, table)
 members = bounded_members(gens, 2)
 found = {r.pair(rs) for r in records}

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .oracle import (
     HighestWeightModule,
-    MatrixRealization,
     MultiplicityRecord,
     annihilated_by_nil,
     build_irrep,

@@ -22,6 +22,7 @@ it; ``ChevalleyAlgebra(rs)`` builds a private one.
 
 from __future__ import annotations
 
+import weakref
 from types import MappingProxyType
 
 from .errors import AlgebraMismatch, NotBasisKey
@@ -49,9 +50,6 @@ class AlgebraElement:
     def __init__(self, algebra, terms=None):
         self.algebra = algebra
         self.terms = {k: c for k, c in zip(terms, integers(terms.values())) if c} if terms else {}
-
-    def is_zero(self):
-        return not self.terms
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -172,7 +170,8 @@ class ChevalleyAlgebra:
         self.root_system = root_system
         self.extraspecial, self._n, self._sum, self._fixed, self._basis_keys = _derive_tables(root_system)
         self._keys = frozenset(self._basis_keys)
-        self._modules = {}  # highest weight coords -> module of dim <= dim g, filled by oracle._irreducible
+        self._modules = weakref.WeakValueDictionary()  # weight coords -> module while held, by oracle.build_irrep
+        self._small = []  # the modules of dim <= dim g, held for the process
         self._verdict = self._ad_neg = None  # (objects read, value), kept by oracle._derived
 
     # -- basis ------------------------------------------------------------

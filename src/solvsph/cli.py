@@ -164,8 +164,9 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         predicted = oracle.weyl_dim(rs, lam)
         if predicted > cap:
             raise DimensionCap(predicted, cap)
-    realization = oracle.build_realization(sub.algebra)
-    anchor_mods = [oracle.build_irrep(realization, lam, cap) for lam in anchors]  # held until verify returns
+    oracle.build_realization(sub.algebra)  # the table's verdict, on every run, even if each module is a memo hit
+    # held until verify returns: the algebra's memo keeps a held module, so the stream reuses each anchor
+    anchor_mods = [oracle.build_irrep(sub.algebra, lam, cap) for lam in anchors]
     failures = 0
 
     def emit(ok, label):
@@ -173,7 +174,7 @@ def cmd_verify(config: JobConfig, height=None, cap=None, trials=None, seed=None,
         failures += not ok
         print(f"[{'PASS' if ok else 'FAIL'}] {label}", file=out)
 
-    records = oracle.enumerate_semigroup(sub, realization, height, cap)
+    records = oracle.enumerate_semigroup(sub, height, cap)
     emit(all(r.dim <= 1 for r in records), f"multiplicity free: {len(records)} records, all dim <= 1")
 
     duals = {lam: rs.dual_weight(lam).coords for lam in {r.lam for r in records}}

@@ -2,35 +2,35 @@
 
 Everything the combinatorial pipeline claims is re-derived here from
 scratch, for every type: irreducible modules are built weight space by
-weight space from the Cartan matrix alone (``_irreducible``), on their
+weight space from the Cartan matrix alone (``_build_irreducible``), on their
 Kostant Z-form, so every basis element of the algebra acts by an integer
 matrix.  Root strings rule out lowering steps before any arithmetic: the
 weights mu + i a_k of a module form one unbroken string -q <= i <= p with
 q - p = <mu, a_k coroot>, so when the p higher steps already built and
 mu[k] give q = 0, f_k kills the weight space of mu and is set to zero there
 without a reduction; that is exact, since mu - a_k is then no weight.
-``build_irrep`` is the one path that builds modules, and a
-``MatrixRealization`` holds them, but ``semi_invariant_records`` drops each
-module it built once it has read that module's records.  The algebra keeps
-each module no larger than dim g it was asked for (``_irreducible``), so
-with the one algebra of ``build_algebra`` such a module is built and checked
-once per process.  Semi-invariant dimensions are exact kernels: the integer
-images of the basis vectors of one S-weight (grouped for the last torus
-restriction asked for) under the unipotent basis are summed from the
-module's own columns and counted by ``linalg.echelon``.  Every matrix is a
-list of sparse columns (dicts row -> value), applied by ``linalg.apply``.
-The simple root vectors act directly on a module and the coroots by the
-weight diagonal; the other root vectors act through brackets, taken column
-by column in ``_with_derived_actions``.
-Every module is checked against the defining relations of the algebra and
-the Weyl dimension formula when it is built.  The first realization of an
-algebra object checks the bracket table once per simple factor, on a module
-the factor acts on faithfully, which covers the factor's part of it.  Both
-checks compare a matrix bracket with the combination it should equal entry
-by entry, in one pass (``_bracket_defect``).  What depends only on an
-algebra's tables, that verdict and the orbit test's ad e(-a) columns, is
-kept on the algebra by ``_derived`` and derived again once a table it read
-has been rebound.
+``build_irrep`` is the one entry point to modules and the algebra the one
+place that keeps them: its memo returns a module while any caller holds it
+and keeps each module no larger than dim g for the process, so with the one
+algebra of ``build_algebra`` such a module is built and checked once per
+process; ``semi_invariant_records`` holds one module at a time.
+Semi-invariant dimensions are exact kernels: the integer images of the basis
+vectors of one S-weight (grouped for the last torus restriction asked for)
+under the unipotent basis are summed from the module's own columns and
+counted by ``linalg.echelon``.  Every matrix is a list of sparse columns
+(dicts row -> value), applied by ``linalg.apply``.  The simple root vectors
+act directly on a module and the coroots by the weight diagonal; the other
+root vectors act through brackets, taken column by column in
+``_with_derived_actions``.  Every module is checked against the defining
+relations of the algebra and the Weyl dimension formula when it is built,
+and ``build_irrep`` builds one only once ``build_realization`` has checked
+the algebra's bracket table, once per simple factor, on a module the factor
+acts on faithfully, which covers the factor's part of it.  Both checks
+compare a matrix bracket with the combination it should equal entry by
+entry, in one pass (``_bracket_defect``).  What depends only on an algebra's
+tables, that verdict and the orbit test's ad e(-a) columns, is kept on the
+algebra by ``_derived`` and derived again once a table it read has been
+rebound.
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
@@ -143,9 +143,10 @@ class HighestWeightModule:
 
     Basis vector 0 is the highest vector; every basis vector carries a
     torus weight.  Construction checks the defining relations of the
-    algebra on the simple root matrices (``_verify_basics``).  A module may
-    be shared by every caller of its algebra (``_irreducible``), so its
-    weights and matrices are read and never written.
+    algebra on the simple root matrices (``_verify_basics``).  The algebra's
+    memo hands one module to every caller that asks for it while it lives
+    (``build_irrep``), so its weights and matrices are read and never
+    written.
     """
 
     def __init__(self, algebra, lam, weights, actions):
@@ -220,21 +221,6 @@ class HighestWeightModule:
 
     def __repr__(self):
         return f"HighestWeightModule(lam={self.lam.coords}, dim={self.dim})"
-
-
-def _irreducible(algebra, lam):
-    """The irreducible module V(lam) of the algebra, built by
-    ``_build_irreducible`` on the first request and then, if it is no larger
-    than dim g, read from the algebra's memo: a handful of modules per
-    algebra, none larger than the adjoint one.  A build that raises is never
-    stored.  ``build_irrep``'s dimension check still runs on every request,
-    and a realization checks the bracket table unless this algebra's kept
-    verdict read these very modules and tables (``MatrixRealization``)."""
-    if (mod := algebra._modules.get(lam.coords)) is None:
-        mod = _build_irreducible(algebra, lam)
-        if mod.dim <= len(algebra.basis_keys()):  # dim g
-            algebra._modules[lam.coords] = mod
-    return mod
 
 
 def _build_irreducible(algebra, lam):
@@ -322,41 +308,61 @@ def _build_irreducible(algebra, lam):
     return HighestWeightModule(algebra, lam, weights, _with_derived_actions(algebra, actions))
 
 
-# -- matrix realization -----------------------------------------------------
+# -- modules ----------------------------------------------------------------
 
 
-class MatrixRealization:
-    """The irreducible modules one algebra holds, each built by ``build_irrep``.
+def build_irrep(algebra, lam, dim_cap=DIM_CAP):
+    """V(lam) of the algebra, the one entry point to modules.  The weight is
+    refused by ``weyl_dim`` and the cap is checked on every call.  A module
+    in the algebra's memo is returned with no other check; a miss consults
+    the bracket table's verdict (``build_realization``) before it builds, so
+    no module of an algebra whose table fails the check is returned."""
+    if not isinstance(lam, Weight):
+        lam = Weight(tuple(lam))
+    if (predicted := weyl_dim(algebra.root_system, lam)) > dim_cap:
+        raise DimensionCap(predicted, dim_cap)
+    if lam.coords not in algebra._modules:
+        build_realization(algebra)
+    return _module(algebra, lam)
 
-    Construction asks for the fundamental of least Weyl dimension of each
-    simple factor and checks the Chevalley bracket table on it.  That is
+
+def _module(algebra, lam):
+    """V(lam) from the algebra's memo, which holds a module while anything
+    else does and every module no larger than dim g for the process; or
+    built, checked against the dimension formula and stored."""
+    if (mod := algebra._modules.get(lam.coords)) is None:
+        mod = _build_irreducible(algebra, lam)
+        if mod.dim != (predicted := weyl_dim(algebra.root_system, lam)):
+            raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
+        algebra._modules[lam.coords] = mod
+        if mod.dim <= len(algebra.basis_keys()):  # dim g
+            algebra._small.append(mod)
+    return mod
+
+
+def build_realization(algebra):
+    """The algebra, its bracket table checked on the fundamental of least
+    Weyl dimension of each simple factor (``checked_fundamentals``).  That is
     enough: the simple root matrices satisfy the presenting relations, a
     nonzero module of a simple algebra is faithful and the other factors act
     by zero, so the sweep over all ordered pairs of basis keys checks the
-    factor's component of every bracket, cross-factor ones included; the union
-    over the factors checks the whole table of this algebra object, and no
-    other object shares the verdict.  The algebra keeps it (``_derived``): a
-    later realization that gets the same module objects from the algebra's
-    memo, while the tables are the ones checked, checks nothing; a check that
-    raises keeps nothing.
-    """
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-        self.modules = {}  # Weight -> HighestWeightModule
-        mods = [build_irrep(self, lam, math.inf) for lam in checked_fundamentals(algebra.root_system)]
-        _derived(algebra, "_verdict",
-                 lambda: [representation_property_check(algebra, mod.actions) for mod in mods], *mods)
-
-    def __repr__(self):
-        return f"MatrixRealization({self.algebra.root_system.describe()})"
+    factor's component of every bracket, cross-factor ones included.  The
+    algebra keeps the verdict (``_derived``) with those modules, which it
+    keeps for the process, so while its tables are the ones checked a later
+    call checks nothing; a check that raises keeps nothing, and no other
+    algebra object shares the verdict."""
+    mods = [_module(algebra, lam) for lam in checked_fundamentals(algebra.root_system)]
+    _derived(algebra, "_verdict",
+             lambda: [representation_property_check(algebra, mod.actions) for mod in mods], *mods)
+    return algebra
 
 
 def _derived(algebra, slot, derive, *inputs):
-    """derive(), kept in the algebra's slot with the objects it read: the
-    algebra's tables and the inputs.  While every one of them is still the
-    object it read (``is``), the kept value is returned; once one has been
-    rebound, the value is derived again.  A derive that raises keeps nothing."""
+    """derive(), kept in the algebra's slot (``_verdict``, ``_ad_neg``) with
+    the objects it read: the algebra's tables and the inputs.  While every
+    one of them is still the object it read (``is``), the kept value is
+    returned; once one has been rebound, the value is derived again.  A
+    derive that raises keeps nothing."""
     reads = (algebra._n, algebra._sum, algebra._fixed, algebra.extraspecial, *inputs)
     kept = getattr(algebra, slot)
     if kept is None or any(map(operator.is_not, kept[0], reads)):
@@ -367,18 +373,13 @@ def _derived(algebra, slot, derive, *inputs):
 
 def checked_fundamentals(rs):
     """The fundamental weight of least Weyl dimension of each simple factor:
-    the modules on which a ``MatrixRealization`` checks the bracket table."""
+    the modules on which ``build_realization`` checks the bracket table."""
     ranks = [rank for _, rank in rs.components]
     out = []
     for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
         lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
         out.append(min(lams, key=lambda lam: weyl_dim(rs, lam)))
     return out
-
-
-def build_realization(algebra):
-    """The module cache of any algebra, its bracket table checked per factor."""
-    return MatrixRealization(algebra)
 
 
 def _failure(x, y):
@@ -402,35 +403,6 @@ def representation_property_check(algebra, actions):
             if algebra.bracket_keys(y, x) != {k: -c for k, c in terms.items()}:
                 raise _failure(y, x)
     return True
-
-
-# -- modules ----------------------------------------------------------------
-
-
-def build_irrep(realization, lam, dim_cap=DIM_CAP):
-    """The irreducible module of highest weight lam, built from the Cartan
-    data by ``_irreducible`` when the realization does not hold it, checked
-    against the dimension formula and held; while it is held, requests
-    return it, and the cap is checked on its dimension.  Only built modules
-    are held, so a weight that is not dominant, or has the wrong number of
-    coordinates, misses the cache and is refused by ``weyl_dim`` before any
-    build."""
-    rs = realization.algebra.root_system
-    if not isinstance(lam, Weight):
-        lam = Weight(tuple(lam))
-    mod = realization.modules.get(lam)
-    if mod is not None:  # checked against the formula when it was built
-        if mod.dim > dim_cap:
-            raise DimensionCap(mod.dim, dim_cap)
-        return mod
-    predicted = weyl_dim(rs, lam)
-    if predicted > dim_cap:
-        raise DimensionCap(predicted, dim_cap)
-    mod = _irreducible(realization.algebra, lam)
-    if mod.dim != predicted:
-        raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
-    realization.modules[lam] = mod
-    return mod
 
 
 class MultiplicityRecord(namedtuple("MultiplicityRecord", "lam chi dim")):
@@ -540,30 +512,26 @@ def dominant_weights_up_to(rs, height_bound):
     return [w for level in range(height_bound + 1) for w in dominant_weights_at_level(rs, level)]
 
 
-def semi_invariant_records(sub: SubgroupData, realization, height_bound, dim_cap=DIM_CAP):
+def semi_invariant_records(sub: SubgroupData, height_bound, dim_cap=DIM_CAP):
     """The MultiplicityRecord of every character of S in every module up to
     the bound, dimension 0 included, level by level and in character order,
-    whatever the subgroup's verdict.  A module is held only while its
-    records are read: once they are, it leaves ``realization.modules``
-    unless the realization held it when the stream reached its weight."""
+    whatever the subgroup's verdict.  The stream holds one module at a time:
+    it lets go of each before it asks for the next, so a module that no other
+    caller holds and the algebra does not keep is freed by then."""
     for lam in dominant_weights_up_to(sub.root_system, height_bound):
-        held = lam in realization.modules
-        mod = build_irrep(realization, lam, dim_cap)
-        try:
-            for chi in sorted(mod.by_s_weight(sub.tau)):
-                yield semi_invariant_dim(mod, sub, chi)
-        finally:
-            if not held:
-                del realization.modules[lam]
+        mod = build_irrep(sub.algebra, lam, dim_cap)
+        for chi in sorted(mod.by_s_weight(sub.tau)):
+            yield semi_invariant_dim(mod, sub, chi)
+        del mod
 
 
-def enumerate_semigroup(sub: SubgroupData, realization, height_bound, dim_cap=DIM_CAP):
+def enumerate_semigroup(sub: SubgroupData, height_bound, dim_cap=DIM_CAP):
     """The records of ``semi_invariant_records`` with nonzero semi-invariants;
     NotSpherical for a subgroup that is not spherical."""
     verdict = check_spherical(sub)
     if not verdict.spherical:
         raise NotSpherical(verdict.violations)
-    return [r for r in semi_invariant_records(sub, realization, height_bound, dim_cap) if r.dim]
+    return [r for r in semi_invariant_records(sub, height_bound, dim_cap) if r.dim]
 
 
 # -- open orbit check --------------------------------------------------------
@@ -615,8 +583,9 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     over Q does not vanish identically mod p.  When dim h < |positive roots|
     the answer False is exact.  ``trials`` must be an int of at least 1, as
     no trial supports a negative.  The ad e(-a) columns are kept on the
-    algebra (``_derived``) and read, never written.  ``realization`` is
-    accepted and unused.
+    algebra (``_derived``) and read, never written.  The second parameter
+    is accepted and unused: the benchmark's crosscheck job passes the
+    result of ``build_realization`` there, by position.
     """
     if type(trials) is not int or trials < 1:
         raise ValueError(f"open-orbit trials must be an int of at least 1, got {trials!r}")

@@ -58,14 +58,14 @@ def test_simple_bracket_a2():
 def test_bracket_with_self_is_zero():
     alg = _algebra([("C", 2)])
     x = alg.e(alg.root_system.positive_roots[2]) + alg.h(0) * 3
-    assert alg.bracket(x, x).is_zero()
+    assert not alg.bracket(x, x).terms
 
 
 def test_bracket_of_distant_roots_is_zero():
     alg = _algebra([("A", 2)])
     theta = Root((1, 1))
     a1 = alg.root_system.simple_roots[0]
-    assert alg.bracket(alg.e(theta), alg.e(a1)).is_zero()
+    assert not alg.bracket(alg.e(theta), alg.e(a1)).terms
 
 
 def test_structure_constant_magnitude_is_string_length():
@@ -108,7 +108,7 @@ def test_jacobi_exhaustive_small_ranks():
                 + alg.bracket(alg.bracket(y, z), x)
                 + alg.bracket(alg.bracket(z, x), y)
             )
-            assert s.is_zero(), (spec, x, y, z)
+            assert not s.terms, (spec, x, y, z)
 
 
 def test_jacobi_sampled_rank_four():
@@ -123,7 +123,7 @@ def test_jacobi_sampled_rank_four():
                 + alg.bracket(alg.bracket(y, z), x)
                 + alg.bracket(alg.bracket(z, x), y)
             )
-            assert s.is_zero(), spec
+            assert not s.terms, spec
 
 
 def test_coroot_action_is_integer_diagonal():
@@ -132,7 +132,7 @@ def test_coroot_action_is_integer_diagonal():
     for i in range(rs.n):
         for c in _all_root_coords(rs):
             out = alg.bracket(alg.h(i), alg.e(c))
-            if out.is_zero():
+            if not out.terms:
                 continue
             assert list(out.terms) == [("e", c)]
             assert out.terms[("e", c)].denominator == 1

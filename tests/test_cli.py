@@ -329,14 +329,17 @@ def test_a_byte_order_mark_before_a_config_is_dropped(tmp_path, capsys):
 
 
 def test_verify_builds_each_module_once(monkeypatch, capsys):
+    from solvsph import chevalley
+
     built = []
-    original = oracle._irreducible
+    original = oracle._build_irreducible
 
     def counting(algebra, lam):
         built.append(lam)
         return original(algebra, lam)
 
-    monkeypatch.setattr(oracle, "_irreducible", counting)
+    monkeypatch.setattr(oracle, "_build_irreducible", counting)
+    monkeypatch.setattr(chevalley, "_ALGEBRAS", {})  # a new A3 algebra, its memo empty
     code, _, _ = _run_main(["verify", "--preset", "sl4-sp4borel", "--height", "2"], capsys)
     assert code == 0
     assert len(built) == len(set(built)) == 10
@@ -347,18 +350,22 @@ def test_verify_holds_only_the_checked_fundamentals_and_the_anchors(monkeypatch,
     from solvsph.semigroup import generators
     from solvsph.sphericity import active_roots
 
-    realizations = []
+    snapshots = []  # (weights alive in the memo, weights the algebra keeps) at the first witness
 
-    def keep(algebra, build=oracle.build_realization):
-        realizations.append(build(algebra))
-        return realizations[-1]
+    def snapshot(mod, sub, table, j, witness=oracle.semi_invariant_witness):
+        if not snapshots:
+            alg = mod.algebra
+            snapshots.append((set(alg._modules), {m.lam.coords for m in alg._small}))
+        return witness(mod, sub, table, j)
 
-    monkeypatch.setattr(oracle, "build_realization", keep)
+    monkeypatch.setattr(oracle, "semi_invariant_witness", snapshot)
     code, _, _ = _run_main(["verify", "--preset", "sl4-sp4borel", "--height", "3"], capsys)
     assert code == 0
     sub = build_subgroup(get_preset("sl4-sp4borel"))
-    held = set(oracle.checked_fundamentals(sub.root_system)) | set(generators(sub, active_roots(sub)).anchor_wts)
-    assert [set(real.modules) for real in realizations] == [held]
+    anchors = {lam.coords for lam in generators(sub, active_roots(sub)).anchor_wts}
+    [(alive, kept)] = snapshots
+    assert {lam.coords for lam in oracle.checked_fundamentals(sub.root_system)} <= kept
+    assert alive == kept | anchors
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak from /proc/self/status")
@@ -661,7 +668,7 @@ def test_cap_check_covers_only_the_modules_verify_builds(capsys, monkeypatch):
 
     monkeypatch.setattr(oracle, "build_realization", refuse)
     monkeypatch.setattr(oracle, "build_irrep", refuse)
-    monkeypatch.setattr(oracle, "_irreducible", refuse)
+    monkeypatch.setattr(oracle, "_build_irreducible", refuse)
     code, out, err = _run_main(argv + ["3"], capsys)
     assert code == 2 and out == ""
     assert "module dimension 4 exceeds cap 3" in err

@@ -44,10 +44,10 @@ def _integer_coefficient_config():
 def _profiled_verify(argv, monkeypatch, capsys):
     """Calls into fractions.py by (caller module, caller class or function),
     and the modules the run built."""
-    modules = []  # every module build_irrep returns, held by the realization or not
+    modules = []  # every module build_irrep returns
 
-    def keep(realization, lam, dim_cap=oracle.DIM_CAP, build=oracle.build_irrep):
-        modules.append(build(realization, lam, dim_cap))
+    def keep(algebra, lam, dim_cap=oracle.DIM_CAP, build=oracle.build_irrep):
+        modules.append(build(algebra, lam, dim_cap))
         return modules[-1]
 
     monkeypatch.setattr(oracle, "build_irrep", keep)

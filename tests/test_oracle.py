@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import re
+import weakref
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -43,18 +44,18 @@ from solvsph import (
 )
 
 
-def _realization(spec):
-    return build_realization(build_algebra(build_root_system(spec)))
+def _algebra(spec):
+    return build_algebra(build_root_system(spec))
 
 
 def test_supported_types():
     for spec in [[("A", 1)], [("A", 2)], [("A", 3)], [("A", 4)], [("C", 2)]]:
-        real = _realization(spec)
-        assert build_irrep(real, real.algebra.root_system.fundamental_weight(0), math.inf).dim in (2, 3, 4, 5)
+        alg = _algebra(spec)
+        assert build_irrep(alg, alg.root_system.fundamental_weight(0), math.inf).dim in (2, 3, 4, 5)
     for spec in [[("B", 2)], [("G", 2)], [("A", 5)], [("A", 1), ("A", 1)]]:
-        real = _realization(spec)
-        rs = real.algebra.root_system
-        dims = [build_irrep(real, rs.fundamental_weight(i), math.inf).dim for i in range(rs.n)]
+        alg = _algebra(spec)
+        rs = alg.root_system
+        dims = [build_irrep(alg, rs.fundamental_weight(i), math.inf).dim for i in range(rs.n)]
         assert dims == [weyl_dim(rs, rs.fundamental_weight(i)) for i in range(rs.n)]
 
 
@@ -151,95 +152,95 @@ def test_weyl_dim_matches_the_rational_formula(spec, top):
 
 def test_fundamental_modules_have_formula_dimensions():
     for spec in [[("A", 3)], [("A", 4)], [("C", 2)]]:
-        real = _realization(spec)
-        rs = real.algebra.root_system
+        alg = _algebra(spec)
+        rs = alg.root_system
         for i in range(rs.n):
-            mod = build_irrep(real, rs.fundamental_weight(i), math.inf)
+            mod = build_irrep(alg, rs.fundamental_weight(i), math.inf)
             assert mod.dim == weyl_dim(rs, rs.fundamental_weight(i))
             assert mod.weights[0] == rs.fundamental_weight(i)
 
 
 def test_build_irrep_dimensions():
-    real = _realization([("A", 1)])
-    assert build_irrep(real, Weight((2,))).dim == 3
-    real3 = _realization([("A", 3)])
-    assert build_irrep(real3, Weight((0, 1, 0))).dim == 6
-    realc = _realization([("C", 2)])
-    assert build_irrep(realc, Weight((0, 1))).dim == 5
-    assert build_irrep(realc, Weight((1, 1))).dim == 16
+    alg = _algebra([("A", 1)])
+    assert build_irrep(alg, Weight((2,))).dim == 3
+    alg3 = _algebra([("A", 3)])
+    assert build_irrep(alg3, Weight((0, 1, 0))).dim == 6
+    algc = _algebra([("C", 2)])
+    assert build_irrep(algc, Weight((0, 1))).dim == 5
+    assert build_irrep(algc, Weight((1, 1))).dim == 16
 
 
 def test_build_irrep_trivial_module():
-    real = _realization([("A", 2)])
-    mod = build_irrep(real, Weight((0, 0)))
+    alg = _algebra([("A", 2)])
+    mod = build_irrep(alg, Weight((0, 0)))
     assert mod.dim == 1 and mod.weights == [Weight((0, 0))]
 
 
 def test_build_irrep_rejects_bad_weights():
-    real = _realization([("A", 2)])
+    alg = _algebra([("A", 2)])
     with pytest.raises(NotDominant):
-        build_irrep(real, Weight((-1, 0)))
+        build_irrep(alg, Weight((-1, 0)))
     with pytest.raises(DimensionCap):
-        build_irrep(real, Weight((1, 1)), dim_cap=7)
+        build_irrep(alg, Weight((1, 1)), dim_cap=7)
 
 
 def _a2_tu_prime():
     sub = build_subgroup(get_preset("tu-prime"))
-    return sub, build_realization(sub.algebra)
+    return sub, sub.algebra
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda sub, real: sub.tau.restrict((1,)), "a vector of 1 coordinates is not a weight of rank 2"),
-        (lambda sub, real: sub.tau.restrict((1, 0, 7)), "a vector of 3 coordinates is not a weight of rank 2"),
-        (lambda sub, real: weyl_dim(sub.root_system, Weight((1,))),
+        (lambda sub, alg: sub.tau.restrict((1,)), "a vector of 1 coordinates is not a weight of rank 2"),
+        (lambda sub, alg: sub.tau.restrict((1, 0, 7)), "a vector of 3 coordinates is not a weight of rank 2"),
+        (lambda sub, alg: weyl_dim(sub.root_system, Weight((1,))),
          "a vector of 1 coordinates is not a weight of A2"),
-        (lambda sub, real: weyl_dim(sub.root_system, Weight((1, 0, 5))),
+        (lambda sub, alg: weyl_dim(sub.root_system, Weight((1, 0, 5))),
          "a vector of 3 coordinates is not a weight of A2"),
-        (lambda sub, real: build_irrep(real, (1,)), "a vector of 1 coordinates is not a weight of A2"),
-        (lambda sub, real: build_irrep(real, (1, 0, 0)), "a vector of 3 coordinates is not a weight of A2"),
-        (lambda sub, real: sub.root_system.dual_weight(Weight((1, 0, 5))),
+        (lambda sub, alg: build_irrep(alg, (1,)), "a vector of 1 coordinates is not a weight of A2"),
+        (lambda sub, alg: build_irrep(alg, (1, 0, 0)), "a vector of 3 coordinates is not a weight of A2"),
+        (lambda sub, alg: sub.root_system.dual_weight(Weight((1, 0, 5))),
          "a vector of 3 coordinates is not a weight of A2"),
-        (lambda sub, real: semi_invariant_dim(build_irrep(real, (1, 0)), sub, (0,)),
+        (lambda sub, alg: semi_invariant_dim(build_irrep(alg, (1, 0)), sub, (0,)),
          "a vector of 1 coordinates is not a character of S (d = 2)"),
-        (lambda sub, real: semi_invariant_dim(build_irrep(real, (1, 0)), sub, (0, 0, 0)),
+        (lambda sub, alg: semi_invariant_dim(build_irrep(alg, (1, 0)), sub, (0, 0, 0)),
          "a vector of 3 coordinates is not a character of S (d = 2)"),
     ],
     ids=["restrict-short", "restrict-long", "weyl_dim-short", "weyl_dim-long", "build_irrep-short",
          "build_irrep-long", "dual_weight-long", "semi_invariant_dim-short", "semi_invariant_dim-long"],
 )
 def test_vectors_of_the_wrong_length_are_refused(call, message):
-    sub, real = _a2_tu_prime()
+    sub, alg = _a2_tu_prime()
     with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
-        call(sub, real)
+        call(sub, alg)
 
 
 def test_representation_property_of_constructed_modules():
-    real = _realization([("A", 2)])
+    alg = _algebra([("A", 2)])
     for lam in [(1, 0), (1, 1), (2, 0)]:
-        mod = build_irrep(real, Weight(lam))
-        assert representation_property_check(real.algebra, mod.actions)
-    realc = _realization([("C", 2)])
-    mod = build_irrep(realc, Weight((0, 1)))
-    assert representation_property_check(realc.algebra, mod.actions)
+        mod = build_irrep(alg, Weight(lam))
+        assert representation_property_check(alg, mod.actions)
+    algc = _algebra([("C", 2)])
+    mod = build_irrep(algc, Weight((0, 1)))
+    assert representation_property_check(algc, mod.actions)
 
 
-def _assert_integral_module(real, lam):
+def _assert_integral_module(alg, lam):
     """The module is built on a Z-form: every entry of every basis key's
     matrix, derived root vectors included, is an int, and every divided
     power x^m / m! of a root vector keeps the lattice."""
-    rs = real.algebra.root_system
-    mod = build_irrep(real, lam)
+    rs = alg.root_system
+    mod = build_irrep(alg, lam)
     assert mod.dim == weyl_dim(rs, lam)
-    assert set(mod.actions) == set(real.algebra.basis_keys())
+    assert set(mod.actions) == set(alg.basis_keys())
     for key, cols in mod.actions.items():
         assert all(type(x) is int for col in cols for x in col.values())
         for j in range(mod.dim) if key[0] == "e" else ():
             v, m = {j: 1}, 1
             while v := linalg.apply(cols, v):
                 v, m = linalg.divide(v, m), m + 1
-    assert representation_property_check(real.algebra, mod.actions)
+    assert representation_property_check(alg, mod.actions)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -248,21 +249,20 @@ def test_modules_are_integer_matrices_on_fuzzed_types(spec, coords):
     rs = build_root_system(spec)
     lam = Weight(tuple(coords[: rs.n]))
     assume(weyl_dim(rs, lam) <= 300)
-    _assert_integral_module(build_realization(build_algebra(rs)), lam)
+    _assert_integral_module(build_algebra(rs), lam)
 
 
 def test_f4_omega3_is_an_integer_module():
-    real = _realization([("F", 4)])
-    _assert_integral_module(real, real.algebra.root_system.fundamental_weight(2))
+    alg = _algebra([("F", 4)])
+    _assert_integral_module(alg, alg.root_system.fundamental_weight(2))
 
 
 def test_lowering_then_raising_matches_bracket_on_highest_vector():
     rng = random.Random(31)
     for spec, lam in [([("A", 2)], (1, 1)), ([("C", 2)], (1, 1)), ([("A", 3)], (1, 0, 1))]:
-        real = _realization(spec)
-        alg = real.algebra
+        alg = _algebra(spec)
         rs = alg.root_system
-        mod = build_irrep(real, Weight(lam))
+        mod = build_irrep(alg, Weight(lam))
         v0 = {0: 1}  # the highest vector
         for _ in range(12):
             a = rng.choice(rs.positive_roots)
@@ -275,10 +275,9 @@ def test_lowering_then_raising_matches_bracket_on_highest_vector():
 
 def test_semi_invariant_highest_vector_witness():
     sub = build_subgroup(get_preset("borel"))
-    real = build_realization(sub.algebra)
     rs = sub.root_system
     lam = Weight((2, 1))
-    mod = build_irrep(real, lam)
+    mod = build_irrep(sub.algebra, lam)
     rec = semi_invariant_dim(mod, sub, sub.tau.restrict(lam))
     assert rec.dim == 1
     # any other character of the full torus has no invariant vector
@@ -288,28 +287,25 @@ def test_semi_invariant_highest_vector_witness():
 
 def test_semi_invariant_weight_spaces_of_torus():
     sub = build_subgroup(get_preset("sl2-torus"))
-    real = build_realization(sub.algebra)
-    mod = build_irrep(real, Weight((3,)))
+    mod = build_irrep(sub.algebra, Weight((3,)))
     dims = {chi: semi_invariant_dim(mod, sub, chi).dim for chi in [(-3,), (-1,), (1,), (3,), (0,), (2,)]}
     assert dims == {(-3,): 1, (-1,): 1, (1,): 1, (3,): 1, (0,): 0, (2,): 0}
 
 
 def test_sp4_preset_zero_character_generator_exists():
     sub = build_subgroup(get_preset("sl4-sp4borel"))
-    real = build_realization(sub.algebra)
-    mod = build_irrep(real, Weight((0, 1, 0)))
+    mod = build_irrep(sub.algebra, Weight((0, 1, 0)))
     assert semi_invariant_dim(mod, sub, (0, 0)).dim == 1
 
 
 def test_witness_vectors_on_presets():
     for name in ["sl2-torus", "tu-prime", "sl4-sp4borel"]:
         sub = build_subgroup(get_preset(name))
-        real = build_realization(sub.algebra)
         table = active_roots(sub)
         rs = sub.root_system
         lams = anchor_weights(table, rs)
         for j in range(table.m):
-            mod = build_irrep(real, lams[j])
+            mod = build_irrep(sub.algebra, lams[j])
             w = semi_invariant_witness(mod, sub, table, j)
             assert any(x != 0 for x in w)
             assert annihilated_by_nil(mod, sub, w)
@@ -321,9 +317,8 @@ def test_witness_vectors_on_presets():
 
 def test_witness_with_singleton_family_is_lowered_highest_vector():
     sub = build_subgroup(get_preset("sl2-torus"))
-    real = build_realization(sub.algebra)
     table = active_roots(sub)
-    mod = build_irrep(real, Weight((1,)))
+    mod = build_irrep(sub.algebra, Weight((1,)))
     w = semi_invariant_witness(mod, sub, table, 0)
     lowered = linalg.apply(mod.actions[("e", (-1,))], {0: 1})
     ratios = {w[i] / y for i, y in lowered.items()}
@@ -333,17 +328,15 @@ def test_witness_with_singleton_family_is_lowered_highest_vector():
 
 def test_witness_index_out_of_range():
     sub = build_subgroup(get_preset("sl2-torus"))
-    real = build_realization(sub.algebra)
     table = active_roots(sub)
-    mod = build_irrep(real, Weight((1,)))
+    mod = build_irrep(sub.algebra, Weight((1,)))
     with pytest.raises(IndexError):
         semi_invariant_witness(mod, sub, table, 5)
 
 
 def test_enumerate_maximal_unipotent_on_sl2():
     sub = build_subgroup(get_preset("borel", (("A", 1),)))
-    real = build_realization(sub.algebra)
-    records = enumerate_semigroup(sub, real, 2)
+    records = enumerate_semigroup(sub, 2)
     assert [(r.lam.coords, r.chi, r.dim) for r in records] == [
         ((0,), (0,), 1),
         ((1,), (1,), 1),
@@ -353,9 +346,8 @@ def test_enumerate_maximal_unipotent_on_sl2():
 
 def test_enumerate_sl2_torus():
     sub = build_subgroup(get_preset("sl2-torus"))
-    real = build_realization(sub.algebra)
     rs = sub.root_system
-    records = enumerate_semigroup(sub, real, 3)
+    records = enumerate_semigroup(sub, 3)
     assert all(r.dim == 1 for r in records)
     got = {r.pair(rs) for r in records}
     assert got == {((k,), (l,)) for k in range(4) for l in range(-k, k + 1, 2)}
@@ -363,36 +355,52 @@ def test_enumerate_sl2_torus():
 
 def test_enumerate_requires_spherical():
     sub = build_subgroup(get_preset("sl2-trivial"))
-    real = build_realization(sub.algebra)
     with pytest.raises(NotSpherical):
-        enumerate_semigroup(sub, real, 2)
+        enumerate_semigroup(sub, 2)
 
 
 def test_records_stream_ignores_the_verdict_and_keeps_zero_dimensions():
     sub = build_subgroup(get_preset("sl2-trivial"))
-    real = build_realization(sub.algebra)
-    records = semi_invariant_records(sub, real, 2)
+    records = semi_invariant_records(sub, 2)
     assert [(r.lam.coords, r.chi, r.dim) for r in records] == [((0,), (), 1), ((1,), (), 2), ((2,), (), 3)]
     with pytest.raises(NotSpherical):
-        enumerate_semigroup(sub, real, 2)
+        enumerate_semigroup(sub, 2)
 
 
-def test_records_stream_drops_only_the_modules_it_built():
+def test_records_stream_drops_only_the_modules_it_built(monkeypatch):
     sub = build_subgroup(get_preset("borel", (("A", 2),)))
-    real = build_realization(sub.algebra)
-    mod = build_irrep(real, Weight((1, 1)))
-    before = dict(real.modules)
-    assert len(list(semi_invariant_records(sub, real, 2))) > len(before)
-    assert real.modules == before and real.modules[Weight((1, 1))] is mod
+    alg = sub.algebra
+    mod = build_irrep(alg, Weight((2, 1)))  # dim 15 > dim g = 8: alive while this caller holds it
+    built = _counting_builds(monkeypatch)
+    assert len(list(semi_invariant_records(sub, 3))) > len(alg._modules)
+    # the stream reused the held module, and of what it built it left alive only what the algebra keeps
+    assert Weight((2, 1)) not in built and any(weyl_dim(alg.root_system, lam) > 8 for lam in built)
+    assert set(alg._modules) == {m.lam.coords for m in alg._small} | {(2, 1)} and alg._modules[(2, 1)] is mod
+
+
+def test_the_stream_frees_each_module_larger_than_the_algebra_before_it_builds_the_next(monkeypatch):
+    sub = build_subgroup(get_preset("sl4-sp4borel"))
+    dim_g = _dim_g(sub.root_system)
+    large, build = [], oracle._build_irreducible  # a weak reference to each module built larger than dim g
+
+    def watching(algebra, lam):
+        assert all(ref() is None for ref in large), f"a module larger than dim g is alive while V{lam.coords} is built"
+        mod = build(algebra, lam)
+        if mod.dim > dim_g:
+            large.append(weakref.ref(mod))
+        return mod
+
+    monkeypatch.setattr(oracle, "_build_irreducible", watching)
+    assert len(list(semi_invariant_records(sub, 3))) > 0
+    assert len(large) >= 5
 
 
 def test_enumeration_matches_free_semigroup_on_sp4_preset():
     sub = build_subgroup(get_preset("sl4-sp4borel"))
-    real = build_realization(sub.algebra)
     rs = sub.root_system
     table = active_roots(sub)
     gens = generators(sub, table)
-    records = enumerate_semigroup(sub, real, 2)
+    records = enumerate_semigroup(sub, 2)
     assert all(r.dim <= 1 for r in records)
     assert {r.pair(rs) for r in records} == bounded_members(gens, 2)
 
@@ -406,11 +414,9 @@ def test_dominant_weight_enumeration_is_ordered():
 def test_open_orbit_on_presets():
     for name, expected in [("borel", True), ("sl2-torus", True), ("sl2-trivial", False)]:
         sub = build_subgroup(get_preset(name))
-        real = build_realization(sub.algebra)
-        assert open_orbit_check(sub, real, trials=60) is expected
+        assert open_orbit_check(sub, trials=60) is expected
     sub = build_subgroup(get_preset("sl4-sp4borel"))
-    real = build_realization(sub.algebra)
-    assert open_orbit_check(sub, real, trials=60) is True
+    assert open_orbit_check(sub, trials=60) is True
 
 
 def test_open_orbit_agrees_with_criterion_on_fuzzed_rank3():
@@ -421,9 +427,8 @@ def test_open_orbit_agrees_with_criterion_on_fuzzed_rank3():
     rng = random.Random(4711)
     for k in range(12):
         sub = build_subgroup(random_mixed_config(rng, pool))
-        real = build_realization(sub.algebra)
         verdict = check_spherical(sub).spherical
-        assert open_orbit_check(sub, real, trials=200, seed=k) == verdict
+        assert open_orbit_check(sub, trials=200, seed=k) == verdict
 
 
 def test_open_orbit_agrees_with_criterion_on_every_type():
@@ -512,9 +517,8 @@ def test_semi_invariant_dim_matches_dense_rank_on_fuzzed_types():
     kernels = 0
     for _ in range(8):
         sub = build_subgroup(random_mixed_config(rng, POOL_RANK3))
-        real = build_realization(sub.algebra)
         for lam in dominant_weights_up_to(sub.root_system, 2):
-            mod = build_irrep(real, lam)
+            mod = build_irrep(sub.algebra, lam)
             mats = [mod.act_element(x) for x in sub.nil_basis]
             for chi in sorted({sub.tau.restrict(w) for w in mod.weights}):
                 dense = _dense_semi_invariant_dim(mod, sub, mats, chi)
@@ -590,10 +594,10 @@ def test_a_memo_hit_equals_a_cold_build(spec, monkeypatch):
     lams = [lam for lam in dominant_weights_up_to(rs, 3) if weyl_dim(rs, lam) <= _dim_g(rs)]
     assert len(lams) >= 3
     for lam in lams:
-        oracle._irreducible(build_algebra(rs), lam)  # the memo holds V(lam) from here on
+        build_irrep(build_algebra(rs), lam)  # the memo holds V(lam) from here on
         built.clear()
         alg = build_algebra(rs)
-        warm, cold = oracle._irreducible(alg, lam), cold_build(build_algebra(rs), lam)
+        warm, cold = build_irrep(alg, lam), cold_build(build_algebra(rs), lam)
         assert not built and warm.algebra is alg
         assert warm.weights == cold.weights and warm.by_weight == cold.by_weight, (spec, lam)
         assert warm.actions == cold.actions, (spec, lam)
@@ -615,8 +619,8 @@ def test_an_algebra_with_a_corrupted_extraspecial_constant_misses_the_memo(facto
     assert built == [lam]
     if factor == 2:  # a build that raises is never stored
         assert not bad._modules
-    assert good._modules == stored
-    mod = build_irrep(build_realization(good), lam)
+    assert dict(good._modules) == stored
+    mod = build_irrep(good, lam)
     assert built == [lam] and mod.algebra is good
     assert mod.actions == oracle._build_irreducible(ChevalleyAlgebra(rs), lam).actions
 
@@ -660,9 +664,9 @@ def test_a_memo_hit_still_belongs_to_its_own_algebra():
     rs = build_root_system([("A", 2)])
     shared, private = build_algebra(rs), ChevalleyAlgebra(rs)
     borel = validate(shared, [[1, 0], [0, 1]], [])
-    mine = build_irrep(build_realization(shared), Weight((1, 1)))
-    again = build_irrep(build_realization(build_algebra(rs)), Weight((1, 1)))  # the memo's module
-    theirs = build_irrep(build_realization(private), Weight((1, 1)))  # built for the private algebra
+    mine = build_irrep(shared, Weight((1, 1)))
+    again = build_irrep(build_algebra(rs), Weight((1, 1)))  # the memo's module
+    theirs = build_irrep(private, Weight((1, 1)))  # built for the private algebra
     assert again is mine and mine.algebra is shared and theirs.algebra is private
     assert theirs.actions == mine.actions and theirs.actions is not mine.actions
     chi = borel.tau.restrict(mine.weights[0])
@@ -675,10 +679,9 @@ def test_semi_invariant_dim_groups_by_module_and_torus():
     from solvsph import validate
 
     alg = build_algebra(build_root_system([("A", 2)]))
-    real = build_realization(alg)
     borel = validate(alg, [[1, 0], [0, 1]], [])
     diagonal = validate(alg, [[1, 1]], [[((1, 0), 1), ((0, 1), -1)]])
-    big, small = build_irrep(real, Weight((1, 1))), build_irrep(real, Weight((2, 0)))
+    big, small = build_irrep(alg, Weight((1, 1))), build_irrep(alg, Weight((2, 0)))
     order = [(big, borel), (big, diagonal), (big, borel), (small, diagonal), (big, diagonal),
              (small, borel), (small, diagonal), (big, borel)]
     for mod, sub in order:
@@ -688,13 +691,13 @@ def test_semi_invariant_dim_groups_by_module_and_torus():
 
 
 def test_build_irrep_builds_each_weight_once_and_keeps_the_cap():
-    real = _realization([("A", 2)])
-    mod = build_irrep(real, Weight((1, 1)))
-    assert build_irrep(real, (1, 1)) is mod and real.modules[Weight((1, 1))] is mod
-    fundamental = build_irrep(real, real.algebra.root_system.fundamental_weight(0), math.inf)
-    assert build_irrep(real, Weight((1, 0))) is fundamental
+    alg = _algebra([("A", 2)])
+    mod = build_irrep(alg, Weight((1, 1)))
+    assert build_irrep(alg, (1, 1)) is mod and alg._modules[(1, 1)] is mod
+    fundamental = build_irrep(alg, alg.root_system.fundamental_weight(0), math.inf)
+    assert build_irrep(alg, Weight((1, 0))) is fundamental
     with pytest.raises(DimensionCap):
-        build_irrep(real, Weight((1, 1)), dim_cap=7)
+        build_irrep(alg, Weight((1, 1)), dim_cap=7)
 
 
 def test_dominant_weights_up_to_matches_sorted_compositions():

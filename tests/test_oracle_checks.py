@@ -21,20 +21,19 @@ from solvsph.oracle import HighestWeightModule
 
 
 def test_representation_property_check_rejects_one_corrupted_entry():
-    real = build_realization(build_algebra(build_root_system([("C", 2)])))
-    mod = build_irrep(real, real.algebra.root_system.fundamental_weight(1), math.inf)
+    alg = build_algebra(build_root_system([("C", 2)]))
+    mod = build_irrep(alg, alg.root_system.fundamental_weight(1), math.inf)
     actions = dict(mod.actions)
     key = ("e", (0, 1))
     actions[key] = [dict(col) for col in actions[key]]
     actions[key][0][0] = actions[key][0].get(0, 0) + Fraction(1)
     # the failing pair is named the way the command line prints roots
     with pytest.raises(AssertionError, match=r"fails on e\(-2a1-a2\), e\(a2\)$"):
-        representation_property_check(real.algebra, actions)
+        representation_property_check(alg, actions)
 
 
 def test_module_relation_check_rejects_one_corrupted_entry():
-    real = build_realization(build_algebra(build_root_system([("C", 2)])))
-    mod = build_irrep(real, Weight((0, 1)))
+    mod = build_irrep(build_algebra(build_root_system([("C", 2)])), Weight((0, 1)))
     actions = dict(mod.actions)
     key = ("e", (1, 0))
     j = next(j for j, col in enumerate(actions[key]) if col)
@@ -49,7 +48,7 @@ def test_module_relation_check_rejects_one_corrupted_entry():
 
 def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkeypatch):
     built, checked = [], []
-    build, check = oracle._irreducible, oracle.representation_property_check
+    build, check = oracle._build_irreducible, oracle.representation_property_check
 
     def counting_build(algebra, lam):
         built.append(lam)
@@ -59,24 +58,26 @@ def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkey
         checked.append(actions)
         return check(algebra, actions)
 
-    monkeypatch.setattr(oracle, "_irreducible", counting_build)
+    monkeypatch.setattr(oracle, "_build_irreducible", counting_build)
     monkeypatch.setattr(oracle, "representation_property_check", counting_check)
     monkeypatch.setattr(chevalley, "_ALGEBRAS", {})  # a new shared algebra, nothing checked on it yet
     rs = build_root_system([("A", 1), ("C", 2)])
-    real = build_realization(build_algebra(rs))
+    alg = build_realization(build_algebra(rs))
+    assert alg is build_algebra(rs)
     # the smallest fundamental of each factor: V(a1) of A1, the 4-dimensional V(1, 0) of C2
     assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and len(checked) == 2
-    fundamentals = [build_irrep(real, real.algebra.root_system.fundamental_weight(i), math.inf) for i in range(3)]
+    fundamentals = [build_irrep(alg, rs.fundamental_weight(i), math.inf) for i in range(3)]
     assert [mod.dim for mod in fundamentals] == [2, 4, 5] and len(checked) == 2
-    # the verdict is kept on the algebra: a later realization of it asks for the
-    # same modules and, as they and the tables are the ones checked, checks nothing
+    # the verdict is kept on the algebra: a later call on it finds the same
+    # modules in its memo and, as they and the tables are the ones checked,
+    # builds and checks nothing
     built.clear()
     checked.clear()
     build_realization(build_algebra(rs))
-    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and not checked
-    # a private algebra shares no verdict: it checks itself
+    assert not built and not checked
+    # a private algebra shares no verdict and no module: it builds and checks its own
     build_realization(ChevalleyAlgebra(rs))
-    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] * 2 and len(checked) == 2
+    assert built == [Weight((1, 0, 0)), Weight((0, 1, 0))] and len(checked) == 2
 
 
 @pytest.mark.parametrize("spec, entries", [([("A", 1), ("B", 2)], 24), ([("G", 2)], 60)])
@@ -131,6 +132,27 @@ def test_a_rebound_table_with_one_constant_negated_is_caught(monkeypatch):
         build_realization(alg)
 
 
+@pytest.mark.parametrize("spec, lam", [([("C", 2)], (1, 0)), ([("C", 2)], (1, 1)), ([("G", 2)], (1, 1))],
+                         ids=["C2-checked-fundamental", "C2-other", "G2-other"])
+def test_build_irrep_on_an_algebra_with_a_negated_constant_returns_no_module(spec, lam, monkeypatch):
+    # the verdict comes before any module of the algebra is handed out, and
+    # before any module other than the checked fundamentals is built
+    built, build = [], oracle._build_irreducible
+
+    def counting_build(algebra, lam):
+        built.append(lam.coords)
+        return build(algebra, lam)
+
+    monkeypatch.setattr(oracle, "_build_irreducible", counting_build)
+    alg = ChevalleyAlgebra(build_root_system(spec))  # a private algebra, so the shared one stays intact
+    key, n = min(alg._n.items())
+    alg._n = MappingProxyType({**alg._n, key: -n})
+    with pytest.raises(AssertionError, match="representation property fails on "):
+        build_irrep(alg, lam)
+    assert built == [lam.coords for lam in oracle.checked_fundamentals(alg.root_system)]
+    assert alg._verdict is None
+
+
 def test_a_failed_check_leaves_no_verdict(monkeypatch):
     checked = _counting_checks(monkeypatch)
     alg = ChevalleyAlgebra(build_root_system([("C", 2)]))
@@ -164,15 +186,14 @@ def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):
 
 def _checked_module(spec):
     alg = build_algebra(build_root_system(spec))
-    real = build_realization(alg)
     (lam,) = oracle.checked_fundamentals(alg.root_system)
-    return alg, build_irrep(real, lam)
+    return alg, build_irrep(alg, lam)
 
 
 @pytest.mark.parametrize("spec", [[("A", 1), ("C", 2)], [("G", 2)]])
 def test_representation_property_check_asks_for_every_ordered_pair(spec, monkeypatch):
     alg = build_algebra(build_root_system(spec))
-    real = build_realization(alg)
+    build_realization(alg)  # the algebra keeps its checked fundamentals from here on
     keys = alg.basis_keys()
     for lam in oracle.checked_fundamentals(alg.root_system):
         asked = set()
@@ -183,7 +204,7 @@ def test_representation_property_check_asks_for_every_ordered_pair(spec, monkeyp
             return lookup(x, y)
 
         monkeypatch.setattr(alg, "bracket_keys", recording)
-        assert representation_property_check(alg, build_irrep(real, lam).actions)
+        assert representation_property_check(alg, build_irrep(alg, lam).actions)
         monkeypatch.undo()
         assert asked == set(itertools.product(keys, repeat=2)), lam
 
