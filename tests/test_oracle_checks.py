@@ -149,7 +149,7 @@ def test_build_irrep_on_an_algebra_with_a_negated_constant_returns_no_module(spe
     alg._n = MappingProxyType({**alg._n, key: -n})
     with pytest.raises(AssertionError, match="representation property fails on "):
         build_irrep(alg, lam)
-    assert built == [lam.coords for lam in oracle.checked_fundamentals(alg.root_system)]
+    assert built == [w.coords for w in oracle.checked_fundamentals(alg.root_system)]
     assert alg._verdict is None
 
 
