@@ -10,14 +10,14 @@ those choices by antisymmetry, the opposite-root sign rule and the four-root
 relation between constants of roots summing to zero.  Any consistent sign
 choice gives the same downstream results; this one is fixed for
 reproducibility.  The constants are computed in integers, and a division
-with a remainder raises.  ``bracket_keys`` reads them from ``_n``, and looks
-up the rest in tables of the roots alone: the root each pair of roots sums
-to, the coroot of each pair of opposites, every root's nonzero simple-coroot
-pairings.  Zero brackets are not stored: a pair of basis keys found in no
-table brackets to zero.  An algebra derives its tables when it is built and
-holds them as read-only views.  They depend on the root system alone, so
-``build_algebra`` builds one algebra per root system and every caller shares
-it; ``ChevalleyAlgebra(rs)`` builds a private one.
+with a remainder raises.  An algebra holds every nonzero bracket of two basis
+keys in one table, ``_brackets``: the e-e constants, the coroot of each pair
+of opposites and the nonzero simple-coroot pairings of every root, so
+``bracket_keys`` is one lookup.  Zero brackets are not stored: a pair of
+basis keys with no entry brackets to zero.  An algebra derives the table
+when it is built and holds it as a read-only view.  It depends on the root
+system alone, so ``build_algebra`` builds one algebra per root system and
+every caller shares it; ``ChevalleyAlgebra(rs)`` builds a private one.
 """
 
 from __future__ import annotations
@@ -85,15 +85,15 @@ class AlgebraElement:
 
 
 def _derive_tables(rs):
-    """The Chevalley constants and bracket lookups of a root system: the
-    extraspecial pair of each non-simple positive root, the nonzero constants
-    N with [e_a, e_b] = N e_{a+b}, the e key each pair of e keys sums to, the
-    (key, c) terms of each nonzero coroot or opposites bracket, and the basis
-    keys, root vectors by height, then simple coroots."""
+    """The bracket table of a root system's Chevalley basis, read-only, and
+    its basis keys, root vectors by height, then simple coroots.  The table
+    maps each pair of basis keys with a nonzero bracket to the (key, c) terms
+    of that bracket: ((e_{a+b}, N),) for [e_a, e_b] = N e_{a+b}, the h terms
+    of the coroot for [e_a, e_{-a}], and ((e_a, c),) for a coroot bracket."""
     roots, positive = rs._roots, rs._index
     norm = {r.coords: rs.root_form(r, r) for r in rs.positive_roots}
     norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
-    extraspecial, n_pos = {}, {}
+    n_pos = {}
 
     def exact(num, den):
         if num % den:
@@ -114,7 +114,7 @@ def _derive_tables(rs):
     for eps, pairs in rs.decompositions.items():
         if not pairs:
             continue
-        gamma, delta = extraspecial[eps] = pairs[0]
+        gamma, delta = pairs[0]
         n_gd = _string_down(roots, delta, gamma) + 1
         n_pos[(gamma, delta)] = n_gd
         n_pos[(delta, gamma)] = -n_gd
@@ -129,46 +129,41 @@ def _derive_tables(rs):
             n_pos[(a, b)] = n_ab
             n_pos[(b, a)] = -n_ab
 
-    # Fill the full signed table from the positive-positive part.  Every
-    # other pair is one positive and one negative root, x and -y with x - y
-    # a root, so it too is met in the decompositions, once; note each sum.
+    # Fill the whole table from the positive-positive constants.  Every other
+    # pair of roots with a root as sum is one positive and one negative root,
+    # x and -y with x - y a root, so it too is met in the decompositions.
     neg = {c: tuple(-x for x in c) for c in roots}
     key, h = {c: ("e", c) for c in roots}, [("h", i) for i in range(rs.n)]
-    table, sums = {}, {}
+    table = {}
     for eps, pairs in rs.decompositions.items():
         for a, b in pairs:
             for x, y in ((a, b), (b, a)):
-                table[x, y], table[neg[x], neg[y]] = n_pos[x, y], -n_pos[x, y]
-                sums[key[x], key[y]], sums[key[neg[x]], key[neg[y]]] = key[eps], key[neg[eps]]
+                c = n_pos[x, y]
+                table[key[x], key[y]], table[key[neg[x]], key[neg[y]]] = ((key[eps], c),), ((key[neg[eps]], -c),)
             for x, y, diff in ((eps, a, b), (eps, b, a), (a, eps, neg[b]), (b, eps, neg[a])):
-                c = mixed(x, y)
-                table[x, neg[y]], table[neg[y], x] = c, -c
-                sums[key[x], key[neg[y]]] = sums[key[neg[y]], key[x]] = key[diff]
-    # the nonzero brackets with a coroot, or of opposites, depend on the roots
-    # alone; a pair of basis keys with no entry anywhere brackets to zero
-    fixed = {}
+                c, d = mixed(x, y), key[diff]
+                table[key[x], key[neg[y]]], table[key[neg[y]], key[x]] = ((d, c),), ((d, -c),)
+    # the brackets of opposites and with a coroot
     for a, coeffs in zip(positive, rs.positive_coroots):
         ea, fa = key[a], key[neg[a]]
-        fixed[ea, fa] = {h[i]: c for i, c in enumerate(coeffs) if c}
-        fixed[fa, ea] = {h[i]: -c for i, c in enumerate(coeffs) if c}
+        table[ea, fa] = tuple((h[i], c) for i, c in enumerate(coeffs) if c)
+        table[fa, ea] = tuple((h[i], -c) for i, c in enumerate(coeffs) if c)
         for hi, row in zip(h, rs.cartan):  # [h_i, e_a] = <a, a_i coroot> e_a
             if p := sum(x * y for x, y in zip(row, a)):
-                fixed[hi, ea], fixed[ea, hi] = {ea: p}, {ea: -p}
-                fixed[hi, fa], fixed[fa, hi] = {fa: -p}, {fa: p}
+                table[hi, ea], table[ea, hi] = ((ea, p),), ((ea, -p),)
+                table[hi, fa], table[fa, hi] = ((fa, -p),), ((fa, p),)
     ordered = [("e", c) for c in sorted(roots, key=lambda c: (sum(c), c))] + h
-    fixed = {k: tuple(terms.items()) for k, terms in fixed.items()}
-    n = {k: v for k, v in table.items() if v}
-    return (*map(MappingProxyType, (extraspecial, n, sums, fixed)), tuple(ordered))
+    return MappingProxyType(table), tuple(ordered)
 
 
 class ChevalleyAlgebra:
-    """Chevalley basis of the semisimple Lie algebra of a root system, its
-    tables read-only, so a write fails at the writer instead of reaching
-    every caller of ``build_algebra``."""
+    """Chevalley basis of the semisimple Lie algebra of a root system, its one
+    bracket table read-only, so a write fails at the writer instead of
+    reaching every caller of ``build_algebra``."""
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self.extraspecial, self._n, self._sum, self._fixed, self._basis_keys = _derive_tables(root_system)
+        self._brackets, self._basis_keys = _derive_tables(root_system)
         self._keys = frozenset(self._basis_keys)
         self._modules = weakref.WeakValueDictionary()  # weight coords -> module while held, by oracle.build_irrep
         self._small = []  # the modules of dim <= dim g, held for the process
@@ -185,12 +180,6 @@ class ChevalleyAlgebra:
         """The simple coroot basis vector h_i (0-based); NotBasisKey unless 0 <= i < n."""
         (i,) = integers([i])
         return self.basis_element(("h", i))
-
-    def coroot(self, root):
-        """The coroot of an arbitrary root, as a combination of the h_i."""
-        coords = root.coords if isinstance(root, Root) else tuple(root)
-        negative = tuple(-c for c in coords)
-        return AlgebraElement(self, self.bracket_keys(("e", coords), ("e", negative)))
 
     def basis_keys(self):
         """All basis keys: root vectors for every root, then simple coroots."""
@@ -215,23 +204,17 @@ class ChevalleyAlgebra:
         return NotBasisKey(f"{name} is not a basis key of {self.root_system.describe()}")
 
     def structure_constant(self, a, b):
-        """N with [e_a, e_b] = N e_{a+b}; zero when a+b is not a root, and
-        NotBasisKey when a or b is not a root."""
+        """N with [e_a, e_b] = N e_{a+b}, read from the bracket table; zero
+        when a+b is not a root, and NotBasisKey when a or b is not a root."""
         a, b = (r.coords if isinstance(r, Root) else integers(r) for r in (a, b))
-        for v in (a, b):
-            if ("e", v) not in self._keys:
-                raise self._refusal(("e", v))
-        return self._n.get((a, b), 0)
+        return self.bracket_keys(("e", a), ("e", b)).get(("e", tuple(x + y for x, y in zip(a, b))), 0)
 
     # -- bracket ----------------------------------------------------------
 
     def bracket_keys(self, key_x, key_y):
         """[x, y] of two basis keys, as a dict key -> nonzero int; NotBasisKey
         if either key names no basis vector."""
-        if s := self._sum.get((key_x, key_y)):
-            c = self._n.get((key_x[1], key_y[1]), 0)
-            return {s: c} if c else {}
-        if (terms := self._fixed.get((key_x, key_y))) is not None:
+        if terms := self._brackets.get((key_x, key_y)):
             return dict(terms)
         if key_x in self._keys and key_y in self._keys:
             return {}  # no entry: the bracket is zero

@@ -28,9 +28,8 @@ the algebra's bracket table, once per simple factor, on a module the factor
 acts on faithfully, which covers the factor's part of it.  Both checks
 compare a matrix bracket with the combination it should equal entry by
 entry, in one pass (``_bracket_defect``).  What depends only on an algebra's
-tables, that verdict and the orbit test's ad e(-a) columns, is kept on the
-algebra by ``_derived`` and derived again once a table it read has been
-rebound.
+bracket table, that verdict and the orbit test's ad e(-a) columns, is kept on
+the algebra by ``_derived`` and derived again once the table is rebound.
 
 Sphericity is probed for every type, in the adjoint representation over
 F_p: ``open_orbit_check`` looks for a lower unipotent element whose
@@ -122,13 +121,13 @@ def _weyl_product(rs, coords):
 def _with_derived_actions(algebra, actions):
     """Complete the simple root vector and coroot actions to the whole algebra.
 
-    Every other root vector acts as the bracket along its fixed extraspecial
-    pair, divided exactly by the structure constant.  Positive roots come in
-    order of height, so both factors of each bracket are known when it is taken.
+    Every other root vector acts as the bracket along its extraspecial pair
+    (the head of ``rs.decompositions``), divided exactly by the structure
+    constant.  Positive roots come by height, so both factors are known.
     """
     rs = algebra.root_system
     for eps in [r.coords for r in rs.positive_roots if r.height > 1]:
-        gamma, delta = algebra.extraspecial[eps]
+        gamma, delta = rs.decompositions[eps][0]
         n = algebra.structure_constant(gamma, delta)
         for sign in (1, -1):
             a = actions[("e", tuple(sign * x for x in gamma))]
@@ -348,7 +347,7 @@ def build_realization(algebra):
     by zero, so the sweep over all ordered pairs of basis keys checks the
     factor's component of every bracket, cross-factor ones included.  The
     algebra keeps the verdict (``_derived``) with those modules, which it
-    keeps for the process, so while its tables are the ones checked a later
+    keeps for the process, so while its table is the one checked a later
     call checks nothing; a check that raises keeps nothing, and no other
     algebra object shares the verdict."""
     mods = [_module(algebra, lam) for lam in checked_fundamentals(algebra.root_system)]
@@ -359,11 +358,11 @@ def build_realization(algebra):
 
 def _derived(algebra, slot, derive, *inputs):
     """derive(), kept in the algebra's slot (``_verdict``, ``_ad_neg``) with
-    the objects it read: the algebra's tables and the inputs.  While every
-    one of them is still the object it read (``is``), the kept value is
-    returned; once one has been rebound, the value is derived again.  A
-    derive that raises keeps nothing."""
-    reads = (algebra._n, algebra._sum, algebra._fixed, algebra.extraspecial, *inputs)
+    the objects it read: the algebra's bracket table and the inputs.  While
+    each is still the object it read (``is``), the kept value is returned;
+    once one has been rebound, the value is derived again.  A derive that
+    raises keeps nothing."""
+    reads = (algebra._brackets, *inputs)
     kept = getattr(algebra, slot)
     if kept is None or any(map(operator.is_not, kept[0], reads)):
         kept = (reads, derive())

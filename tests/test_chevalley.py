@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from bracket_table import with_constant
 
 from solvsph import (
     AlgebraElement,
@@ -30,8 +31,11 @@ def _all_root_coords(rs):
 def test_e_f_bracket_is_coroot():
     for spec in [[("A", 3)], [("B", 2)], [("C", 3)], [("G", 2)], [("A", 1), ("A", 1)]]:
         alg = _algebra(spec)
-        for r in alg.root_system.positive_roots:
-            assert alg.bracket(alg.e(r), alg.e(-r)) == alg.coroot(r)
+        rs = alg.root_system
+        for pos in rs.positive_roots:
+            for r in (pos, -pos):
+                coroot = {("h", i): c for i, c in enumerate(rs.coroot_coefficients(r)) if c}
+                assert alg.bracket(alg.e(r), alg.e(-r)).terms == coroot, (spec, r)
 
 
 def test_elements_name_roots_the_way_the_cli_prints_them():
@@ -145,7 +149,7 @@ def test_algebra_mismatch():
     a, b = build_algebra(rs), ChevalleyAlgebra(rs)
     # one algebra per root system; a direct build is a private algebra with equal tables
     assert build_algebra(rs) is a and b is not a
-    tables = ("extraspecial", "_n", "_sum", "_fixed", "_basis_keys", "_keys")
+    tables = ("_brackets", "_basis_keys", "_keys")
     assert all(getattr(a, t) == getattr(b, t) for t in tables)
     with pytest.raises(AlgebraMismatch):
         bracket(a.h(0), b.h(0))
@@ -188,7 +192,13 @@ def test_decompositions_match_a_scan_of_root_pairs_and_head_the_constants():
                 if s in expected:
                     expected[s].append((a, b))
         assert rs.decompositions == expected, spec
-        assert alg.extraspecial == {eps: pairs[0] for eps, pairs in expected.items() if pairs}, spec
+        for eps, pairs in expected.items():  # the head pair gets the positive constant p + 1
+            if pairs:
+                gamma, delta = pairs[0]
+                p = 0  # the largest p with delta - p gamma a root
+                while rs.is_root(tuple(d - (p + 1) * g for d, g in zip(delta, gamma))):
+                    p += 1
+                assert alg.structure_constant(gamma, delta) == p + 1 > 0, (spec, eps)
 
 
 def test_root_vector_refuses_non_integral_coordinates():
@@ -240,7 +250,8 @@ def test_bracket_keys_match_an_independent_reference():
         alg = _algebra(list(spec))
         for x, y in itertools.product(alg.basis_keys(), repeat=2):
             assert alg.bracket_keys(x, y) == _reference_bracket(alg, x, y), (spec, x, y)
-        assert all(alg._fixed.values()), spec  # zero brackets are not stored
+        # zero brackets are not stored
+        assert all(terms and all(c for _, c in terms) for terms in alg._brackets.values()), spec
 
 
 @pytest.mark.parametrize(
@@ -333,18 +344,14 @@ def test_the_tables_an_algebra_shares_refuse_a_write():
     alg = _algebra([("A", 2)])
     e1, f1, e2 = ("e", (1, 0)), ("e", (-1, 0)), ("e", (0, 1))
     with pytest.raises(TypeError):
-        alg._fixed[e1, f1][("h", 0)] = 2
+        alg._brackets[e1, f1][0] = (("h", 0), 2)
     with pytest.raises(TypeError):
-        alg._fixed[e1, f1] = {("h", 0): 2}
+        alg._brackets[e1, f1] = ((("h", 0), 2),)
     with pytest.raises(TypeError):
-        alg._sum[e1, e2] = e1
-    with pytest.raises(TypeError):
-        alg.extraspecial[(1, 1)] = ((0, 1), (1, 0))
-    with pytest.raises(TypeError):
-        alg._n[(1, 0), (0, 1)] = 2
+        alg._brackets[e1, e2] = ((("e", (1, 1)), 2),)
     # a private algebra may rebind its constants; the shared algebra keeps its own
     private = ChevalleyAlgebra(alg.root_system)
-    private._n = {**private._n, ((1, 0), (0, 1)): 2}
+    private._brackets = with_constant(private, (1, 0), (0, 1), 2)
     with pytest.raises(AssertionError):
         build_realization(private)
     assert alg.structure_constant((1, 0), (0, 1)) == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from bracket_table import constants, with_constant
 from hypothesis import assume, given, settings, strategies as st
 
 from solvsph import chevalley, cli, linalg, oracle
@@ -460,11 +461,11 @@ def test_rebinding_the_constants_rebuilds_the_orbit_columns(monkeypatch):
     alg = sub.algebra
     assert open_orbit_check(sub) is True
     cols = alg._ad_neg[1]
-    monkeypatch.setattr(alg, "_n", MappingProxyType(dict(alg._n)))  # equal, but another object
+    monkeypatch.setattr(alg, "_brackets", MappingProxyType(dict(alg._brackets)))  # equal, but another object
     assert open_orbit_check(sub) is True
     assert alg._ad_neg[1] is not cols and alg._ad_neg[1] == cols
-    key, n = min(alg._n.items())
-    monkeypatch.setattr(alg, "_n", MappingProxyType({**alg._n, key: -n}))
+    (a, b), n = min(constants(alg).items())
+    monkeypatch.setattr(alg, "_brackets", with_constant(alg, a, b, -n))
     open_orbit_check(sub)
     assert alg._ad_neg[1] != cols
 
@@ -612,8 +613,8 @@ def test_an_algebra_with_a_corrupted_extraspecial_constant_misses_the_memo(facto
     built = _counting_builds(monkeypatch)
     bad = ChevalleyAlgebra(rs)
     # negated, the constant gives a module the bracket check refuses; doubled, a failed build
-    pair = bad.extraspecial[(1, 1)]
-    bad._n = {**bad._n, pair: factor * bad._n[pair]}
+    a, b = rs.decompositions[(1, 1)][0]
+    bad._brackets = with_constant(bad, a, b, factor * bad.structure_constant(a, b))
     with pytest.raises(AssertionError):
         build_realization(bad)
     assert built == [lam]

@@ -4,6 +4,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
+from bracket_table import constants, with_constant
 
 from solvsph import (
     Weight,
@@ -83,18 +84,18 @@ def test_build_realization_builds_and_checks_one_module_per_simple_factor(monkey
 @pytest.mark.parametrize("spec, entries", [([("A", 1), ("B", 2)], 24), ([("G", 2)], 60)])
 def test_build_realization_catches_every_corrupted_structure_constant(spec, entries):
     rs = build_root_system(spec)
-    table = dict(build_algebra(rs)._n)
+    table = constants(build_algebra(rs))
     assert len(table) == entries
     caught = 0
-    for key, n in sorted(table.items()):
+    for (a, b), n in sorted(table.items()):
         for corrupt in (-n, 2 * n):
             alg = ChevalleyAlgebra(rs)  # a private algebra, so the shared one stays intact
-            alg._n = {**table, key: corrupt}
+            alg._brackets = with_constant(alg, a, b, corrupt)
             with pytest.raises(AssertionError):
                 build_realization(alg)
             caught += 1
     assert caught == 2 * entries
-    assert build_algebra(rs)._n == table
+    assert constants(build_algebra(rs)) == table
     build_realization(build_algebra(rs))
 
 
@@ -110,7 +111,7 @@ def _counting_checks(monkeypatch):
     return checked
 
 
-@pytest.mark.parametrize("table", ["_n", "_sum", "_fixed", "extraspecial"])
+@pytest.mark.parametrize("table", ["_brackets"])
 def test_rebinding_a_table_makes_the_next_realization_check_again(table, monkeypatch):
     checked = _counting_checks(monkeypatch)
     alg = ChevalleyAlgebra(build_root_system([("A", 1), ("C", 2)]))
@@ -126,8 +127,8 @@ def test_rebinding_a_table_makes_the_next_realization_check_again(table, monkeyp
 def test_a_rebound_table_with_one_constant_negated_is_caught(monkeypatch):
     alg = ChevalleyAlgebra(build_root_system([("G", 2)]))
     build_realization(alg)
-    key, n = min(alg._n.items())
-    monkeypatch.setattr(alg, "_n", MappingProxyType({**alg._n, key: -n}))
+    (a, b), n = min(constants(alg).items())
+    monkeypatch.setattr(alg, "_brackets", with_constant(alg, a, b, -n))
     with pytest.raises(AssertionError, match="representation property fails on "):
         build_realization(alg)
 
@@ -145,19 +146,31 @@ def test_build_irrep_on_an_algebra_with_a_negated_constant_returns_no_module(spe
 
     monkeypatch.setattr(oracle, "_build_irreducible", counting_build)
     alg = ChevalleyAlgebra(build_root_system(spec))  # a private algebra, so the shared one stays intact
-    key, n = min(alg._n.items())
-    alg._n = MappingProxyType({**alg._n, key: -n})
+    (a, b), n = min(constants(alg).items())
+    alg._brackets = with_constant(alg, a, b, -n)
     with pytest.raises(AssertionError, match="representation property fails on "):
         build_irrep(alg, lam)
     assert built == [w.coords for w in oracle.checked_fundamentals(alg.root_system)]
     assert alg._verdict is None
 
 
+def test_the_derived_actions_and_the_check_read_one_copy_of_a_constant():
+    # N(a1, a2) negated alone: [e(a1+a2)] is derived with -1, and the check reads the
+    # same -1 beside N(a2, a1) = -1, so the table is caught, not a module made to fit it
+    alg = ChevalleyAlgebra(build_root_system([("A", 2)]))  # a private algebra, so the shared one stays intact
+    alg._brackets = with_constant(alg, (1, 0), (0, 1), -1)
+    assert alg.structure_constant((1, 0), (0, 1)) == -1
+    assert alg.bracket_keys(("e", (1, 0)), ("e", (0, 1))) == {("e", (1, 1)): -1}
+    with pytest.raises(AssertionError, match="representation property fails on "):
+        build_irrep(alg, Weight((1, 1)))
+    assert (1, 1) not in alg._modules and alg._verdict is None
+
+
 def test_a_failed_check_leaves_no_verdict(monkeypatch):
     checked = _counting_checks(monkeypatch)
     alg = ChevalleyAlgebra(build_root_system([("C", 2)]))
-    key, n = min(alg._n.items())
-    alg._n = {**alg._n, key: -n}
+    (a, b), n = min(constants(alg).items())
+    alg._brackets = with_constant(alg, a, b, -n)
     for attempt in (1, 2):
         with pytest.raises(AssertionError, match="representation property fails on "):
             build_realization(alg)
@@ -175,7 +188,7 @@ def test_an_inexact_derived_division_is_an_internal_error(monkeypatch, capsys):
     monkeypatch.setattr(ChevalleyAlgebra, "structure_constant", doubled)
     monkeypatch.setattr(chevalley, "_ALGEBRAS", {})  # a new A2 algebra, its memo empty
     alg = build_algebra(build_root_system([("A", 2)]))
-    assert alg.extraspecial[(1, 1)] == ((1, 0), (0, 1))
+    assert alg.root_system.decompositions[(1, 1)][0] == ((1, 0), (0, 1))
     with pytest.raises(AssertionError, match="inexact division"):
         build_realization(alg)
     code = main(["verify", "--preset", "borel", "--group", "A2", "--height", "1"])

@@ -1,16 +1,19 @@
 """Golden digests of the root-system and Chevalley tables.
 
 For each group the digest hashes the positive roots in root order, the
-decomposition table, the positive coroots, the structure constants and the
-extraspecial pairs.  Any change to one of these tables, including the order
-of the roots or of the decomposition pairs, changes the digest.  The
-expected values were recorded before the root-string and root-class code
-was shared; a change of table needs a new recording and a reason.
+decomposition table, the positive coroots, the structure constants (read
+from the e-e entries of the algebra's one bracket table) and the
+extraspecial pairs (the head of each decomposition list).  Any change to
+one of these tables, including the order of the roots or of the
+decomposition pairs, changes the digest.  The expected values were recorded
+before the root-string and root-class code was shared; a change of table
+needs a new recording and a reason.
 """
 
 import hashlib
 
 import pytest
+from bracket_table import constants
 
 from solvsph import build_root_system
 from solvsph.chevalley import build_algebra
@@ -23,8 +26,8 @@ def table_digest(spec):
         [r.coords for r in rs.positive_roots],
         sorted(rs.decompositions.items()),
         list(rs.positive_coroots),
-        sorted(algebra._n.items()),
-        sorted(algebra.extraspecial.items()),
+        sorted(constants(algebra).items()),
+        sorted((eps, pairs[0]) for eps, pairs in rs.decompositions.items() if pairs),
     )
     return hashlib.sha256(repr(tables).encode()).hexdigest()
 
