@@ -167,7 +167,7 @@ class ChevalleyAlgebra:
         self._keys = frozenset(self._basis_keys)
         self._modules = weakref.WeakValueDictionary()  # weight coords -> module while held, by oracle.build_irrep
         self._small = []  # the modules of dim <= dim g, held for the process
-        self._verdict = self._ad_neg = None  # (objects read, value), kept by oracle._derived
+        self._verdict = self._orbit = None  # (objects read, value), kept by oracle._derived
 
     # -- basis ------------------------------------------------------------
 

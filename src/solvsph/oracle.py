@@ -2,25 +2,21 @@
 
 Everything the combinatorial pipeline claims is re-derived here from
 scratch, for every type: irreducible modules are built weight space by
-weight space from the Cartan matrix alone (``_build_irreducible``), on their
+weight space from the Cartan matrix alone (``_build_irreducible``, where
+root strings rule out lowering steps before any arithmetic), on their
 Kostant Z-form, so every basis element of the algebra acts by an integer
-matrix.  Root strings rule out lowering steps before any arithmetic: the
-weights mu + i a_k of a module form one unbroken string -q <= i <= p with
-q - p = <mu, a_k coroot>, so when the p higher steps already built and
-mu[k] give q = 0, f_k kills the weight space of mu and is set to zero there
-without a reduction; that is exact, since mu - a_k is then no weight.
-``build_irrep`` is the one entry point to modules and the algebra the one
-place that keeps them: its memo returns a module while any caller holds it
-and keeps each module no larger than dim g for the process, so with the one
-algebra of ``build_algebra`` such a module is built and checked once per
-process; ``semi_invariant_records`` holds one module at a time.
+matrix.  ``build_irrep`` is the one entry point to modules and the algebra
+the one place that keeps them: its memo returns a module while any caller
+holds it and keeps each module no larger than dim g for the process, so with
+the one algebra of ``build_algebra`` such a module is built and checked once
+per process; ``semi_invariant_records`` holds one module at a time.
 Semi-invariant dimensions are exact kernels: the integer images of the basis
 vectors of one S-weight (grouped for the last torus restriction asked for)
 under the unipotent basis are summed from the module's own columns and
-counted by ``linalg.echelon``.  Every matrix is a list of sparse columns
-(dicts row -> value), applied by ``linalg.apply``.  The simple root vectors
-act directly on a module and the coroots by the weight diagonal; the other
-root vectors act through brackets, taken column by column in
+counted by ``linalg.echelon``.  Every module matrix is a list of sparse
+columns (dicts row -> value), applied by ``linalg.apply``.  The simple root
+vectors act directly on a module and the coroots by the weight diagonal; the
+other root vectors act through brackets, taken column by column in
 ``_with_derived_actions``.  Every module is checked against the defining
 relations of the algebra and the Weyl dimension formula when it is built,
 and ``build_irrep`` builds one only once ``build_realization`` has checked
@@ -28,15 +24,14 @@ the algebra's bracket table, once per simple factor, on a module the factor
 acts on faithfully, which covers the factor's part of it.  Both checks
 compare a matrix bracket with the combination it should equal entry by
 entry, in one pass (``_bracket_defect``).  What depends only on an algebra's
-bracket table, that verdict and the orbit test's ad e(-a) columns, is kept on
-the algebra by ``_derived`` and derived again once the table is rebound.
+bracket table, that verdict and the orbit test's ad e(-a_i) columns, is kept
+on the algebra by ``_derived`` and derived again once the table is rebound.
 
-Sphericity is probed for every type, in the adjoint representation over
-F_p: ``open_orbit_check`` looks for a lower unipotent element whose
-conjugate of the subgroup's Lie algebra, together with the Borel
-subalgebra, spans the whole Lie algebra.  A witness is an exact
-certificate; a failure, after at least one trial, carries a stated error
-bound.
+``open_orbit_check`` probes sphericity for every type in the adjoint
+representation over F_p: it looks for a lower unipotent element, drawn along
+a reduced word of w0, whose conjugate of the subgroup's Lie algebra spans
+the whole Lie algebra with the Borel subalgebra.  A witness is an exact
+certificate; a failure, after at least one trial, carries an error bound.
 """
 
 from __future__ import annotations
@@ -357,7 +352,7 @@ def build_realization(algebra):
 
 
 def _derived(algebra, slot, derive, *inputs):
-    """derive(), kept in the algebra's slot (``_verdict``, ``_ad_neg``) with
+    """derive(), kept in the algebra's slot (``_verdict``, ``_orbit``) with
     the objects it read: the algebra's bracket table and the inputs.  While
     each is still the object it read (``is``), the kept value is returned;
     once one has been rebound, the value is derived again.  A derive that
@@ -536,81 +531,86 @@ def enumerate_semigroup(sub: SubgroupData, height_bound, dim_cap=DIM_CAP):
 # -- open orbit check --------------------------------------------------------
 
 PRIME = 2**31 - 1  # the open-orbit test works mod this prime
+_INV_FACTORIAL = tuple(pow(math.factorial(k), -1, PRIME) for k in range(4))  # 1/k! mod PRIME
 
 
-def exp_nilpotent(cols, vectors):
-    """exp(A) v mod PRIME for each sparse vector v (dict index -> int).
-
-    A is a nilpotent operator given by its sparse integer columns.  The
-    series stops at its first zero term, so 1/k! is only needed for k up to
-    the nilpotency degree, which is below PRIME.
-    """
-    out = []
-    for v in vectors:
-        total = dict(v)
-        term = v
-        k = 0
-        while term:
-            k += 1
-            if k > len(cols):
+def exp_nilpotent(cols, rows, c=1):
+    """exp(c A) V mod PRIME, for V given by its rows (int lists mod PRIME, or
+    None for zero) and A by monomial columns (cols[j] is None or the one (row,
+    constant) entry of column j): row r gains c^k / k! times row j and the
+    constants of each chain j -> ... -> r of k <= 3 steps; a fourth step raises."""
+    out = list(rows)
+    for j, src in enumerate(rows):
+        r, w = j, 1
+        for k in range(1, 5) if src else ():
+            if (entry := cols[r]) is None:
+                break
+            if k == 4:
                 raise AssertionError("operator is not nilpotent")
-            inv = pow(k, -1, PRIME)
-            term = {i: r for i, x in apply(cols, term).items() if (r := x * inv % PRIME)}
-            add_into(total, term)
-        out.append({i: r for i, x in total.items() if (r := x % PRIME)})
+            r, n = entry
+            w = w * n * c % PRIME  # c^k times the chain's constants
+            s, acc = w * _INV_FACTORIAL[k] % PRIME, out[r]
+            out[r] = [s * b % PRIME for b in src] if acc is None else [(a + s * b) % PRIME for a, b in zip(acc, src)]
     return out
+
+
+def _orbit_tables(algebra):
+    """The basis key index, the e(-a) positions over the positive roots a,
+    ``longest_word`` and the monomial columns of each ad e(-a_i), checked."""
+    rs, keys = algebra.root_system, algebra.basis_keys()
+    index, letters = {k: i for i, k in enumerate(keys)}, []
+    for f in [("e", (-a).coords) for a in rs.simple_roots]:
+        letters.append(cols := [])
+        for terms in [algebra.bracket_keys(f, y) for y in keys]:
+            if len(terms) > 1:
+                raise AssertionError(f"ad {fmt_key(f)} is not monomial")
+            cols.append(next(((index[k], c) for k, c in terms.items()), None))
+    return index, [index[("e", (-a).coords)] for a in rs.positive_roots], rs.longest_word, letters
 
 
 def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     """Randomized certificate that the Borel has an open orbit on G/H.
 
-    Left B-invariance makes elements of the lower unipotent group enough.
-    Each trial draws f = sum of c_a e(-a) over the positive roots a, every
-    c_a uniform in [0, p) with p = PRIME = 2^31 - 1, and tests whether
-    b + Ad(exp f) h = g: since b is spanned by Chevalley basis vectors, that
-    holds exactly when the e(-a) coordinates of exp(ad f) x, over a basis x
-    of h, have rank |positive roots| mod p.  Each basis vector of h is a
-    primitive integer vector (tau is onto, and the unipotent basis is built
-    so), so no input datum is inverted mod p.
+    The u in the lower unipotent group U^- with b + Ad(u) h = g form an open
+    set, not empty exactly when H is spherical: the good g of G are open and
+    left B-invariant, and B U^- is dense in G.  A trial draws u = y_i1(c_1)
+    ... y_iN(c_N), y_i(c) = exp(c e(-a_i)), along the reduced word of w0 of
+    ``RootSystem.longest_word`` (N = |positive roots|), each c_k uniform mod
+    p = PRIME = 2^31 - 1; that product map is dominant onto U^- (Lusztig,
+    Total positivity in reductive groups, 1994, section 2; Fomin and
+    Zelevinsky, Double Bruhat cells and total positivity, 1999).  It tests
+    whether the e(-a) coordinates of Ad(u) x, over a basis x of h (primitive
+    integer vectors, so no input datum is inverted mod p), have rank N mod
+    p, which holds exactly when b + Ad(u) h = g.  Ad(u) acts one letter at a
+    time on the rows of all x (``exp_nilpotent``): ad e(-a_i) is monomial on
+    the Chevalley basis, with fourth power zero.
 
-    True is exact: those coordinates are polynomials in the c_a over the
-    rationals without p in the denominator (p > 2 ht(theta), so every 1/k!
-    of the series exists mod p), and a maximal minor that is nonzero mod p is
-    nonzero over Q.  After k failed trials the probability that the answer
-    False is wrong is at most (D/p)^k with D = 2 ht(theta) |positive roots|
-    (Schwartz 1980, Zippel 1979), provided a maximal minor that is nonzero
-    over Q does not vanish identically mod p.  When dim h < |positive roots|
-    the answer False is exact.  ``trials`` must be an int of at least 1, as
-    no trial supports a negative.  The ad e(-a) columns are kept on the
-    algebra (``_derived``) and read, never written.  The second parameter
-    is accepted and unused: the benchmark's crosscheck job passes the
-    result of ``build_realization`` there, by position.
+    True is exact: the coordinates are polynomials in the c_k over Q without
+    p in a denominator (p > 3, so each 1/k! exists mod p), and a maximal
+    minor nonzero mod p is nonzero over Q.  Each ad e(-a_i) lowers height by
+    one, so an entry of Ad(u) has degree at most 2 ht(theta) and a maximal
+    minor at most D = 2 ht(theta) |positive roots|: after k failed trials,
+    False is wrong with probability at most (D/p)^k (Schwartz 1980, Zippel
+    1979) if a maximal minor nonzero over Q is not identically zero mod p,
+    and exact when dim h < |positive roots|.  ``trials`` must be an int of
+    at least 1, as no trial supports a negative.  The tables are kept on the
+    algebra (``_derived``) and read, never written.  The unused second
+    parameter takes the ``build_realization`` result that the benchmark's
+    crosscheck job passes.
     """
     if type(trials) is not int or trials < 1:
         raise ValueError(f"open-orbit trials must be an int of at least 1, got {trials!r}")
-    algebra = sub.algebra
-    rs = sub.root_system
-    keys = algebra.basis_keys()
-    index = {k: i for i, k in enumerate(keys)}
-    negatives = [index[("e", (-a).coords)] for a in rs.positive_roots]
-
-    basis = [{("h", i): c for i, c in enumerate(row) if c} for row in sub.tau.rows]
-    basis += [x.terms for x in sub.nil_basis]
-    if len(basis) < len(negatives):
+    index, negatives, word, letters = _derived(sub.algebra, "_orbit", lambda: _orbit_tables(sub.algebra))
+    vectors = [{index[("h", i)]: c % PRIME for i, c in enumerate(row) if c} for row in sub.tau.rows]
+    vectors += [{index[k]: c % PRIME for k, c in x.terms.items()} for x in sub.nil_basis]
+    if len(vectors) < len(negatives):
         return False
-    vectors = [
-        {index[k]: r for k, x in terms.items() if (r := x % PRIME)} for terms in basis
-    ]
-
-    ad_neg = _derived(algebra, "_ad_neg", lambda: [
-        [{index[k]: c for k, c in algebra.bracket_keys(keys[f], y).items()} for y in keys]
-        for f in negatives
-    ])
+    rows = [[v.get(i, 0) for v in vectors] if any(i in v for v in vectors) else None for i in range(len(index))]
     rng = random.Random(seed)
     for _ in range(trials):
-        coeffs = [rng.randrange(PRIME) for _ in ad_neg]
-        images = exp_nilpotent(_combination(len(keys), zip(ad_neg, coeffs)), vectors)
-        rows = [[img.get(i, 0) for i in negatives] for img in images]
-        if linalg.rank_mod_p(rows, PRIME) == len(negatives):
+        image = rows
+        for i in reversed(word):  # Ad(u) x: the last letter acts first
+            image = exp_nilpotent(letters[i], image, rng.randrange(PRIME))
+        if linalg.rank_mod_p([image[j] or [0] * len(vectors) for j in negatives], PRIME) == len(negatives):
             return True
     return False

@@ -13,13 +13,15 @@ alpha_1 < alpha_2 < ...; hence ``positive_roots[:n]`` are the simple roots
 in their natural order.
 
 A RootSystem tabulates, once, the set of all roots, each positive root's
-position in root order and ``decompositions[eps]``: the pairs (a, b) of
-positive roots with a + b = eps and a before b, in the order of a.  The
-Chevalley constants and the active-root anchors read that table.  Root
-generation and the constants measure root strings by one ``_string_down``.
-``build_root_system`` builds one RootSystem per type and process, and every
-caller shares it: nothing writes to a RootSystem once it is built but the
-memo of Weyl dimensions that ``oracle.weyl_dim`` keeps on it.
+position in root order and fundamental-weight coordinates (``root_weights``),
+a reduced word of the longest Weyl element (``longest_word``) and
+``decompositions[eps]``: the pairs (a, b) of positive roots with a + b = eps
+and a before b, in the order of a.  The Chevalley constants and the
+active-root anchors read that table.  Root generation and the constants
+measure root strings by one ``_string_down``.  ``build_root_system`` builds
+one RootSystem per type and process, and every caller shares it: nothing
+writes to a RootSystem once it is built but the memo of Weyl dimensions that
+``oracle.weyl_dim`` keeps on it.
 """
 
 from __future__ import annotations
@@ -250,6 +252,9 @@ class RootSystem:
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = tuple(self.positive_roots[: self.n])
         self._index = {r.coords: i for i, r in enumerate(self.positive_roots)}
+        # positive root coords -> fundamental-weight coords, in root order
+        self.root_weights = {c: tuple(sum(map(operator.mul, row, c)) for row in self.cartan) for c in self._index}
+        self.longest_word = self._reflect_down((1,) * self.n)[1]  # read off rho
         self._roots = {*self._index, *(tuple(-x for x in c) for c in self._index)}
         self.decompositions = self._decompose()
         # the coroot of each positive root over the simple coroots, in the same order
@@ -374,20 +379,27 @@ class RootSystem:
             tuple(sum(self.cartan[i][j] * alpha.coords[j] for j in range(self.n)) for i in range(self.n))
         )
 
+    def _reflect_down(self, coords):
+        """(w(mu), (i_1, ..., i_k)) for the weight mu with these coordinates,
+        w = s_ik ... s_i1: each step reflects by the first s_i with
+        <mu, a_i coroot> > 0, until none is left.  From a dominant mu the
+        loop ends at w0(mu).  Each step lengthens w by one, so from rho, whose
+        stabilizer is trivial, it ends at w = w0 after |positive roots| steps
+        and the word is reduced; as w0 is an involution, so is its reverse."""
+        mu, word = list(coords), []
+        while (i := next((k for k, c in enumerate(mu) if c > 0), None)) is not None:
+            ci = mu[i]
+            for k in range(self.n):
+                mu[k] -= ci * self.cartan[k][i]
+            word.append(i)
+        return tuple(mu), tuple(word)
+
     def dual_weight(self, lam):
         """The highest weight of the dual module: -w0(lam), for dominant lam."""
         self.check_weight(lam)
         if not lam.is_dominant:
             raise NotDominant(f"{lam} is not dominant")
-        mu = list(lam.coords)
-        while True:
-            i = next((k for k, c in enumerate(mu) if c > 0), None)
-            if i is None:
-                break
-            ci = mu[i]
-            for k in range(self.n):
-                mu[k] -= ci * self.cartan[k][i]
-        return Weight(tuple(-c for c in mu))
+        return Weight(tuple(-c for c in self._reflect_down(lam.coords)[0]))
 
     def coroot_coefficients(self, alpha):
         """Integer coefficients of the coroot of alpha over the simple coroots."""

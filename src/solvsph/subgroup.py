@@ -13,6 +13,7 @@ terms are positive root vectors and their classes' functionals vanish on it.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import linalg
@@ -59,15 +60,25 @@ class TorusRestriction:
             ints = Weight(coords).coords
             if len(ints) != self.n:
                 raise ValueError(f"a vector of {len(ints)} coordinates is not a weight of rank {self.n}")
-            image = tuple(sum(r * c for r, c in zip(row, ints)) for row in self.rows)
-            self._images[coords] = image
+            image = self._images[coords] = self._image(ints)
         return image
 
+    def _image(self, ints):
+        """The image of n int coordinates, unchecked and not kept."""
+        return tuple(sum(map(operator.mul, row, ints)) for row in self.rows)
+
     def root_classes(self, rs):
-        """Dict S-weight -> positive roots of ``rs``, in root order, classes by first root."""
-        classes = {}
-        for r in rs.positive_roots:
-            classes.setdefault(self.restrict(rs.root_to_weight(r)), []).append(r)
+        """Dict S-weight -> positive roots of ``rs``, in root order, classes by
+        first root; ValueError unless ``rs`` has rank n.  Each root's weight is
+        read from ``rs.root_weights``, int coordinates by construction, and
+        restricted with no other check."""
+        if rs.n != self.n:
+            raise ValueError(f"torus matrix has {self.n} columns, expected {rs.n}")
+        classes, images = {}, self._images
+        for r, wt in zip(rs.positive_roots, rs.root_weights.values()):
+            if (image := images.get(wt)) is None:
+                image = images[wt] = self._image(wt)
+            classes.setdefault(image, []).append(r)
         return classes
 
     def __eq__(self, other):
@@ -176,12 +187,9 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
     rs = algebra.root_system
     if not isinstance(tau, TorusRestriction):
         tau = TorusRestriction(tau, rs.n)
-    if tau.n != rs.n:
-        raise ValueError(f"torus matrix has {tau.n} columns, expected {rs.n}")
+    classes = {phi: WeightClass(phi, roots) for phi, roots in tau.root_classes(rs).items()}  # checks the rank
     if not isinstance(nilradical, NilradicalSpec):
         nilradical = NilradicalSpec(nilradical)
-
-    classes = {phi: WeightClass(phi, roots) for phi, roots in tau.root_classes(rs).items()}
 
     seen = set()
     for group in nilradical.groups:
@@ -199,7 +207,7 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
             if root.coords in seen:
                 raise DuplicateRoot(f"{fmt_root(root)} appears in more than one constraint")
             seen.add(root.coords)
-            this_phi = tau.restrict(rs.root_to_weight(root))
+            this_phi = tau.restrict(rs.root_weights[root.coords])
             if phi not in (None, this_phi):
                 raise MixedWeightConstraint(f"constraint group mixes S-weights {phi} and {this_phi}")
             phi = this_phi

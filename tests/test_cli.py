@@ -19,6 +19,7 @@ from solvsph import (
     JobConfig,
     MultipleCandidates,
     NoValidCandidate,
+    build_algebra,
     build_root_system,
     cli,
     get_preset,
@@ -541,8 +542,15 @@ def test_an_internal_error_prints_one_line_and_no_traceback():
 
 
 def test_an_operator_that_is_not_nilpotent_is_an_internal_error(monkeypatch, capsys):
-    # the orbit test exponentiates only lower nilpotent elements; the identity is not one
-    monkeypatch.setattr(oracle, "_combination", lambda n, terms: [{j: 1} for j in range(n)])
+    # the orbit test exponentiates only the nilpotent ad e(-a_i); the identity is not one
+    derive = oracle._orbit_tables
+
+    def identity_letters(algebra):
+        index, negatives, word, letters = derive(algebra)
+        return index, negatives, word, [[(j, 1) for j in range(len(index))] for _ in letters]
+
+    monkeypatch.setattr(oracle, "_orbit_tables", identity_letters)
+    monkeypatch.setattr(build_algebra(build_root_system([("A", 1)])), "_orbit", None)  # nothing kept
     code, _, err = _run_main(["verify", "--preset", "sl2-torus", "--height", "1"], capsys)
     assert (code, err) == (3, "internal error: AssertionError: operator is not nilpotent\n")
 

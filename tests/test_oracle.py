@@ -433,12 +433,40 @@ def test_open_orbit_agrees_with_criterion_on_fuzzed_rank3():
 
 
 def test_open_orbit_agrees_with_criterion_on_every_type():
+    # a spherical config is witnessed by its first trial
     from solvsph.fuzzing import POOL_RANK3, random_mixed_config
 
     rng = random.Random(1980)
-    for k in range(40):
+    for k in range(300):
         sub = build_subgroup(random_mixed_config(rng, POOL_RANK3))
-        assert open_orbit_check(sub, trials=200, seed=k) == check_spherical(sub).spherical
+        spherical = check_spherical(sub).spherical
+        assert open_orbit_check(sub, trials=1 if spherical else 200, seed=k) == spherical
+
+
+@pytest.mark.parametrize("group", [[("G", 2)], [("B", 3)], [("C", 3)], [("D", 4)], [("F", 4)], [("E", 6)],
+                                   [("E", 7)], [("A", 1), ("C", 2)]], ids=lambda g: "x".join(f"{t}{r}" for t, r in g))
+def test_open_orbit_agrees_with_criterion_on_the_presets_of_larger_types(group):
+    # a spherical preset is witnessed by its first trial
+    for name in ("borel", "maximal-unipotent", "tu-prime"):
+        sub = build_subgroup(get_preset(name, group))
+        spherical = check_spherical(sub).spherical
+        assert open_orbit_check(sub, trials=1 if spherical else 200) == spherical
+
+
+@pytest.mark.parametrize("spec", [list(spec) for spec in POOL_RANK3] + [
+    [("D", 4)], [("B", 4)], [("C", 4)], [("D", 5)], [("F", 4)], [("E", 6)], [("E", 7)], [("E", 8)], [("A", 1), ("C", 2)]
+], ids=lambda g: "x".join(f"{t}{r}" for t, r in g))
+def test_each_simple_lowering_operator_is_monomial_with_zero_fourth_power(spec):
+    # the two facts the orbit test's draw relies on, read from the bracket table
+    alg = _algebra(spec)
+    for a in alg.root_system.simple_roots:
+        f = {("e", (-a).coords): 1}
+        for key in alg.basis_keys():
+            assert len(alg.bracket_terms(f, {key: 1})) <= 1
+            image = {key: 1}
+            for _ in range(4):
+                image = alg.bracket_terms(f, image)
+            assert image == {}, (a, key)
 
 
 def test_kept_orbit_columns_give_the_answers_of_fresh_ones(monkeypatch):
@@ -448,9 +476,9 @@ def test_kept_orbit_columns_give_the_answers_of_fresh_ones(monkeypatch):
     configs = [get_preset(name) for name in preset_names()] + [random_mixed_config(rng) for _ in range(100)]
     subs = [build_subgroup(config) for config in configs]
     kept = [open_orbit_check(sub, seed=k) for k, sub in enumerate(subs)]
-    columns = {sub.algebra: sub.algebra._ad_neg for sub in subs}
+    columns = {sub.algebra: sub.algebra._orbit for sub in subs}
     assert all(open_orbit_check(sub, seed=k) is kept[k] for k, sub in enumerate(subs))
-    assert all(sub.algebra._ad_neg is columns[sub.algebra] for sub in subs)  # built once per algebra
+    assert all(sub.algebra._orbit is columns[sub.algebra] for sub in subs)  # built once per algebra
     monkeypatch.setattr(oracle, "_derived", lambda algebra, slot, derive, *inputs: derive())
     assert [open_orbit_check(sub, seed=k) for k, sub in enumerate(subs)] == kept
     assert kept == [check_spherical(sub).spherical for sub in subs]
@@ -460,14 +488,27 @@ def test_rebinding_the_constants_rebuilds_the_orbit_columns(monkeypatch):
     sub = build_subgroup(get_preset("tu-prime", (("A", 2),)))
     alg = sub.algebra
     assert open_orbit_check(sub) is True
-    cols = alg._ad_neg[1]
+    tables = alg._orbit[1]
     monkeypatch.setattr(alg, "_brackets", MappingProxyType(dict(alg._brackets)))  # equal, but another object
     assert open_orbit_check(sub) is True
-    assert alg._ad_neg[1] is not cols and alg._ad_neg[1] == cols
-    (a, b), n = min(constants(alg).items())
+    assert alg._orbit[1] is not tables and alg._orbit[1] == tables
+    # a constant N(-a_i, b) that the column of e(b) in ad e(-a_i) reads
+    negative_simple = [(-r).coords for r in alg.root_system.simple_roots]
+    (a, b), n = min((pair, n) for pair, n in constants(alg).items() if pair[0] in negative_simple)
     monkeypatch.setattr(alg, "_brackets", with_constant(alg, a, b, -n))
     open_orbit_check(sub)
-    assert alg._ad_neg[1] != cols
+    index, _, _, letters = alg._orbit[1]
+    assert letters[negative_simple.index(a)][index["e", b]] == (index["e", tuple(map(operator.add, a, b))], -n)
+    assert alg._orbit[1] != tables
+
+
+def test_an_ad_column_with_two_entries_is_refused():
+    # the orbit test applies each ad e(-a_i) as one (row, constant) per column
+    alg = ChevalleyAlgebra(build_root_system([("A", 2)]))  # private: nothing else reads its table
+    pair = (("e", (-1, 0)), ("e", (1, 1)))
+    alg._brackets = MappingProxyType({**alg._brackets, pair: alg._brackets[pair] + ((("h", 0), 1),)})
+    with pytest.raises(AssertionError, match=r"ad e\(-a1\) is not monomial"):
+        oracle._orbit_tables(alg)
 
 
 @pytest.mark.parametrize("trials", [0, -4, 2.0, True, "200", None])
@@ -716,9 +757,10 @@ def test_dominant_weights_up_to_matches_sorted_compositions():
 def test_exp_nilpotent_refuses_an_operator_that_is_not_nilpotent():
     from solvsph.oracle import exp_nilpotent
 
-    assert exp_nilpotent([{}, {0: 2}], [{1: 1}]) == [{0: 2, 1: 1}]
+    # monomial columns (row, constant) or None; the vectors as rows, None for zero
+    assert exp_nilpotent([None, (0, 2)], [None, [1]]) == [[2], [1]]
     with pytest.raises(AssertionError, match="operator is not nilpotent"):
-        exp_nilpotent([{1: 1}, {0: 1}], [{0: 1}])
+        exp_nilpotent([(1, 1), (0, 1)], [[1], None])
 
 
 def test_the_default_dimension_cap_is_the_one_constant():

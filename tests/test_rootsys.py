@@ -16,6 +16,7 @@ from solvsph import (
     build_root_system,
 )
 from solvsph import rootsys
+from solvsph.fuzzing import POOL_RANK3
 
 
 def test_positive_root_counts():
@@ -184,6 +185,61 @@ def test_dual_weight_is_dominance_preserving_involution():
             dual = rs.dual_weight(lam)
             assert dual.is_dominant
             assert rs.dual_weight(dual) == lam
+
+
+# every type of the fuzzing pool, the exceptional types and a product
+WORD_TYPES = [list(spec) for spec in POOL_RANK3] + [
+    [("G", 2)], [("F", 4)], [("E", 6)], [("E", 7)], [("E", 8)], [("A", 1), ("C", 2)]
+]
+
+
+def _reflect(rs, coords, i):
+    """s_i of the weight with these fundamental-weight coordinates."""
+    return tuple(c - coords[i] * row[i] for c, row in zip(coords, rs.cartan))
+
+
+def _minus_w0(rs):
+    """-w0 on the indices of the fundamental weights, from the Dynkin diagrams:
+    the reversal on A_n, the swap of the two end nodes of the fork on D_n for
+    odd n, the diagram symmetry on E6, and the identity elsewhere."""
+    perm, start = [], 0
+    for letter, rank in rs.components:
+        local = list(range(rank))
+        if letter == "A":
+            local.reverse()
+        elif letter == "D" and rank % 2:
+            local[-2:] = local[:-3:-1]
+        elif (letter, rank) == ("E", 6):
+            local = [5, 1, 4, 3, 2, 0]
+        perm += [start + i for i in local]
+        start += rank
+    return perm
+
+
+@pytest.mark.parametrize("spec", WORD_TYPES, ids=lambda g: "x".join(f"{t}{r}" for t, r in g))
+def test_the_longest_word_is_reduced_and_shares_the_reflection_loop_with_dual_weight(spec):
+    rs = build_root_system(spec)
+    word = rs.longest_word
+    assert len(word) == len(rs.positive_roots)
+    mu = (1,) * rs.n  # rho
+    for i in word:
+        assert mu[i] > 0  # s_i lengthens the element so far: the word is reduced
+        mu = _reflect(rs, mu, i)
+    assert mu == (-1,) * rs.n
+    perm = _minus_w0(rs)
+    for i in range(rs.n):
+        omega = rs.fundamental_weight(i).coords
+        for j in word:
+            omega = _reflect(rs, omega, j)
+        assert rs.dual_weight(rs.fundamental_weight(i)) == Weight(tuple(-c for c in omega))
+        assert rs.dual_weight(rs.fundamental_weight(i)) == rs.fundamental_weight(perm[i])
+
+
+def test_root_weights_are_the_fundamental_weight_coordinates_of_the_positive_roots():
+    for spec in WORD_TYPES:
+        rs = build_root_system(spec)
+        assert list(rs.root_weights) == [r.coords for r in rs.positive_roots]
+        assert all(rs.root_weights[r.coords] == rs.root_to_weight(r).coords for r in rs.positive_roots)
 
 
 def test_dual_weight_requires_dominant():

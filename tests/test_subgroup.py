@@ -145,6 +145,16 @@ def test_validate_rejects_non_surjective_torus():
         validate(alg2, [[2, 0], [0, 1]], NilradicalSpec([]))
 
 
+def test_validate_refuses_a_torus_of_another_rank():
+    alg = build_algebra(build_root_system([("A", 2)]))
+    tau = TorusRestriction([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)
+    with pytest.raises(ValueError, match="torus matrix has 3 columns, expected 2"):
+        validate(alg, tau, NilradicalSpec([]))
+    with pytest.raises(ValueError, match="torus matrix has 3 columns, expected 2"):
+        tau.root_classes(alg.root_system)
+    assert not tau._images  # nothing restricted before the refusal
+
+
 def test_validate_rejects_non_subalgebra():
     # cutting only the highest root out of the nilradical is not closed:
     # the bracket of the two simple root vectors escapes
