@@ -51,6 +51,13 @@ class AlgebraElement:
         self.algebra = algebra
         self.terms = {k: c for k, c in zip(terms, integers(terms.values())) if c} if terms else {}
 
+    @classmethod
+    def _of(cls, algebra, terms):
+        """The element of terms the package built (nonzero ints), unchecked."""
+        out = cls.__new__(cls)
+        out.algebra, out.terms = algebra, terms
+        return out
+
     def _check(self, other):
         if self.algebra is not other.algebra:
             raise AlgebraMismatch("elements of different algebras")

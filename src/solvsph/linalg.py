@@ -73,10 +73,12 @@ def echelon(vectors):
             else:
                 add_into(v, r, -(b // a))
     out = {p: rows[p] for p in sorted(rows)}
-    for i, (p, r) in enumerate(out.items()):
-        for row in list(out.values())[:i]:
+    done = []  # the rows before r
+    for p, r in out.items():
+        for row in done:
             if q := row.get(p, 0) // r[p]:
                 add_into(row, r, -q)
+        done.append(r)
     return out
 
 
@@ -232,23 +234,21 @@ def is_surjective_over_z(rows, ncols):
 def rank_mod_p(rows, p):
     """Rank over F_p of an integer matrix, for a prime p.
 
-    A full rank mod p implies a full rank over Q; the converse fails when p
-    divides every maximal minor.
+    Each row in turn is reduced against the rows kept so far, each scaled
+    to 1 at its pivot column and kept from that column on, so no kept row is
+    rewritten.  Entries are reduced mod p only where one is read as a factor
+    and where a row nonzero mod p is kept.  A full rank mod p implies a full
+    rank over Q; the converse fails when p divides every maximal minor.
     """
-    m = [[x % p for x in row] for row in rows]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        pivot_row = [x * inv % p for x in m[r]]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], pivot_row)]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    kept = []  # (pivot column, the row from that column on, 1 at the pivot)
+    for row in rows:
+        v = list(row)
+        for c, tail in kept:
+            if f := v[c] % p:
+                v[c:] = [a - f * b for a, b in zip(v[c:], tail)]
+        for c, x in enumerate(v):
+            if x % p:  # the pivot: the row is kept
+                inv = pow(x, -1, p)
+                kept.append((c, [y * inv % p for y in v[c:]]))
+                break
+    return len(kept)

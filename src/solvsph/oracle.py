@@ -1,31 +1,23 @@
 """Brute-force verification against genuine matrix representations.
 
 Everything the combinatorial pipeline claims is re-derived here from
-scratch, for every type: irreducible modules are built weight space by
-weight space from the Cartan matrix alone (``_build_irreducible``, where
-root strings rule out lowering steps before any arithmetic), on their
-Kostant Z-form, so every basis element of the algebra acts by an integer
-matrix.  ``build_irrep`` is the one entry point to modules and the algebra
-the one place that keeps them: its memo returns a module while any caller
-holds it and keeps each module no larger than dim g for the process, so with
-the one algebra of ``build_algebra`` such a module is built and checked once
-per process; ``semi_invariant_records`` holds one module at a time.
-Semi-invariant dimensions are exact kernels: the integer images of the basis
-vectors of one S-weight (grouped for the last torus restriction asked for)
-under the unipotent basis are summed from the module's own columns and
-counted by ``linalg.echelon``.  Every module matrix is a list of sparse
-columns (dicts row -> value), applied by ``linalg.apply``.  The simple root
-vectors act directly on a module and the coroots by the weight diagonal; the
-other root vectors act through brackets, taken column by column in
-``_with_derived_actions``.  Every module is checked against the defining
-relations of the algebra and the Weyl dimension formula when it is built,
-and ``build_irrep`` builds one only once ``build_realization`` has checked
-the algebra's bracket table, once per simple factor, on a module the factor
-acts on faithfully, which covers the factor's part of it.  Both checks
-compare a matrix bracket with the combination it should equal entry by
-entry, in one pass (``_bracket_defect``).  What depends only on an algebra's
-bracket table, that verdict and the orbit test's ad e(-a_i) columns, is kept
-on the algebra by ``_derived`` and derived again once the table is rebound.
+scratch, for every type.  Irreducible modules are built weight space by
+weight space from the Cartan matrix alone, on their Kostant Z-form
+(``_build_irreducible``), so every basis element of the algebra acts by an
+integer matrix: a list of sparse columns (dicts row -> value), applied by
+``linalg.apply``.  The simple root vectors act directly and the coroots by
+the weight diagonal; the other root vectors act through brackets
+(``_with_derived_actions``).  ``build_irrep`` is the one entry point to
+modules and the algebra the one place that keeps them (``_module``).  Every
+module is checked against the defining relations and the Weyl dimension
+formula when it is built, and only once ``build_realization`` has checked
+the algebra's bracket table on a module each simple factor acts on
+faithfully; both checks compare a matrix bracket with the combination it
+should equal entry by entry, in one pass (``_bracket_defect``).
+Semi-invariant dimensions are exact kernels (``semi_invariant_dim``).  What
+depends only on an algebra's bracket table, that verdict and the orbit test's
+chains of each ad e(-a_i), is kept on the algebra by ``_derived`` and derived
+again once the table is rebound.
 
 ``open_orbit_check`` probes sphericity for every type in the adjoint
 representation over F_p: it looks for a lower unipotent element, drawn along
@@ -51,16 +43,6 @@ from .sphericity import ActiveRootTable, check_spherical
 from .subgroup import SubgroupData
 
 DIM_CAP = 20000  # the default cap on the dimension of a module that is built
-
-
-def _combination(n, terms):
-    """The n x n matrix sum of c * m over the (m, c) pairs."""
-    cols = [{} for _ in range(n)]
-    for m, c in terms:
-        if c:
-            for out, col in zip(cols, m):
-                add_into(out, col, c)
-    return cols
 
 
 def _bracket_defect(actions, nonzero, x, y, terms):
@@ -211,7 +193,11 @@ class HighestWeightModule:
         """Matrix of an algebra element (linear combination of basis keys)."""
         if element.algebra is not self.algebra:
             raise AlgebraMismatch("element from a different algebra")
-        return _combination(self.dim, ((self.actions[k], c) for k, c in element.terms.items()))
+        cols = [{} for _ in range(self.dim)]
+        for key, c in element.terms.items():
+            for out, col in zip(cols, self.actions[key]):
+                add_into(out, col, c)
+        return cols
 
     def __repr__(self):
         return f"HighestWeightModule(lam={self.lam.coords}, dim={self.dim})"
@@ -366,14 +352,16 @@ def _derived(algebra, slot, derive, *inputs):
 
 
 def checked_fundamentals(rs):
-    """The fundamental weight of least Weyl dimension of each simple factor:
-    the modules on which ``build_realization`` checks the bracket table."""
-    ranks = [rank for _, rank in rs.components]
-    out = []
-    for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
-        lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
-        out.append(min(lams, key=lambda lam: weyl_dim(rs, lam)))
-    return out
+    """The fundamental weight of least Weyl dimension of each simple factor, on whose
+    modules ``build_realization`` checks the bracket table; kept on the root system."""
+    if rs._checked is None:
+        ranks = [rank for _, rank in rs.components]
+        out = []
+        for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
+            lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
+            out.append(min(lams, key=lambda lam: weyl_dim(rs, lam)))
+        rs._checked = tuple(out)
+    return rs._checked
 
 
 def _failure(x, y):
@@ -531,40 +519,48 @@ def enumerate_semigroup(sub: SubgroupData, height_bound, dim_cap=DIM_CAP):
 # -- open orbit check --------------------------------------------------------
 
 PRIME = 2**31 - 1  # the open-orbit test works mod this prime
-_INV_FACTORIAL = tuple(pow(math.factorial(k), -1, PRIME) for k in range(4))  # 1/k! mod PRIME
 
 
-def exp_nilpotent(cols, rows, c=1):
-    """exp(c A) V mod PRIME, for V given by its rows (int lists mod PRIME, or
-    None for zero) and A by monomial columns (cols[j] is None or the one (row,
-    constant) entry of column j): row r gains c^k / k! times row j and the
-    constants of each chain j -> ... -> r of k <= 3 steps; a fourth step raises."""
-    out = list(rows)
-    for j, src in enumerate(rows):
-        r, w = j, 1
-        for k in range(1, 5) if src else ():
-            if (entry := cols[r]) is None:
-                break
-            if k == 4:
+def exp_nilpotent(chains, rows, c=1):
+    """exp(c A) V mod PRIME, V given by its rows (int lists mod PRIME, or None for
+    zero) and A by its ``_chains``, which check nilpotency and carry the constants:
+    row r gains c^k w times row j for each step (r, k, w) of column j's chain."""
+    powers, out = (1, c % PRIME, c * c % PRIME, c * c * c % PRIME), list(rows)
+    for j, steps in chains:
+        if src := rows[j]:
+            for r, k, w in steps:
+                s, acc = w * powers[k] % PRIME, out[r]
+                out[r] = [s * b % PRIME for b in src] if acc is None else [(a + s * b) % PRIME for a, b in zip(acc, src)]
+    return out
+
+
+def _chains(cols):
+    """For each column j with an entry of an operator A given by monomial columns
+    (cols[j] None or its one (row, N) entry), the steps (row, k, N_1...N_k / k!
+    mod PRIME) of the chain j -> ... -> row, k <= 3; AssertionError if A^4 e_j != 0."""
+    out = []
+    for j, entry in enumerate(cols):
+        steps, w = [], 1
+        while entry is not None:
+            if len(steps) == 3:
                 raise AssertionError("operator is not nilpotent")
-            r, n = entry
-            w = w * n * c % PRIME  # c^k times the chain's constants
-            s, acc = w * _INV_FACTORIAL[k] % PRIME, out[r]
-            out[r] = [s * b % PRIME for b in src] if acc is None else [(a + s * b) % PRIME for a, b in zip(acc, src)]
+            (r, n), k = entry, len(steps) + 1
+            w, entry = w * n % PRIME, cols[r]
+            steps.append((r, k, w * pow(math.factorial(k), -1, PRIME) % PRIME))
+        out += [(j, steps)] if steps else []
     return out
 
 
 def _orbit_tables(algebra):
     """The basis key index, the e(-a) positions over the positive roots a,
-    ``longest_word`` and the monomial columns of each ad e(-a_i), checked."""
+    ``longest_word`` and the chains of each ad e(-a_i), checked monomial."""
     rs, keys = algebra.root_system, algebra.basis_keys()
     index, letters = {k: i for i, k in enumerate(keys)}, []
     for f in [("e", (-a).coords) for a in rs.simple_roots]:
-        letters.append(cols := [])
-        for terms in [algebra.bracket_keys(f, y) for y in keys]:
-            if len(terms) > 1:
-                raise AssertionError(f"ad {fmt_key(f)} is not monomial")
-            cols.append(next(((index[k], c) for k, c in terms.items()), None))
+        cols = [algebra.bracket_keys(f, y) for y in keys]
+        if any(len(terms) > 1 for terms in cols):
+            raise AssertionError(f"ad {fmt_key(f)} is not monomial")
+        letters.append(_chains([next(((index[k], c) for k, c in terms.items()), None) for terms in cols]))
     return index, [index[("e", (-a).coords)] for a in rs.positive_roots], rs.longest_word, letters
 
 
@@ -582,8 +578,9 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     whether the e(-a) coordinates of Ad(u) x, over a basis x of h (primitive
     integer vectors, so no input datum is inverted mod p), have rank N mod
     p, which holds exactly when b + Ad(u) h = g.  Ad(u) acts one letter at a
-    time on the rows of all x (``exp_nilpotent``): ad e(-a_i) is monomial on
-    the Chevalley basis, with fourth power zero.
+    time on the rows of all x (``exp_nilpotent``).  Each ad e(-a_i) is checked
+    monomial on the Chevalley basis, with fourth power zero, once per algebra,
+    where its chains with their constants are derived (``_chains``).
 
     True is exact: the coordinates are polynomials in the c_k over Q without
     p in a denominator (p > 3, so each 1/k! exists mod p), and a maximal
@@ -601,11 +598,14 @@ def open_orbit_check(sub: SubgroupData, realization=None, trials=200, seed=0):
     if type(trials) is not int or trials < 1:
         raise ValueError(f"open-orbit trials must be an int of at least 1, got {trials!r}")
     index, negatives, word, letters = _derived(sub.algebra, "_orbit", lambda: _orbit_tables(sub.algebra))
-    vectors = [{index[("h", i)]: c % PRIME for i, c in enumerate(row) if c} for row in sub.tau.rows]
-    vectors += [{index[k]: c % PRIME for k, c in x.terms.items()} for x in sub.nil_basis]
+    vectors = [{("h", i): c for i, c in enumerate(row) if c} for row in sub.tau.rows] + [x.terms for x in sub.nil_basis]
     if len(vectors) < len(negatives):
         return False
-    rows = [[v.get(i, 0) for v in vectors] if any(i in v for v in vectors) else None for i in range(len(index))]
+    filled = {}  # the rows of the basis keys in some vector's support
+    for v, terms in enumerate(vectors):
+        for key, c in terms.items():
+            filled.setdefault(index[key], [0] * len(vectors))[v] = c % PRIME
+    rows = [filled.get(i) for i in range(len(index))]
     rng = random.Random(seed)
     for _ in range(trials):
         image = rows

@@ -260,6 +260,7 @@ class RootSystem:
         # the coroot of each positive root over the simple coroots, in the same order
         self.positive_coroots = tuple(self.coroot_coefficients(r) for r in self.positive_roots)
         self._weyl_dims = {}  # dominant weight coords -> dim V(lam), filled by oracle.weyl_dim
+        self._checked = None  # the weights of oracle.checked_fundamentals: they depend on the Cartan matrix alone
 
     def _build_cartan(self):
         blocks = [_component_cartan(t, r) for t, r in self.components]
@@ -430,12 +431,15 @@ def build_root_system(spec):
     ``spec`` is a sequence of (type letter, rank) pairs, e.g.
     ``[("A", 3)]`` or ``[("A", 1), ("C", 2)]``.  Specs that normalize alike
     (``("a", 2)`` and ``("A", 2.0)`` as ``("A", 2)``) share one RootSystem,
-    which nothing but ``oracle.weyl_dim``'s memo writes once it is built.  An
-    invalid spec is refused on every call and never stored.
+    which only the memos of ``oracle.weyl_dim`` and ``checked_fundamentals``
+    write once it is built.  An invalid spec is refused on every call and never stored.
     """
+    try:  # a hit is a spec normalized already
+        return _SYSTEMS[spec]
+    except (KeyError, TypeError):  # a miss, or an unhashable spec
+        pass
     components = _normalized(spec)
-    rs = _SYSTEMS.get(components)
-    if rs is None:
+    if (rs := _SYSTEMS.get(components)) is None:
         rs = _SYSTEMS[components] = RootSystem(components)
     return rs
 

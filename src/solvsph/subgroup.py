@@ -65,7 +65,7 @@ class TorusRestriction:
 
     def _image(self, ints):
         """The image of n int coordinates, unchecked and not kept."""
-        return tuple(sum(map(operator.mul, row, ints)) for row in self.rows)
+        return tuple([sum(map(operator.mul, row, ints)) for row in self.rows])
 
     def root_classes(self, rs):
         """Dict S-weight -> positive roots of ``rs``, in root order, classes by
@@ -102,9 +102,7 @@ class NilradicalSpec:
     """
 
     def __init__(self, groups):
-        self.groups = tuple(
-            tuple((root, Fraction(coeff)) for root, coeff in group) for group in groups
-        )
+        self.groups = tuple(tuple((r, c if type(c) is Fraction else Fraction(c)) for r, c in group) for group in groups)
 
     def __eq__(self, other):
         return isinstance(other, NilradicalSpec) and self.groups == other.groups
@@ -140,13 +138,16 @@ class SubgroupData:
         self.dim_s = tau.d
 
     def _build_nil_basis(self):
-        """A basis of the unipotent part, each element a primitive integer vector."""
-        basis = []
+        """A basis of the unipotent part, each element a primitive integer vector:
+        the kernel of each class's functionals, the unit vectors if it has none."""
+        basis, of = [], AlgebraElement._of  # the ints are built here: no check
         for cls in self.classes:
             cols = [r.coords for r in cls.roots]
+            if not cls.functionals:
+                basis += [of(self.algebra, {("e", c): 1}) for c in cols]
+                continue
             rows = [[f.get(c, 0) for c in cols] for f in cls.functionals]
-            for vec in linalg.nullspace(rows, len(cols)):
-                basis.append(AlgebraElement(self.algebra, {("e", c): v for c, v in zip(cols, vec) if v}))
+            basis += [of(self.algebra, {("e", c): v for c, v in zip(cols, vec) if v}) for vec in linalg.nullspace(rows, len(cols))]
         return basis
 
     def contains_in_nil(self, element):
@@ -207,7 +208,7 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
             if root.coords in seen:
                 raise DuplicateRoot(f"{fmt_root(root)} appears in more than one constraint")
             seen.add(root.coords)
-            this_phi = tau.restrict(rs.root_weights[root.coords])
+            this_phi = tau._image(rs.root_weights[root.coords])
             if phi not in (None, this_phi):
                 raise MixedWeightConstraint(f"constraint group mixes S-weights {phi} and {this_phi}")
             phi = this_phi
@@ -215,7 +216,8 @@ def validate(algebra: ChevalleyAlgebra, tau, nilradical) -> SubgroupData:
         classes[phi].functionals.append(linalg.primitive(functional))
 
     for cls in classes.values():
-        cls.codim = len(linalg.echelon(cls.functionals))
+        if cls.functionals:  # codim 0 otherwise
+            cls.codim = len(linalg.echelon(cls.functionals))
 
     ordered = [classes[phi] for phi in sorted(classes)]
     sub = SubgroupData(algebra, tau, ordered)

@@ -40,6 +40,7 @@ from solvsph import (
     representation_property_check,
     semi_invariant_dim,
     semi_invariant_witness,
+    validate,
     vector_s_weight,
     weyl_dim,
 )
@@ -498,7 +499,9 @@ def test_rebinding_the_constants_rebuilds_the_orbit_columns(monkeypatch):
     monkeypatch.setattr(alg, "_brackets", with_constant(alg, a, b, -n))
     open_orbit_check(sub)
     index, _, _, letters = alg._orbit[1]
-    assert letters[negative_simple.index(a)][index["e", b]] == (index["e", tuple(map(operator.add, a, b))], -n)
+    chains = dict(letters[negative_simple.index(a)])  # column -> its steps (row, k, N_1...N_k / k!)
+    row, k, w = chains[index["e", b]][0]
+    assert (row, k, w) == (index["e", tuple(map(operator.add, a, b))], 1, -n % oracle.PRIME)
     assert alg._orbit[1] != tables
 
 
@@ -509,6 +512,48 @@ def test_an_ad_column_with_two_entries_is_refused():
     alg._brackets = MappingProxyType({**alg._brackets, pair: alg._brackets[pair] + ((("h", 0), 1),)})
     with pytest.raises(AssertionError, match=r"ad e\(-a1\) is not monomial"):
         oracle._orbit_tables(alg)
+
+
+@pytest.mark.parametrize(
+    "spec", [*POOL_RANK3, (("G", 2),), (("F", 4),), (("E", 6),), (("E", 7),), (("E", 8),), (("A", 1), ("C", 2))]
+)
+def test_the_orbit_chains_exponentiate_like_the_dense_series(spec):
+    # exp(c ad e(-a_i)) = sum over k <= 3 of c^k (ad e(-a_i))^k / k! mod p, densely from bracket_keys
+    alg, p = _algebra(spec), oracle.PRIME
+    index, _, _, letters = oracle._orbit_tables(alg)
+    keys = alg.basis_keys()
+    unit_rows = [[int(i == j) for j in range(len(keys))] for i in range(len(keys))]
+    for a, chains in zip(alg.root_system.simple_roots, letters):
+        f = ("e", (-a).coords)
+        powers = []  # per basis key y: (ad f)^k y for k = 0..3, as dicts key -> int
+        for y in keys:
+            powers.append([{y: 1}])
+            for _ in range(3):
+                image = {}
+                for key, x in powers[-1][-1].items():
+                    for z, n in alg.bracket_keys(f, key).items():
+                        image[z] = image.get(z, 0) + n * x
+                powers[-1].append(image)
+        for c in (1, 2, 987654321):
+            dense = [[0] * len(keys) for _ in keys]
+            for j, images in enumerate(powers):
+                for k, image in enumerate(images):
+                    for key, x in image.items():
+                        dense[index[key]][j] += x * c**k * pow(math.factorial(k), -1, p)
+            assert oracle.exp_nilpotent(chains, unit_rows, c) == [[x % p for x in row] for row in dense], (spec, a, c)
+
+
+def test_a_chain_derivation_that_refuses_keeps_nothing(monkeypatch):
+    alg = ChevalleyAlgebra(build_root_system([("A", 2)]))  # private: nothing else reads its slots
+    sub = validate(alg, [[1, 0], [0, 1]], [])
+    derive = oracle._chains
+    monkeypatch.setattr(oracle, "_chains", lambda cols: derive([(j, 1) for j in range(len(cols))]))  # the identity
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="operator is not nilpotent"):
+            open_orbit_check(sub)
+        assert alg._orbit is None
+    monkeypatch.setattr(oracle, "_chains", derive)
+    assert open_orbit_check(sub) is True and alg._orbit is not None
 
 
 @pytest.mark.parametrize("trials", [0, -4, 2.0, True, "200", None])
@@ -534,13 +579,25 @@ def test_open_orbit_never_inverts_input_mod_p(tmp_path):
 def test_rank_mod_p_matches_rank_on_small_integer_matrices():
     p = 2**31 - 1
     rng = random.Random(77)
-    for _ in range(200):
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(nr)]
-        assert linalg.rank_mod_p(rows, p) == linalg.rank(rows)
-    # full rank mod p implies full rank over Q, not the other way round
+    for case in range(600):
+        nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+        if case % 3 == 0:
+            nr = max(nr, nc + 1)  # more rows than columns
+        span = rng.choice([3, p, 3 * p])  # entries negative, and at least p
+        rows = [[rng.randint(-span, span) for _ in range(nc)] for _ in range(nr)]
+        for _ in range(rng.randint(0, 2)):
+            rows.insert(rng.randrange(nr + 1), [0] * nc)  # zero rows
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))  # repeated rows
+        want = linalg.rank(rows)  # unless p divides every maximal minor, about 1/p likely here
+        assert linalg.rank_mod_p(rows, p) == want, rows
+        congruent = [x + p * rng.randint(-2, 2) for x in rng.choice(rows)]  # a row again, mod p
+        assert linalg.rank_mod_p(rows + [congruent], p) == want, rows
+    # full rank mod p implies full rank over Q, not the other way round: p
+    # divides every maximal minor
     assert linalg.rank([[1, 1], [1, 1 + p]]) == 2
     assert linalg.rank_mod_p([[1, 1], [1, 1 + p]], p) == 1
+    assert linalg.rank_mod_p([[p, 2 * p, 0], [1, 2, 3 * p]], p) == 1 < linalg.rank([[p, 2 * p, 0], [1, 2, 3 * p]])
+    assert linalg.rank_mod_p([], p) == 0 == linalg.rank_mod_p([[0, 0], [p, -p]], p)
 
 
 def _dense_semi_invariant_dim(mod, sub, mats, chi):
@@ -754,13 +811,16 @@ def test_dominant_weights_up_to_matches_sorted_compositions():
         assert [w.coords for w in dominant_weights_up_to(rs, height)] == expected
 
 
-def test_exp_nilpotent_refuses_an_operator_that_is_not_nilpotent():
-    from solvsph.oracle import exp_nilpotent
+def test_the_chain_derivation_refuses_an_operator_that_is_not_nilpotent():
+    from solvsph.oracle import _chains, exp_nilpotent
 
     # monomial columns (row, constant) or None; the vectors as rows, None for zero
-    assert exp_nilpotent([None, (0, 2)], [None, [1]]) == [[2], [1]]
+    assert exp_nilpotent(_chains([None, (0, 2)]), [None, [1]]) == [[2], [1]]
     with pytest.raises(AssertionError, match="operator is not nilpotent"):
-        exp_nilpotent([(1, 1), (0, 1)], [[1], None])
+        _chains([(1, 1), (0, 1)])
+    with pytest.raises(AssertionError, match="operator is not nilpotent"):
+        _chains([(1, 1), (2, 1), (3, 1), (4, 1), None])  # a fourth step
+    assert [len(steps) for _, steps in _chains([(1, 1), (2, 1), (3, 1), None])] == [3, 2, 1]
 
 
 def test_the_default_dimension_cap_is_the_one_constant():

@@ -24,6 +24,7 @@ from solvsph import linalg
 from solvsph.chevalley import AlgebraElement
 from solvsph.config import build_subgroup
 from solvsph.fuzzing import POOL_RANK3, random_mixed_config
+from solvsph.rootsys import fmt_root
 
 
 def _sl4():
@@ -235,3 +236,98 @@ def test_contains_in_nil_agrees_with_the_rank_of_the_nil_basis():
         for r in positive:
             assert sub.contains_in_nil(alg.e(r)) == in_span(alg.e(r))
     assert outside_seen > 0
+
+
+def _reference_assembly(config):
+    """(weight table, unipotent basis terms) of a config, or the (type, message)
+    of its refusal, by the rule that runs ``nullspace`` and ``echelon`` on every
+    weight class and reads a constraint root's S-weight through ``restrict``."""
+    rs = build_root_system(config.components)
+    alg = build_algebra(rs)
+    tau = TorusRestriction(config.torus_rows, rs.n)
+    classes = tau.root_classes(rs)
+    functionals, seen = {phi: [] for phi in classes}, set()
+    for group in config.groups:
+        functional, phi = {}, None
+        for coords, coeff in group:
+            name = fmt_root(Root(coords))
+            if coeff == 0:
+                return ZeroCoefficient, f"zero coefficient on {name}"
+            if coords in seen:
+                return DuplicateRoot, f"{name} appears in more than one constraint"
+            seen.add(coords)
+            this = restrict(tau, Weight(rs.root_weights[coords]))
+            if phi not in (None, this):
+                return MixedWeightConstraint, f"constraint group mixes S-weights {phi} and {this}"
+            phi, functional[coords] = this, coeff
+        functionals[phi].append(linalg.primitive(functional))
+    table, basis = [], []
+    for phi in sorted(classes):
+        cols = [r.coords for r in classes[phi]]
+        rows = [[f.get(c, 0) for c in cols] for f in functionals[phi]]
+        basis += [{("e", c): v for c, v in zip(cols, vec) if v} for vec in linalg.nullspace(rows, len(cols))]
+        table.append((phi, list(classes[phi]), len(linalg.echelon(functionals[phi]))))
+    phi_of = {r.coords: phi for phi, roots in classes.items() for r in roots}
+
+    def inside(terms):
+        if any(kind != "e" or c not in phi_of for kind, c in terms):
+            return False
+        fs = [f for phi in {phi_of[c] for _, c in terms} for f in functionals[phi]]
+        return not any(sum(f.get(c, 0) * x for (_, c), x in terms.items()) for f in fs)
+
+    for i, x in enumerate(basis):
+        for y in basis[i + 1 :]:
+            if not inside(alg.bracket_terms(x, y)):
+                return NotSubalgebra, str(NotSubalgebra(AlgebraElement(alg, x), AlgebraElement(alg, y)))
+    return table, basis
+
+
+def _refused_variants(rng, config):
+    """The config with a zero coefficient, a duplicate root, a group of mixed
+    S-weights and a constraint that cuts e(a + b) out while e(a), e(b) stay,
+    where the config allows each."""
+    rs = build_root_system(config.components)
+    tau = TorusRestriction(config.torus_rows, rs.n)
+    groups = [list(g) for g in config.groups]
+    used = [c for g in groups for c, _ in g]
+    free = [r.coords for r in rs.positive_roots if r.coords not in used]
+    out = []
+    if groups:
+        g = rng.randrange(len(groups))
+        zeroed = [list(h) for h in groups]
+        k = rng.randrange(len(zeroed[g]))
+        zeroed[g][k] = (zeroed[g][k][0], Fraction(0))
+        out.append(zeroed)
+        out.append(groups + [[(rng.choice(used), Fraction(1))]])
+    phi = {c: tau.restrict(Weight(rs.root_weights[c])) for c in free}
+    pairs = [(a, b) for a in free for b in free if phi[a] < phi[b]]
+    if pairs:
+        a, b = rng.choice(pairs)
+        out.append(groups + [[(a, Fraction(1)), (b, Fraction(-2))]])
+    sums = [s for a in free for b in free if (s := tuple(map(sum, zip(a, b)))) in phi]
+    if sums:
+        out.append(groups + [[(rng.choice(sums), Fraction(1))]])
+    return [config._replace(groups=tuple(tuple(g) for g in v)) for v in out]
+
+
+def test_subgroup_assembly_matches_eliminating_every_weight_class():
+    from solvsph import SolvsphError, get_preset, preset_names
+
+    rng = random.Random(31)
+    configs = [get_preset(name) for name in preset_names()]
+    configs += [random_mixed_config(rng, POOL_RANK3) for _ in range(300)]
+    refused, kept = set(), 0
+    for config in configs:
+        for variant in [config] + _refused_variants(rng, config):
+            want = _reference_assembly(variant)
+            try:
+                sub = build_subgroup(variant)
+            except SolvsphError as exc:
+                assert (type(exc), str(exc)) == want, variant
+                refused.add(type(exc))
+                continue
+            assert (sub.weight_table(), [x.terms for x in sub.nil_basis]) == want, variant
+            assert [c.codim for c in sub.classes] == [codim for _, _, codim in want[0]]
+            kept += variant is config
+    assert refused == {ZeroCoefficient, DuplicateRoot, MixedWeightConstraint, NotSubalgebra}
+    assert kept == len(configs)
