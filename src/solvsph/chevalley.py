@@ -92,11 +92,11 @@ class AlgebraElement:
 
 
 def _derive_tables(rs):
-    """The bracket table of a root system's Chevalley basis, read-only, and
-    its basis keys, root vectors by height, then simple coroots.  The table
-    maps each pair of basis keys with a nonzero bracket to the (key, c) terms
-    of that bracket: ((e_{a+b}, N),) for [e_a, e_b] = N e_{a+b}, the h terms
-    of the coroot for [e_a, e_{-a}], and ((e_a, c),) for a coroot bracket."""
+    """The bracket table of a root system's Chevalley basis and each basis
+    key's position (root vectors by height, then simple coroots), read-only.
+    The table maps each pair of basis keys with a nonzero bracket to the (key,
+    c) terms of that bracket: ((e_{a+b}, N),) for [e_a, e_b] = N e_{a+b}, the h
+    terms of the coroot for [e_a, e_{-a}], and ((e_a, c),) for a coroot bracket."""
     roots, positive = rs._roots, rs._index
     norm = {r.coords: rs.root_form(r, r) for r in rs.positive_roots}
     norm.update({tuple(-x for x in c): v for c, v in norm.items()})  # squared lengths
@@ -155,26 +155,25 @@ def _derive_tables(rs):
         ea, fa = key[a], key[neg[a]]
         table[ea, fa] = tuple((h[i], c) for i, c in enumerate(coeffs) if c)
         table[fa, ea] = tuple((h[i], -c) for i, c in enumerate(coeffs) if c)
-        for hi, row in zip(h, rs.cartan):  # [h_i, e_a] = <a, a_i coroot> e_a
-            if p := sum(x * y for x, y in zip(row, a)):
+        for hi, p in zip(h, rs.root_weights[a]):  # [h_i, e_a] = <a, a_i coroot> e_a
+            if p:
                 table[hi, ea], table[ea, hi] = ((ea, p),), ((ea, -p),)
                 table[hi, fa], table[fa, hi] = ((fa, -p),), ((fa, p),)
     ordered = [("e", c) for c in sorted(roots, key=lambda c: (sum(c), c))] + h
-    return MappingProxyType(table), tuple(ordered)
+    return MappingProxyType(table), MappingProxyType({k: i for i, k in enumerate(ordered)})
 
 
 class ChevalleyAlgebra:
     """Chevalley basis of the semisimple Lie algebra of a root system, its one
-    bracket table read-only, so a write fails at the writer instead of
-    reaching every caller of ``build_algebra``."""
+    bracket table and basis key index read-only, so a write fails at the
+    writer instead of reaching every caller of ``build_algebra``."""
 
     def __init__(self, root_system: RootSystem):
         self.root_system = root_system
-        self._brackets, self._basis_keys = _derive_tables(root_system)
-        self._keys = frozenset(self._basis_keys)
+        self._brackets, self._index = _derive_tables(root_system)  # _index: basis key -> position
         self._modules = weakref.WeakValueDictionary()  # weight coords -> module while held, by oracle.build_irrep
         self._small = []  # the modules of dim <= dim g, held for the process
-        self._verdict = self._orbit = None  # (objects read, value), kept by oracle._derived
+        self._verdict = self._orbit = None  # (the bracket table read, value), kept by oracle._derived
 
     # -- basis ------------------------------------------------------------
 
@@ -190,11 +189,11 @@ class ChevalleyAlgebra:
 
     def basis_keys(self):
         """All basis keys: root vectors for every root, then simple coroots."""
-        return list(self._basis_keys)
+        return list(self._index)
 
     def basis_element(self, key):
         """The basis vector of a basis key; NotBasisKey for any other key."""
-        if key not in self._keys:
+        if key not in self._index:
             raise self._refusal(key)
         return AlgebraElement(self, {key: 1})
 
@@ -223,9 +222,9 @@ class ChevalleyAlgebra:
         if either key names no basis vector."""
         if terms := self._brackets.get((key_x, key_y)):
             return dict(terms)
-        if key_x in self._keys and key_y in self._keys:
+        if key_x in self._index and key_y in self._index:
             return {}  # no entry: the bracket is zero
-        raise self._refusal(key_y if key_x in self._keys else key_x)
+        raise self._refusal(key_y if key_x in self._index else key_x)
 
     def bracket_terms(self, terms_x, terms_y):
         """[x, y] of two combinations of basis keys (dicts key -> int), as a

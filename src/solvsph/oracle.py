@@ -128,12 +128,12 @@ class HighestWeightModule:
     def __init__(self, algebra, lam, weights, actions):
         self.algebra = algebra
         self.lam = lam
-        self.weights = weights  # list of Weight
+        self.weights = weights  # the weight coords of each basis vector
         self.actions = actions  # basis key -> list of sparse columns
         self.dim = len(weights)
         self.by_weight = {}  # weight coords -> basis indices, in order
         for j, w in enumerate(weights):
-            self.by_weight.setdefault(w.coords, []).append(j)
+            self.by_weight.setdefault(w, []).append(j)
         self._s_weights = (None, {})  # (torus restriction rows, by_s_weight's grouping), the last asked for
         self._verify_basics()
 
@@ -162,9 +162,9 @@ class HighestWeightModule:
         dimension 1 - a_ij.  The same holds for f with the roles swapped.
         """
         rs = self.algebra.root_system
-        if self.weights[0] != self.lam:
+        if self.weights[0] != self.lam.coords:
             raise AssertionError("highest vector has the wrong weight")
-        simple, wts = rs.simple_roots, [w.coords for w in self.weights]
+        simple, wts = rs.simple_roots, self.weights
         e_keys = [("e", a.coords) for a in simple]
         f_keys = [("e", (-a).coords) for a in simple]
         h_keys = [("h", i) for i in range(rs.n)]
@@ -174,9 +174,8 @@ class HighestWeightModule:
                 raise AssertionError("coroot action is not the weight diagonal")
             if e[i][0]:
                 raise AssertionError("highest vector is not annihilated by raising operators")
-            shift = [row[i] for row in rs.cartan]  # alpha_i in weight coordinates
             for sign, m in ((1, e[i]), (-1, f[i])):
-                step = [sign * b for b in shift]
+                step = [sign * b for b in rs.root_weights[alpha.coords]]
                 up = {w: tuple(map(operator.add, w, step)) for w in self.by_weight}
                 if any(wts[r] != up[wts[j]] for j, col in enumerate(m) for r in col):
                     root = alpha if sign == 1 else -alpha
@@ -238,7 +237,7 @@ def _build_irreducible(algebra, lam):
     has a nonzero signature.
     """
     rs = algebra.root_system
-    shifts = [tuple(row[k] for row in rs.cartan) for k in range(rs.n)]  # a_k in weight coordinates
+    shifts = [rs.root_weights[a.coords] for a in rs.simple_roots]  # a_k in weight coordinates
     weights, sigs = [lam.coords], [{}]  # per basis vector: weight coords, signature
     built = {lam.coords}  # the weights of the depths done so far
     lowering = [{} for _ in range(rs.n)]  # k -> basis index -> column of f_k
@@ -284,7 +283,6 @@ def _build_irreducible(algebra, lam):
             {r: x for r, x in sigs[j].items() if weights[r] == up[w]} for j, w in enumerate(weights)
         ]
         actions[("e", (-alpha).coords)] = [lowering[k][j] for j in range(dim)]
-    weights = [Weight(w) for w in weights]
     return HighestWeightModule(algebra, lam, weights, _with_derived_actions(algebra, actions))
 
 
@@ -315,7 +313,7 @@ def _module(algebra, lam):
         if mod.dim != (predicted := weyl_dim(algebra.root_system, lam)):
             raise AssertionError(f"module has dimension {mod.dim}, formula says {predicted}")
         algebra._modules[lam.coords] = mod
-        if mod.dim <= len(algebra.basis_keys()):  # dim g
+        if mod.dim <= len(algebra._index):  # dim g
             algebra._small.append(mod)
     return mod
 
@@ -326,42 +324,38 @@ def build_realization(algebra):
     enough: the simple root matrices satisfy the presenting relations, a
     nonzero module of a simple algebra is faithful and the other factors act
     by zero, so the sweep over all ordered pairs of basis keys checks the
-    factor's component of every bracket, cross-factor ones included.  The
-    algebra keeps the verdict (``_derived``) with those modules, which it
-    keeps for the process, so while its table is the one checked a later
-    call checks nothing; a check that raises keeps nothing, and no other
-    algebra object shares the verdict."""
-    mods = [_module(algebra, lam) for lam in checked_fundamentals(algebra.root_system)]
-    _derived(algebra, "_verdict",
-             lambda: [representation_property_check(algebra, mod.actions) for mod in mods], *mods)
+    factor's component of every bracket, cross-factor ones included.  Every
+    such module is built before any is checked.  The algebra alone keeps the
+    verdict, with the table it read (``_derived``): while that table is bound
+    a later call reads no module, and a check that raises keeps nothing."""
+    def check():
+        mods = [_module(algebra, lam) for lam in checked_fundamentals(algebra.root_system)]
+        return [representation_property_check(algebra, mod.actions) for mod in mods]
+
+    _derived(algebra, "_verdict", check)
     return algebra
 
 
-def _derived(algebra, slot, derive, *inputs):
-    """derive(), kept in the algebra's slot (``_verdict``, ``_orbit``) with
-    the objects it read: the algebra's bracket table and the inputs.  While
-    each is still the object it read (``is``), the kept value is returned;
-    once one has been rebound, the value is derived again.  A derive that
-    raises keeps nothing."""
-    reads = (algebra._brackets, *inputs)
-    kept = getattr(algebra, slot)
-    if kept is None or any(map(operator.is_not, kept[0], reads)):
-        kept = (reads, derive())
+def _derived(algebra, slot, derive):
+    """derive(), kept in the algebra's slot (``_verdict``, ``_orbit``) with the
+    bracket table it read and returned while that table is bound (``is``);
+    derived again once the table is rebound.  A derive that raises keeps nothing."""
+    kept, table = getattr(algebra, slot), algebra._brackets
+    if kept is None or kept[0] is not table:
+        kept = (table, derive())
         setattr(algebra, slot, kept)
     return kept[1]
 
 
 def checked_fundamentals(rs):
     """The fundamental weight of least Weyl dimension of each simple factor, on whose
-    modules ``build_realization`` checks the bracket table; kept on the root system."""
-    if rs._checked is None:
-        ranks = [rank for _, rank in rs.components]
-        out = []
-        for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
-            lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
-            out.append(min(lams, key=lambda lam: weyl_dim(rs, lam)))
-        rs._checked = tuple(out)
-    return rs._checked
+    modules ``build_realization`` checks the bracket table."""
+    ranks = [rank for _, rank in rs.components]
+    out = []
+    for start, rank in zip(itertools.accumulate(ranks, initial=0), ranks):
+        lams = [rs.fundamental_weight(i) for i in range(start, start + rank)]
+        out.append(min(lams, key=lambda lam: weyl_dim(rs, lam)))
+    return out
 
 
 def _failure(x, y):
@@ -466,12 +460,16 @@ def semi_invariant_witness(mod, sub: SubgroupData, table: ActiveRootTable, j):
 
 
 def annihilated_by_nil(mod, sub: SubgroupData, vec):
-    """Whether every unipotent basis element kills the vector."""
+    """Whether every unipotent basis element kills the vector; ValueError unless it has mod.dim coordinates."""
+    if len(vec) != mod.dim:
+        raise ValueError(f"a vector of {len(vec)} coordinates is not in a module of dimension {mod.dim}")
     return not _nil_images(mod, sub, [{j: x for j, x in enumerate(vec) if x}])[0]
 
 
 def vector_s_weight(mod, sub: SubgroupData, vec):
-    """The common S-weight of a vector's support; ValueError if mixed."""
+    """The common S-weight of a vector's support; ValueError if mixed, or unless it has mod.dim coordinates."""
+    if len(vec) != mod.dim:
+        raise ValueError(f"a vector of {len(vec)} coordinates is not in a module of dimension {mod.dim}")
     chis = {sub.tau.restrict(mod.weights[j]) for j in range(mod.dim) if vec[j] != 0}
     if len(chis) != 1:
         raise ValueError(f"vector is not an S-weight vector: {sorted(chis)}")
@@ -554,10 +552,9 @@ def _chains(cols):
 def _orbit_tables(algebra):
     """The basis key index, the e(-a) positions over the positive roots a,
     ``longest_word`` and the chains of each ad e(-a_i), checked monomial."""
-    rs, keys = algebra.root_system, algebra.basis_keys()
-    index, letters = {k: i for i, k in enumerate(keys)}, []
+    rs, index, letters = algebra.root_system, algebra._index, []
     for f in [("e", (-a).coords) for a in rs.simple_roots]:
-        cols = [algebra.bracket_keys(f, y) for y in keys]
+        cols = [algebra.bracket_keys(f, y) for y in index]
         if any(len(terms) > 1 for terms in cols):
             raise AssertionError(f"ad {fmt_key(f)} is not monomial")
         letters.append(_chains([next(((index[k], c) for k, c in terms.items()), None) for terms in cols]))

@@ -260,7 +260,6 @@ class RootSystem:
         # the coroot of each positive root over the simple coroots, in the same order
         self.positive_coroots = tuple(self.coroot_coefficients(r) for r in self.positive_roots)
         self._weyl_dims = {}  # dominant weight coords -> dim V(lam), filled by oracle.weyl_dim
-        self._checked = None  # the weights of oracle.checked_fundamentals: they depend on the Cartan matrix alone
 
     def _build_cartan(self):
         blocks = [_component_cartan(t, r) for t, r in self.components]
@@ -431,8 +430,8 @@ def build_root_system(spec):
     ``spec`` is a sequence of (type letter, rank) pairs, e.g.
     ``[("A", 3)]`` or ``[("A", 1), ("C", 2)]``.  Specs that normalize alike
     (``("a", 2)`` and ``("A", 2.0)`` as ``("A", 2)``) share one RootSystem,
-    which only the memos of ``oracle.weyl_dim`` and ``checked_fundamentals``
-    write once it is built.  An invalid spec is refused on every call and never stored.
+    which only the memo of ``oracle.weyl_dim`` writes once it is built.  An
+    invalid spec is refused on every call and never stored.
     """
     try:  # a hit is a spec normalized already
         return _SYSTEMS[spec]

@@ -50,13 +50,15 @@ class SemigroupGenerators:
         return self.torus_gens + self.active_gens
 
     def decompose(self, pair):
-        """Nonnegative integer coefficients over the generators, or None."""
+        """Nonnegative integer coefficients over the generators, or None; ValueError unless the
+        weight has n coordinates and the character d."""
         w, chi = pair
-        coords = w.coords if isinstance(w, Weight) else tuple(w)
-        target = (*coords, *chi)
-        width = self.n + self.d
-        if len(target) != width:
-            raise ValueError("pair has the wrong number of coordinates")
+        coords, chi = (w.coords if isinstance(w, Weight) else tuple(w)), tuple(chi)
+        if len(coords) != self.n:
+            raise ValueError(f"the weight of a pair has {len(coords)} coordinates, not n = {self.n}")
+        if len(chi) != self.d:
+            raise ValueError(f"the character of a pair has {len(chi)} coordinates, not d = {self.d}")
+        target, width = (*coords, *chi), self.n + self.d
         # target - sum x_g gen_g is left below the tags, and -x in them
         _, rest = linalg.reduce_over(self._basis, {i: t for i, t in enumerate(target) if t})
         coeffs = tuple(-rest.pop(width + g, 0) for g in range(self.n + self.m))

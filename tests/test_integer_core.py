@@ -85,7 +85,7 @@ def test_verify_makes_no_fractions_in_the_integer_core(tmp_path, monkeypatch, ca
         assert not bad, (argv, bad)
         assert len(modules) > 1
         for mod in modules:
-            assert all(type(c) is int for w in mod.weights for c in w.coords), mod
+            assert all(type(c) is int for w in mod.weights for c in w), mod
 
 
 def test_the_integer_core_does_not_import_fractions():

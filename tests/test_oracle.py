@@ -159,7 +159,7 @@ def test_fundamental_modules_have_formula_dimensions():
         for i in range(rs.n):
             mod = build_irrep(alg, rs.fundamental_weight(i), math.inf)
             assert mod.dim == weyl_dim(rs, rs.fundamental_weight(i))
-            assert mod.weights[0] == rs.fundamental_weight(i)
+            assert mod.weights[0] == rs.fundamental_weight(i).coords
 
 
 def test_build_irrep_dimensions():
@@ -175,7 +175,7 @@ def test_build_irrep_dimensions():
 def test_build_irrep_trivial_module():
     alg = _algebra([("A", 2)])
     mod = build_irrep(alg, Weight((0, 0)))
-    assert mod.dim == 1 and mod.weights == [Weight((0, 0))]
+    assert mod.dim == 1 and mod.weights == [(0, 0)]
 
 
 def test_build_irrep_rejects_bad_weights():
@@ -334,6 +334,18 @@ def test_witness_index_out_of_range():
     mod = build_irrep(sub.algebra, Weight((1,)))
     with pytest.raises(IndexError):
         semi_invariant_witness(mod, sub, table, 5)
+
+
+@pytest.mark.parametrize("check", [annihilated_by_nil, vector_s_weight])
+def test_witness_checks_refuse_a_vector_of_the_wrong_length(check):
+    # borel on A2, V(1, 0) of dim 3: a short vector was read as if zero-padded,
+    # a long one had its extra coordinates ignored, both without an error
+    sub = build_subgroup(get_preset("borel"))
+    mod = build_irrep(sub.algebra, Weight((1, 0)))
+    assert mod.dim == 3 and check(mod, sub, [1, 0, 0]) in (True, (1, 0))
+    for vec in ([1, 0], [1, 0, 0, 5], [], [0, 0, 1, 0]):
+        with pytest.raises(ValueError, match=f"a vector of {len(vec)} coordinates is not in a module of dimension 3"):
+            check(mod, sub, vec)
 
 
 def test_enumerate_maximal_unipotent_on_sl2():
@@ -753,7 +765,7 @@ def test_shared_modules_stay_intact_after_every_preset_is_verified(monkeypatch, 
         regrouped = {}
         for j, w in enumerate(mod.weights):
             if rows is not None:
-                regrouped.setdefault(tuple(sum(map(operator.mul, row, w.coords)) for row in rows), []).append(j)
+                regrouped.setdefault(tuple(sum(map(operator.mul, row, w)) for row in rows), []).append(j)
         assert groups == regrouped, mod
 
 

@@ -124,6 +124,30 @@ def test_rebinding_a_table_makes_the_next_realization_check_again(table, monkeyp
     assert len(checked) == 4
 
 
+def test_a_module_of_the_wrong_dimension_is_refused_and_not_kept(monkeypatch):
+    # a builder that hands back V(1, 0), of dim 3, for V(1, 1), of dim 8 by the formula
+    alg = ChevalleyAlgebra(build_root_system([("A", 2)]))  # a private algebra, so the shared one stays intact
+    build = oracle._build_irreducible
+    monkeypatch.setattr(oracle, "_build_irreducible", lambda algebra, lam: build(algebra, Weight((1, 0))))
+    with pytest.raises(AssertionError, match=r"^module has dimension 3, formula says 8$"):
+        build_irrep(alg, Weight((1, 1)))
+    assert (1, 1) not in alg._modules
+
+
+def test_a_verdict_hit_reads_nothing_but_the_table(monkeypatch):
+    alg = ChevalleyAlgebra(build_root_system([("A", 1), ("C", 2)]))  # a private algebra
+    build_realization(alg)
+    calls = []
+    for name in ("checked_fundamentals", "_module"):
+        real = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    build_realization(alg)
+    assert calls == []
+    monkeypatch.setattr(alg, "_brackets", MappingProxyType(dict(alg._brackets)))  # equal, but another object
+    build_realization(alg)
+    assert calls == ["checked_fundamentals", "_module", "_module"]  # one module per simple factor
+
+
 def test_a_rebound_table_with_one_constant_negated_is_caught(monkeypatch):
     alg = ChevalleyAlgebra(build_root_system([("G", 2)]))
     build_realization(alg)

@@ -170,6 +170,29 @@ def test_decompose_refuses_a_pair_outside_the_span_of_fewer_generators():
     assert gens.decompose((Weight((1, 0)), (1, 0))) is None
 
 
+@pytest.mark.parametrize("name", ["borel", "sl4-sp4borel"])
+def test_decompose_refuses_a_weight_or_character_of_the_wrong_length(name):
+    # the weight must have n coordinates and the character d: a pair of n + d
+    # coordinates split elsewhere was read as another pair
+    _, _, gens = _gens(name)
+    n, d = gens.n, gens.d
+    assert gens.m == (0 if name == "borel" else 2)
+    bad = {  # pair -> the part refused, and its length
+        ((1,) * (n + 1), (0,) * (d - 1)): ("weight", n + 1),
+        (Weight((1,) * (n + 1)), (0,) * (d - 1)): ("weight", n + 1),
+        ((0,) * (n - 1), (0,) * (d + 1)): ("weight", n - 1),
+        ((0,) * n, (0,) * (d + 1)): ("character", d + 1),
+        ((0,) * n, (0,) * (d - 1)): ("character", d - 1),
+    }
+    if name == "borel":  # ((0, 1, 1), (0,)) was decomposed as ((0, 1), (1, 0))
+        bad.update({((0, 1, 1), (0,)): ("weight", 3), ((1, 0, 1), (0,)): ("weight", 3)})
+    for call in (gens.decompose, lambda pair: decompose(gens, pair)):
+        assert call(((0,) * n, (0,) * d)) == (0,) * (n + gens.m)
+        for pair, (part, size) in bad.items():
+            with pytest.raises(ValueError, match=f"^the {part} of a pair has {size} coordinates, not "):
+                call(pair)
+
+
 def test_decompose_matches_a_rational_solve_on_fuzzed_configs():
     # decompose returns x exactly when M x = pair has a nonnegative integral
     # solution over Q, and then the two agree
